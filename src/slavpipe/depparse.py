@@ -7,9 +7,10 @@ the second stack position, which a UD model only permits as the final
 transition while a JOS model may take it repeatedly.
 
 Scoring is an averaged perceptron over sparse indicator features of the
-stack/buffer context.  Training is deterministic for a fixed seed, and the
-decoder chooses among equal scores by lexicographic action order, so parsing
-is reproducible as well.
+stack/buffer context.  Training is deterministic for a fixed seed.  Actions
+are numbered in lexicographic order of their names (``left=<label>``,
+``right=<label>``, ``shift``), and the decoder resolves equal scores to the
+smallest index, i.e. the smallest name, so parsing is reproducible as well.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import ModelError, StageError, TrainingError
 
 ROOT = 0
 _NONE = "<none>"
+_BIAS = ("bias",)
 
 
 class TreeSchema(enum.Enum):
@@ -69,16 +71,21 @@ def validate_tree(sentence: Sentence, schema: TreeSchema) -> list[str]:
     elif len(roots) != 1:
         problems.append(f"expected exactly one root attachment, found {len(roots)}")
 
+    # a walk stops at the first node already known to reach the root, so
+    # every node is walked once; a walk that ends in a cycle never meets
+    # such a node and collects the same ``seen`` set as a full walk would
+    rooted = {ROOT}
     for start in heads:
         seen = set()
         node = start
-        while node != ROOT:
+        while node not in rooted:
             if node in seen:
                 cycle = sorted(seen)
                 problems.append(f"head cycle through tokens {cycle}")
                 return problems
             seen.add(node)
             node = heads[node]
+        rooted |= seen
     return problems
 
 
@@ -102,93 +109,160 @@ class ParserModel:
     schema: TreeSchema = TreeSchema.UD
     metadata: ParserMetadata = field(default_factory=ParserMetadata)
 
+    def __post_init__(self) -> None:
+        self._build_rows()
 
-def _token_view(sentence: Sentence) -> dict[int, tuple[str, str, str]]:
-    view = {ROOT: ("<root>", "<root>", "<root>")}
-    for tok in sentence.single_tokens():
-        view[tok.id] = (tok.form, tok.upos or _NONE, tok.xpos or _NONE)
-    return view
-
-
-def _features(
-    stack: list[int], pos: int, order: list[int], view: dict[int, tuple[str, str, str]]
-) -> list[str]:
-    def at(idx: int | None) -> tuple[str, str, str]:
-        if idx is None:
-            return (_NONE, _NONE, _NONE)
-        return view[idx]
-
-    s0 = at(stack[-1] if stack else None)
-    s1 = at(stack[-2] if len(stack) >= 2 else None)
-    b0 = at(order[pos] if pos < len(order) else None)
-    b1 = at(order[pos + 1] if pos + 1 < len(order) else None)
-    return [
-        "bias",
-        f"s0f={s0[0]}",
-        f"s0u={s0[1]}",
-        f"s0x={s0[2]}",
-        f"s1f={s1[0]}",
-        f"s1u={s1[1]}",
-        f"s1x={s1[2]}",
-        f"b0f={b0[0]}",
-        f"b0u={b0[1]}",
-        f"b1u={b1[1]}",
-        f"s0u|s1u={s0[1]}|{s1[1]}",
-        f"s0x|s1x={s0[2]}|{s1[2]}",
-        f"s0u|b0u={s0[1]}|{b0[1]}",
-        f"s1u|b0u={s1[1]}|{b0[1]}",
-        f"s0f|s1u={s0[0]}|{s1[1]}",
-        f"s0u|s1f={s0[1]}|{s1[0]}",
-    ]
+    def _build_rows(self) -> None:
+        # the decoder's form of ``weights``: each feature's row as
+        # (action index, weight) pairs; a malformed archive fails here, at
+        # load, with TypeError or ValueError
+        for labels in (self.dep_labels, self.root_labels):
+            if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+                raise TypeError("labels must be a list of strings")
+        self._actions = _Actions(self.dep_labels, self.root_labels, self.schema)
+        if not isinstance(self.weights, dict):
+            raise TypeError("weights must map features to rows")
+        index = self._actions.index
+        self._rows: dict[str, tuple[tuple[int, float], ...]] = {}
+        for feat, row in self.weights.items():
+            if not isinstance(row, dict):
+                raise TypeError(f"weight row {feat!r} is not a mapping of actions")
+            pairs = []
+            for action, weight in row.items():
+                if action not in index:
+                    raise ValueError(f"weight row {feat!r} names unknown action {action!r}")
+                if type(weight) not in (int, float):
+                    raise TypeError(f"weight {feat!r}/{action!r} is not a number")
+                pairs.append((index[action], weight))
+            self._rows[feat] = tuple(pairs)
+        self._bias_scores = [0.0] * len(self._actions.names)
+        _add_rows(self._bias_scores, _found(self._rows, _BIAS))
 
 
-def _valid_actions(
-    stack: list[int],
-    pos: int,
-    n: int,
-    dep_labels: list[str],
-    root_labels: list[str],
-    schema: TreeSchema,
-) -> list[str]:
-    actions: list[str] = []
-    if pos < n:
-        actions.append("shift")
-    if len(stack) >= 2:
-        s1, s2 = stack[-1], stack[-2]
-        if s2 != ROOT:
-            actions.extend(f"left={lab}" for lab in dep_labels)
-            actions.extend(f"right={lab}" for lab in dep_labels)
-        elif schema.allows_multiple_roots or pos >= n:
-            actions.extend(f"right={lab}" for lab in root_labels)
-    return sorted(actions)
+class _Actions:
+    """The transitions of one label set, indexed in lexicographic name order.
+
+    Action names are ``shift``, ``left=<label>`` and ``right=<label>``.
+    ``moves[i]`` gives the stack slot action ``i`` pops its dependent from
+    (``None`` for a shift) and the label it attaches it with.
+    """
+
+    def __init__(self, dep_labels: list[str], root_labels: list[str], schema: TreeSchema):
+        self.names = sorted(
+            {"shift"}
+            | {f"left={label}" for label in dep_labels}
+            | {f"right={label}" for label in (*dep_labels, *root_labels)}
+        )
+        self.index = {name: i for i, name in enumerate(self.names)}
+        self.moves: list[tuple[int | None, str]] = []
+        for name in self.names:
+            kind, _, label = name.partition("=")
+            self.moves.append(({"left": -2, "right": -1}.get(kind), label))
+        self.shift = self.index["shift"]
+        self.left = {label: self.index[f"left={label}"] for label in dep_labels}
+        self.right = {
+            label: self.index[f"right={label}"] for label in (*dep_labels, *root_labels)
+        }
+        shift = [self.shift]
+        dep_arcs = sorted({*self.left.values(), *map(self.right.get, dep_labels)})
+        root_arcs = sorted(set(map(self.right.get, root_labels)))
+        # _valid[buffer not empty][arcs]; arcs: 0 none (fewer than two stack
+        # items), 1 between two tokens, 2 onto the root, which a UD tree only
+        # takes once the buffer is empty
+        self._valid = (
+            ([], dep_arcs, root_arcs),
+            (
+                shift,
+                sorted(shift + dep_arcs),
+                sorted(shift + root_arcs) if schema.allows_multiple_roots else shift,
+            ),
+        )
+
+    def valid(self, stack: list[int], buffered: bool) -> list[int]:
+        """Indices of the actions allowed in this configuration, ascending."""
+        if len(stack) < 2:
+            arcs = 0
+        elif stack[-2] != ROOT:
+            arcs = 1
+        else:
+            arcs = 2
+        return self._valid[buffered][arcs]
 
 
-def _apply(action: str, stack: list[int], heads: dict[int, int], labels: dict[int, str]) -> int:
-    """Apply an action; returns 1 when a buffer token was consumed."""
-    if action == "shift":
+class _Context:
+    """The feature strings of one sentence, by stack/buffer position.
+
+    Position 0 is the root and 1..n are the sentence's single tokens; n + 1
+    and n + 2 stand for an empty stack slot or buffer slot (``<none>``).
+    The features of a configuration, in scoring order, are
+    ``_BIAS + s0[s0] + s1[s1] + buffer[pos] + pairs(s0, s1, pos)``.
+    """
+
+    def __init__(self, sentence: Sentence):
+        self.tokens = sentence.single_tokens()
+        n = self.n = len(self.tokens)
+        self.none = n + 1
+        self.values = (
+            [("<root>", "<root>", "<root>")]
+            + [(t.form, t.upos or _NONE, t.xpos or _NONE) for t in self.tokens]
+            + [(_NONE, _NONE, _NONE)] * 2
+        )
+        v = self.values
+        self.s0 = [("s0f=" + f, "s0u=" + u, "s0x=" + x) for f, u, x in v[: n + 1]]
+        self.s1 = [("s1f=" + f, "s1u=" + u, "s1x=" + x) for f, u, x in v[: n + 2]]
+        self.buffer = [
+            ("b0f=" + v[p][0], "b0u=" + v[p][1], "b1u=" + v[p + 1][1]) for p in range(1, n + 2)
+        ]
+
+    def pairs(self, s0: int, s1: int, pos: int) -> tuple[str, ...]:
+        s0f, s0u, s0x = self.values[s0]
+        s1f, s1u, s1x = self.values[s1]
+        b0u = self.values[pos + 1][1]
+        return (
+            f"s0u|s1u={s0u}|{s1u}",
+            f"s0x|s1x={s0x}|{s1x}",
+            f"s0u|b0u={s0u}|{b0u}",
+            f"s1u|b0u={s1u}|{b0u}",
+            f"s0f|s1u={s0f}|{s1u}",
+            f"s0u|s1f={s0u}|{s1f}",
+        )
+
+
+def _found(rows: dict, feats) -> list:
+    return [row for row in map(rows.get, feats) if row]
+
+
+def _add_rows(scores: list[float], rows) -> None:
+    # one += per (feature, action) in feature order, so every score is the
+    # same sequence of float additions on every Python version; builtin
+    # sum() of floats is compensated from 3.12 on and would change results
+    for row in rows:
+        for action, weight in row:
+            scores[action] += weight
+
+
+def _apply(
+    move: tuple[int | None, str], stack: list[int], pos: int, heads: dict, labels: dict
+) -> int:
+    """Apply a move; returns 1 when it shifted the buffer token at ``pos``."""
+    slot, label = move
+    if slot is None:
+        stack.append(pos + 1)
         return 1
-    kind, _, label = action.partition("=")
-    if kind == "left":
-        dep = stack.pop(-2)
-        heads[dep] = stack[-1]
-    else:
-        dep = stack.pop()
-        heads[dep] = stack[-1]
+    dep = stack.pop(slot)
+    heads[dep] = stack[-1]
     labels[dep] = label
     return 0
 
 
 class _AveragedPerceptron:
     def __init__(self) -> None:
-        self.weights: dict[str, dict[str, float]] = {}
-        self._totals: dict[tuple[str, str], float] = {}
-        self._stamps: dict[tuple[str, str], int] = {}
+        self.weights: dict[str, dict[int, float]] = {}
+        self._totals: dict[tuple[str, int], float] = {}
+        self._stamps: dict[tuple[str, int], int] = {}
         self.step = 0
 
-    def score_all(self, feats: list[str]) -> dict[str, float]:
-        return _score_all(self.weights, feats)
-
-    def _bump(self, feat: str, action: str, delta: float) -> None:
+    def _bump(self, feat: str, action: int, delta: float) -> None:
         row = self.weights.setdefault(feat, {})
         key = (feat, action)
         current = row.get(action, 0.0)
@@ -198,7 +272,7 @@ class _AveragedPerceptron:
         self._stamps[key] = self.step
         row[action] = current + delta
 
-    def update(self, feats: list[str], gold: str, predicted: str) -> None:
+    def update(self, feats: tuple[str, ...], gold: int, predicted: int) -> None:
         self.step += 1
         if gold == predicted:
             return
@@ -206,7 +280,8 @@ class _AveragedPerceptron:
             self._bump(feat, gold, 1.0)
             self._bump(feat, predicted, -1.0)
 
-    def averaged(self) -> dict[str, dict[str, float]]:
+    def averaged(self, names: list[str]) -> dict[str, dict[str, float]]:
+        """Averaged weights, with action indices mapped back to ``names``."""
         if self.step == 0:
             return {}
         out: dict[str, dict[str, float]] = {}
@@ -218,14 +293,8 @@ class _AveragedPerceptron:
                 )
                 avg = total / self.step
                 if avg:
-                    out.setdefault(feat, {})[action] = avg
+                    out.setdefault(feat, {})[names[action]] = avg
         return out
-
-
-def _best_action(scores: dict[str, float], valid: list[str]) -> str:
-    # `valid` is sorted, and max() keeps the first of equal keys, so ties
-    # resolve to the lexicographically smallest action
-    return max(valid, key=lambda a: scores.get(a, 0.0))
 
 
 def train_parser(
@@ -259,6 +328,7 @@ def train_parser(
     dep_labels = sorted(
         {t.deprel for s in sentences for t in s.single_tokens() if t.head != ROOT}
     )
+    actions = _Actions(dep_labels, root_labels, schema)
 
     perceptron = _AveragedPerceptron()
     rng = random.Random(seed)
@@ -266,10 +336,10 @@ def train_parser(
     for _ in range(epochs):
         rng.shuffle(indices)
         for idx in indices:
-            _train_sentence(perceptron, sentences[idx], dep_labels, root_labels, schema)
+            _train_sentence(perceptron, sentences[idx], actions, dep_labels, root_labels)
 
     return ParserModel(
-        weights=perceptron.averaged(),
+        weights=perceptron.averaged(actions.names),
         dep_labels=dep_labels,
         root_labels=root_labels,
         schema=schema,
@@ -286,97 +356,109 @@ def train_parser(
 def _train_sentence(
     perceptron: _AveragedPerceptron,
     sentence: Sentence,
+    actions: _Actions,
     dep_labels: list[str],
     root_labels: list[str],
-    schema: TreeSchema,
 ) -> None:
-    singles = sentence.single_tokens()
-    order = [t.id for t in singles]
-    n = len(order)
-    gold_head = {t.id: t.head for t in singles}
-    gold_label = {t.id: t.deprel for t in singles}
-    pending = {i: 0 for i in order}
-    pending[ROOT] = 0
-    for tok in singles:
-        pending[tok.head] = pending.get(tok.head, 0) + 1
+    ctx = _Context(sentence)
+    n = ctx.n
+    position = {t.id: p for p, t in enumerate(ctx.tokens, 1)}
+    position[ROOT] = ROOT
+    gold_head = [None] + [position[t.head] for t in ctx.tokens]
+    gold_label = [None] + [t.deprel for t in ctx.tokens]
+    pending = [0] * (n + 1)
+    for head in gold_head[1:]:
+        pending[head] += 1
 
-    view = _token_view(sentence)
+    weights = perceptron.weights
     stack = [ROOT]
     pos = 0
     heads: dict[int, int] = {}
     labels: dict[int, str] = {}
     while len(stack) > 1 or pos < n:
-        gold = _oracle(stack, pos, n, gold_head, gold_label, pending, dep_labels, root_labels)
-        feats = _features(stack, pos, order, view)
-        valid = _valid_actions(stack, pos, n, dep_labels, root_labels, schema)
-        predicted = _best_action(perceptron.score_all(feats), valid)
+        gold = _oracle(
+            stack, pos, n, gold_head, gold_label, pending, actions, dep_labels, root_labels
+        )
+        s0 = stack[-1]
+        s1 = stack[-2] if len(stack) > 1 else ctx.none
+        feats = _BIAS + ctx.s0[s0] + ctx.s1[s1] + ctx.buffer[pos] + ctx.pairs(s0, s1, pos)
+        valid = actions.valid(stack, pos < n)
+        predicted = valid[0]
+        if len(valid) > 1:  # a forced move needs no scores
+            scores = [0.0] * len(actions.names)
+            _add_rows(scores, map(dict.items, _found(weights, feats)))
+            predicted = max(valid, key=scores.__getitem__)
         perceptron.update(feats, gold, predicted)
-        if _apply(gold, stack, heads, labels):
-            stack.append(order[pos])
-            pos += 1
+        pos += _apply(actions.moves[gold], stack, pos, heads, labels)
 
 
 def _oracle(
     stack: list[int],
     pos: int,
     n: int,
-    gold_head: dict[int, int],
-    gold_label: dict[int, str],
-    pending: dict[int, int],
+    gold_head: list[int | None],
+    gold_label: list[str | None],
+    pending: list[int],
+    actions: _Actions,
     dep_labels: list[str],
     root_labels: list[str],
-) -> str:
+) -> int:
     if len(stack) >= 2:
         s1, s2 = stack[-1], stack[-2]
-        if s2 != ROOT and gold_head.get(s2) == s1 and pending[s2] == 0:
+        if s2 != ROOT and gold_head[s2] == s1 and pending[s2] == 0:
             pending[s1] -= 1
-            return f"left={gold_label[s2]}"
-        if gold_head.get(s1) == s2 and pending[s1] == 0:
+            return actions.left[gold_label[s2]]
+        if gold_head[s1] == s2 and pending[s1] == 0:
             pending[s2] -= 1
-            return f"right={gold_label[s1]}"
+            return actions.right[gold_label[s1]]
     if pos < n:
-        return "shift"
+        return actions.shift
     # gold tree is not reachable (non-projective); force a right-arc so the
     # transition sequence still terminates
     s1, s2 = stack[-1], stack[-2]
-    label = gold_label.get(s1)
+    label = gold_label[s1]
     if s2 == ROOT:
         if label not in root_labels:
             label = root_labels[0]
     elif label not in dep_labels:
         label = dep_labels[0]
     pending[s2] -= 1
-    return f"right={label}"
+    return actions.right[label]
 
 
 def parse_sentence(model: ParserModel, sentence: Sentence) -> dict[int, tuple[int, str]]:
     """Greedy decode; returns ``{token id: (head, deprel)}``."""
-    singles = sentence.single_tokens()
-    order = [t.id for t in singles]
-    n = len(order)
-    view = _token_view(sentence)
+    ctx = _Context(sentence)
+    n = ctx.n
+    actions = model._actions
+    rows = model._rows
+    # per-sentence caches: the scores after bias and the three s0 features,
+    # which depend on s0 alone, and each position's other unary-feature rows
+    prefix = []
+    for feats in ctx.s0:
+        scores = model._bias_scores[:]
+        _add_rows(scores, _found(rows, feats))
+        prefix.append(scores)
+    s1_rows = [_found(rows, feats) for feats in ctx.s1]
+    buffer_rows = [_found(rows, feats) for feats in ctx.buffer]
+
     stack = [ROOT]
     pos = 0
     heads: dict[int, int] = {}
     labels: dict[int, str] = {}
     while len(stack) > 1 or pos < n:
-        valid = _valid_actions(stack, pos, n, model.dep_labels, model.root_labels, model.schema)
-        feats = _features(stack, pos, order, view)
-        action = _best_action(_score_all(model.weights, feats), valid)
-        if _apply(action, stack, heads, labels):
-            stack.append(order[pos])
-            pos += 1
-    return {i: (heads[i], labels[i]) for i in order}
-
-
-def _score_all(weights: dict[str, dict[str, float]], feats: list[str]) -> dict[str, float]:
-    scores: dict[str, float] = {}
-    for feat in feats:
-        row = weights.get(feat)
-        if row:
-            for action, weight in row.items():
-                scores[action] = scores.get(action, 0.0) + weight
-    return scores
+        valid = actions.valid(stack, pos < n)
+        move = valid[0]
+        if len(valid) > 1:  # a forced move needs no scores
+            s0 = stack[-1]
+            s1 = stack[-2] if len(stack) > 1 else ctx.none
+            scores = prefix[s0][:]
+            pairs = _found(rows, ctx.pairs(s0, s1, pos))
+            _add_rows(scores, [*s1_rows[s1], *buffer_rows[pos], *pairs])
+            move = max(valid, key=scores.__getitem__)
+        pos += _apply(actions.moves[move], stack, pos, heads, labels)
+    ids = [ROOT] + [t.id for t in ctx.tokens]
+    return {ids[p]: (ids[heads[p]], labels[p]) for p in range(1, n + 1)}
 
 
 def parse_dependency(
@@ -439,8 +521,8 @@ def load_parser(path) -> ParserModel:
     try:
         model = ParserModel(
             weights=sections["weights"],
-            dep_labels=list(sections["dep_labels"]),
-            root_labels=list(sections["root_labels"]),
+            dep_labels=sections["dep_labels"],
+            root_labels=sections["root_labels"],
             schema=TreeSchema(meta["schema"]),
             metadata=ParserMetadata(
                 language=meta.get("language", ""),

@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from slavpipe.conllu import Document, Sentence, Token, copy_document
+from slavpipe import modelio
+from slavpipe.conllu import Document, Sentence, Token, copy_document, serialize_document
 from slavpipe.depparse import (
+    ParserModel,
     TreeSchema,
     load_parser,
     parse_dependency,
@@ -70,6 +73,21 @@ def test_cycle_detected():
     sent = sentence([(2, "a"), (3, "b"), (1, "c"), (0, "root")])
     problems = validate_tree(sent, TreeSchema.UD)
     assert any("cycle" in p for p in problems)
+
+
+def test_cycle_message_names_the_first_failing_walk():
+    # 1 and 2 reach the root before the walk from 3 runs into the 4-5-6 cycle
+    sent = sentence([(0, "root"), (1, "a"), (4, "b"), (5, "c"), (6, "d"), (4, "e")])
+    assert validate_tree(sent, TreeSchema.UD) == ["head cycle through tokens [3, 4, 5, 6]"]
+    # a JOS tree: the walk from 1 already fails and collects only the cycle
+    sent = sentence([(2, "a"), (1, "b"), (0, "Root"), (1, "c")])
+    assert validate_tree(sent, TreeSchema.JOS) == ["head cycle through tokens [1, 2]"]
+
+
+def test_long_chain_validates():
+    n = 3000
+    chain = sentence([(i + 1, "dep") for i in range(1, n)] + [(0, "root")])
+    assert validate_tree(chain, TreeSchema.UD) == []
 
 
 def test_rootless_rejected_in_both_schemas():
@@ -239,6 +257,37 @@ def test_save_load_parses_identically(tmp_path, trained, dev_doc):
         assert parse_sentence(again, sent) == parse_sentence(trained, sent)
 
 
+MINIMAL_SECTIONS = {
+    "weights": {"bias": {"shift": 1.0, "left=a": -0.5}},
+    "dep_labels": ["a"],
+    "root_labels": ["root"],
+}
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        pytest.param("weights", [["bias", {"shift": 1.0}]], id="weights-list"),
+        pytest.param("weights", {"bias": [["shift", 1.0]]}, id="row-list"),
+        pytest.param("weights", {"bias": 1.0}, id="row-number"),
+        pytest.param("weights", {"bias": {"shift": "1.0"}}, id="weight-string"),
+        pytest.param("weights", {"bias": {"shift": None}}, id="weight-null"),
+        pytest.param("weights", {"bias": {"shift": True}}, id="weight-bool"),
+        pytest.param("weights", {"bias": {"left=b": 1.0}}, id="unknown-label"),
+        pytest.param("weights", {"bias": {"reduce": 1.0}}, id="unknown-action"),
+        pytest.param("dep_labels", "a", id="labels-string"),
+        pytest.param("root_labels", ["root", 1], id="label-number"),
+    ],
+)
+def test_malformed_archive_refused_at_load(tmp_path, section, value):
+    path = tmp_path / "parser.slm"
+    modelio.write_archive(path, "parser", {"schema": "ud"}, MINIMAL_SECTIONS)
+    assert load_parser(path).weights == MINIMAL_SECTIONS["weights"]
+    modelio.write_archive(path, "parser", {"schema": "ud"}, {**MINIMAL_SECTIONS, section: value})
+    with pytest.raises(ModelError, match="malformed parser model"):
+        load_parser(path)
+
+
 def test_schema_preserved_through_archive(tmp_path, multi_root_doc):
     train = Document(
         sentences=[copy_document(multi_root_doc).sentences[0] for _ in range(5)]
@@ -247,3 +296,61 @@ def test_schema_preserved_through_archive(tmp_path, multi_root_doc):
     path = tmp_path / "jos.slm"
     save_parser(model, path)
     assert load_parser(path).schema is TreeSchema.JOS
+
+
+# --- golden pins ------------------------------------------------------------
+# Digests of the archive bytes and of the parsed output.  They pin the exact
+# float arithmetic of training and decoding: any change to feature order,
+# update order, averaging or tie-breaking changes them.
+
+UD_ARCHIVE_SHA256 = "04a67f903bc07a4b08077f5b4e5cadcf6c5a7c5a30639a298ccc7bad9511c30d"
+UD_PARSE_SHA256 = "29f1d14729a07a33c018aa6c482889a669a30ef6115a218a30c8e9fefa704bc8"
+JOS_ARCHIVE_SHA256 = "b8246a8b3bbf15de82f7acd8cf33983f2f8408c13d518e6be9cb77f138b2443a"
+JOS_PARSE_SHA256 = "5d89605af13d436148dbf8a3019e820bc84c8ff5d72aea9e5f9492600e418033"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "schema, archive_sha, parse_sha",
+    [
+        (TreeSchema.UD, UD_ARCHIVE_SHA256, UD_PARSE_SHA256),
+        (TreeSchema.JOS, JOS_ARCHIVE_SHA256, JOS_PARSE_SHA256),
+    ],
+    ids=["ud", "jos"],
+)
+def test_golden_archive_and_parse(
+    tmp_path, train_doc, dev_doc, multi_root_doc, schema, archive_sha, parse_sha
+):
+    if schema is TreeSchema.UD:
+        train = train_doc
+    else:
+        train = Document(sentences=train_doc.sentences[:60] + multi_root_doc.sentences * 10)
+    model = train_parser(train, schema, language="sl", seed=13, epochs=6)
+    path = tmp_path / "parser.slm"
+    save_parser(model, path)
+    assert _sha256(path.read_bytes()) == archive_sha
+    dev = Document(sentences=dev_doc.sentences + multi_root_doc.sentences)
+    for parser in (model, load_parser(path)):
+        out = serialize_document(parse_dependency(dev, parser))
+        assert _sha256(out.encode("utf-8")) == parse_sha
+
+
+@pytest.mark.parametrize(
+    "schema, expected",
+    [
+        # UD: left=Z < left=a < right=Z < right=a < shift; the last token
+        # takes right=Z < right=root onto the root
+        (TreeSchema.UD, {1: (2, "Z"), 2: (3, "Z"), 3: (0, "Z")}),
+        # JOS: right=Z onto the root already beats shift on a two-item stack
+        (TreeSchema.JOS, {1: (0, "Z"), 2: (0, "Z"), 3: (0, "Z")}),
+    ],
+    ids=["ud", "jos"],
+)
+def test_ties_resolve_to_the_smallest_action_name(schema, expected):
+    # no weights, so every action scores 0.0; labels are listed out of sorted
+    # order and "Z" is both a dependent and a root label
+    model = ParserModel(dep_labels=["a", "Z"], root_labels=["root", "Z"], schema=schema)
+    assert parse_sentence(model, sentence([(None, None)] * 3)) == expected
