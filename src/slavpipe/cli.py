@@ -30,6 +30,7 @@ from .errors import (
     DataError,
     EvaluationError,
     ModelError,
+    read_text,
 )
 from .evaluate import evaluate_documents, evaluate_spans, format_report
 from .lemmatizer import save_lemmatizer
@@ -58,15 +59,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _read_text(source: str) -> str:
-    if source == "-":
-        return sys.stdin.read()
-    try:
-        return Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {source}: {exc}") from exc
-
-
 def _write_text(target: str, text: str) -> None:
     if target == "-":
         sys.stdout.write(text)
@@ -78,7 +70,7 @@ def _write_text(target: str, text: str) -> None:
 
 
 def _read_document(source: str):
-    return parse_document(_read_text(source))
+    return parse_document(read_text(source))
 
 
 def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
@@ -90,7 +82,7 @@ def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
 
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the key = value config file."""
-    text = _read_text(args.config)
+    text = read_text(args.config)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -148,14 +140,14 @@ def _cmd_tokenize(args: argparse.Namespace) -> int:
     config = PipelineConfig(language=lang, processing_type=ptype, tasks=("tokenize",))
     variety = resolve_components(config)["tokenize"]
     rules = load_rules(args.rules) if args.rules else default_rules(lang)
-    doc = tokenize(_read_text(args.infile), TokenizerMode(variety), rules)
+    doc = tokenize(read_text(args.infile), TokenizerMode(variety), rules)
     _write_text(args.outfile, serialize_document(doc))
     return 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     pipe = Pipeline(_pipeline_config(args))
-    raw = _read_text(args.infile)
+    raw = read_text(args.infile)
     source = raw if "tokenize" in pipe.tasks else parse_document(raw)
     _write_text(args.outfile, serialize_document(pipe.annotate(source)))
     return 0
@@ -290,7 +282,6 @@ def build_parser() -> _Parser:
     common.add_argument("--config", help="key = value file filling unset flags")
     common.add_argument("--in", dest="infile", default=None, help="input path or -")
     common.add_argument("--out", dest="outfile", default=None, help="output path or -")
-    common.add_argument("--format", choices=["conllu"], default=None)
 
     lang_opts = _Parser(add_help=False)
     lang_opts.add_argument("--lang", default=None)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from .errors import ConlluParseError
 
@@ -73,6 +74,12 @@ def parse_feats(feats: str | None) -> dict[str, str]:
         k, _, v = part.partition("=")
         out[k] = v
     return out
+
+
+@lru_cache(maxsize=4096)
+def canonical_feats(feats: str | None) -> str | None:
+    """A raw feats string in canonical order; None when it holds no feature."""
+    return format_feats(parse_feats(feats))
 
 
 @dataclass
@@ -133,12 +140,6 @@ class Sentence:
 
     def single_tokens(self) -> list[Token]:
         return [t for t in self.tokens if not t.is_range]
-
-    def token_by_id(self, tid: int) -> Token | None:
-        for t in self.tokens:
-            if not t.is_range and t.id == tid:
-                return t
-        return None
 
 
 @dataclass

@@ -22,7 +22,7 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
 
 from .conllu import Document, Sentence, Token, sentence_text, set_text_comment
-from .errors import ConfigurationError, DataError, RecipeError
+from .errors import ConfigurationError, DataError, RecipeError, read_text
 
 _SOURCE_PREFIX = "# source = "
 
@@ -57,9 +57,7 @@ def _as_repetitions(value, what: str, minimum: str) -> Decimal:
 def load_diacritic_map(source: str | Path) -> dict[str, str]:
     """Read a two-column (``char<TAB>replacement``) mapping file."""
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(
-        Path(source).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
         if not raw.strip():
             continue
         cols = raw.split("\t")
@@ -538,4 +536,4 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
 
 
 def load_recipe(path: str | Path) -> Recipe:
-    return parse_recipe(Path(path).read_text(encoding="utf-8"), name=str(path))
+    return parse_recipe(read_text(path), name=str(path))

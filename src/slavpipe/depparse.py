@@ -461,24 +461,17 @@ def parse_sentence(model: ParserModel, sentence: Sentence) -> dict[int, tuple[in
     return {ids[p]: (ids[heads[p]], labels[p]) for p in range(1, n + 1)}
 
 
-def parse_dependency(
-    doc: Document, model: ParserModel, language: str | None = None
-) -> Document:
-    """Attach heads and labels to every sentence of a copy of ``doc``.
+def parse_in_place(doc: Document, model: ParserModel, language: str | None = None) -> None:
+    """Attach heads and labels to every sentence of ``doc`` itself.
 
     Requires upos, xpos and lemma on all single tokens (upstream stages must
     have run); the output of every sentence validates under the model schema.
     """
-    if language is not None and model.metadata.language not in ("", language):
-        raise ModelError(
-            f"parser model was trained for language {model.metadata.language!r}, "
-            f"pipeline is configured for {language!r}"
-        )
+    modelio.check_language("parser", model.metadata.language, language)
     if not model.root_labels:
         raise ModelError("parser model has no root labels; cannot attach trees")
 
-    out = copy_document(doc)
-    for si, sent in enumerate(out.sentences):
+    for si, sent in enumerate(doc.sentences):
         where = sent.sent_id or f"sentence {si + 1}"
         for tok in sent.single_tokens():
             if tok.upos is None or tok.xpos is None or tok.lemma is None:
@@ -493,6 +486,14 @@ def parse_dependency(
         for tok in sent.tokens:
             if not tok.is_range:
                 tok.head, tok.deprel = parsed[tok.id]
+
+
+def parse_dependency(
+    doc: Document, model: ParserModel, language: str | None = None
+) -> Document:
+    """A parsed copy of ``doc``; see :func:`parse_in_place`."""
+    out = copy_document(doc)
+    parse_in_place(out, model, language)
     return out
 
 

@@ -6,6 +6,9 @@ exit codes of the command line tool (1, 2 and 3 respectively).
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 
 class SlavpipeError(Exception):
     """Base class for every error raised by this package."""
@@ -17,6 +20,20 @@ class ConfigurationError(SlavpipeError):
 
 class DataError(SlavpipeError):
     """Malformed or unusable input data (exit code 2)."""
+
+
+def read_text(source: str | Path) -> str:
+    """Read a UTF-8 text file, or standard input for ``-``.
+
+    A missing, unreadable or undecodable input is a :class:`DataError`.
+    """
+    try:
+        if source == "-":
+            return sys.stdin.read()
+        return Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "standard input" if source == "-" else source
+        raise DataError(f"cannot read {name}: {exc}") from exc
 
 
 class ConlluParseError(DataError):

@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
-from functools import lru_cache
+from typing import Callable
 
 from .conllu import (
     Document,
     Sentence,
     Token,
+    canonical_feats,
     document_text,
-    format_feats,
     misc_value,
-    parse_feats,
     surface_tokens,
 )
 from .errors import ConfigurationError, EvaluationError
@@ -77,31 +76,16 @@ def _aligned(gold: Document, pred: Document):
         yield si, gsent, gtoks, ptoks
 
 
-@lru_cache(maxsize=4096)
-def _canonical_feats(feats: str | None) -> str:
-    return format_feats(parse_feats(feats)) or "_"
-
-
 _SCALAR_VALUES = {
     "lemma": lambda tok: tok.lemma or "_",
     "upos": lambda tok: tok.upos or "_",
     "xpos": lambda tok: tok.xpos or "_",
-    "feats": lambda tok: _canonical_feats(tok.feats),
+    "feats": lambda tok: canonical_feats(tok.feats) or "_",
     "morph-strict": lambda tok: "\t".join(
-        (tok.upos or "_", tok.xpos or "_", _canonical_feats(tok.feats))
+        (tok.upos or "_", tok.xpos or "_", canonical_feats(tok.feats) or "_")
     ),
     "srl": lambda tok: misc_value(tok.misc, "SRL") or "_",
 }
-
-
-def _field_values(tok: Token, fieldname: str) -> tuple[str, ...]:
-    """Comparison instances a token contributes for a metric field."""
-    if fieldname == "morph-pooled":
-        return (tok.upos or "_", tok.xpos or "_", _canonical_feats(tok.feats))
-    extract = _SCALAR_VALUES.get(fieldname)
-    if extract is None:
-        raise ConfigurationError(f"unknown evaluation field {fieldname!r}")
-    return (extract(tok),)
 
 
 def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts:
@@ -112,7 +96,7 @@ def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts
             for gtok, ptok in zip(gtoks, ptoks):
                 correct += (gtok.upos or "_") == (ptok.upos or "_")
                 correct += (gtok.xpos or "_") == (ptok.xpos or "_")
-                correct += _canonical_feats(gtok.feats) == _canonical_feats(ptok.feats)
+                correct += canonical_feats(gtok.feats) == canonical_feats(ptok.feats)
         return MetricCounts(total, total, correct)
     extract = _SCALAR_VALUES.get(fieldname)
     if extract is None:
@@ -122,6 +106,24 @@ def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts
         for gtok, ptok in zip(gtoks, ptoks):
             correct += extract(gtok) == extract(ptok)
     return MetricCounts(total, total, correct)
+
+
+def dev_accuracy(
+    gold: Document, pred: Document, value: Callable[[Token], object]
+) -> float | None:
+    """Share of the annotated gold tokens whose ``value`` the prediction matches.
+
+    Gold tokens whose ``value`` is None are not scored; with none scored the
+    result is None.  Needs identical tokenization.
+    """
+    total = correct = 0
+    for _, _, gtoks, ptoks in _aligned(gold, pred):
+        for gtok, ptok in zip(gtoks, ptoks):
+            expected = value(gtok)
+            if expected is not None:
+                total += 1
+                correct += value(ptok) == expected
+    return correct / total if total else None
 
 
 def micro_f1(gold: Document, pred: Document, fieldname: str) -> float:
@@ -207,16 +209,21 @@ def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
         )
 
 
-def las_counts(gold: Document, pred: Document) -> MetricCounts:
+def _arc_counts(gold: Document, pred: Document, labeled: bool) -> MetricCounts:
     total = correct = 0
     for si, gsent, gtoks, ptoks in _aligned(gold, pred):
         for gtok, ptok in zip(gtoks, ptoks):
             _require_arc(gtok, gsent, si, "gold")
             _require_arc(ptok, gsent, si, "predicted")
             total += 1
-            if gtok.head == ptok.head and gtok.deprel == ptok.deprel:
-                correct += 1
+            correct += gtok.head == ptok.head and (
+                not labeled or gtok.deprel == ptok.deprel
+            )
     return MetricCounts(total, total, correct)
+
+
+def las_counts(gold: Document, pred: Document) -> MetricCounts:
+    return _arc_counts(gold, pred, labeled=True)
 
 
 def las_score(gold: Document, pred: Document) -> float:
@@ -226,15 +233,7 @@ def las_score(gold: Document, pred: Document) -> float:
 
 def uas_score(gold: Document, pred: Document) -> float:
     """Fraction of tokens with the head correct, label disregarded."""
-    total = correct = 0
-    for si, gsent, gtoks, ptoks in _aligned(gold, pred):
-        for gtok, ptok in zip(gtoks, ptoks):
-            _require_arc(gtok, gsent, si, "gold")
-            _require_arc(ptok, gsent, si, "predicted")
-            total += 1
-            if gtok.head == ptok.head:
-                correct += 1
-    return correct / total if total else 1.0
+    return _arc_counts(gold, pred, labeled=False).accuracy
 
 
 def per_label_accuracy(

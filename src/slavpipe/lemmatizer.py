@@ -141,24 +141,19 @@ def train_lemmatizer(
     )
 
 
-def lemmatize_document(
+def lemmatize_in_place(
     doc: Document,
     model: LemmatizerModel,
     record_tier: bool = True,
     language: str | None = None,
-) -> Document:
-    """Assign a lemma to every single token of a copy of ``doc``.
+) -> None:
+    """Assign a lemma to every single token of ``doc`` itself.
 
     A single token without xpos is a stage error naming the token; running
     the lemmatizer on its own output changes nothing.
     """
-    if language is not None and model.metadata.language not in ("", language):
-        raise ModelError(
-            f"lemmatizer model was trained for language "
-            f"{model.metadata.language!r}, pipeline is configured for {language!r}"
-        )
-    out = copy_document(doc)
-    for si, sent in enumerate(out.sentences):
+    modelio.check_language("lemmatizer", model.metadata.language, language)
+    for si, sent in enumerate(doc.sentences):
         where = sent.sent_id or f"sentence {si + 1}"
         for tok in sent.tokens:
             if tok.is_range:
@@ -185,6 +180,17 @@ def lemmatize_document(
                 tok.lemma = lemma
             if record_tier:
                 tok.misc = misc_set(tok.misc, TIER_MISC, tier)
+
+
+def lemmatize_document(
+    doc: Document,
+    model: LemmatizerModel,
+    record_tier: bool = True,
+    language: str | None = None,
+) -> Document:
+    """A lemmatized copy of ``doc``; see :func:`lemmatize_in_place`."""
+    out = copy_document(doc)
+    lemmatize_in_place(out, model, record_tier, language)
     return out
 
 

@@ -59,6 +59,15 @@ def write_archive(
     Path(path).write_bytes(bytes(out))
 
 
+def check_language(kind: str, trained: str, configured: str | None) -> None:
+    """Refuse a model trained for another language; an unnamed one passes."""
+    if configured is not None and trained not in ("", configured):
+        raise ModelError(
+            f"{kind} model was trained for language {trained!r}, "
+            f"pipeline is configured for {configured!r}"
+        )
+
+
 def read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, object]]:
     """Read an archive, returning ``(meta, sections)``.
 

@@ -15,20 +15,28 @@ stage's output, so later stages can never peek at gold annotations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
-from .conllu import Document, copy_document, strip_annotations, validate_document
+from .conllu import Document, Token, copy_document, strip_annotations, validate_document
 from .depparse import (
     TreeSchema,
     load_parser,
     parse_dependency,
+    parse_in_place,
     train_parser,
     validate_tree,
 )
 from .errors import ConfigurationError, ModelError, StageError
-from .lemmatizer import lemmatize_document, load_lemmatizer, train_lemmatizer
+from .evaluate import dev_accuracy
+from .lemmatizer import (
+    lemmatize_document,
+    lemmatize_in_place,
+    load_lemmatizer,
+    train_lemmatizer,
+)
 from .lexicon import Lexicon, load_lexicon
-from .tagger import load_tagger, tag_document, train_tagger
+from .tagger import load_tagger, tag_document, tag_in_place, train_tagger
 from .tokenizer import (
     ClosedClassTable,
     TokenizerMode,
@@ -319,21 +327,18 @@ class Pipeline:
 # than gold annotations.
 
 
-def _clear_lemmas(doc: Document) -> Document:
+def _cleared(doc: Document, *fields: str) -> Document:
     out = copy_document(doc)
-    for sent in out.sentences:
-        for tok in sent.single_tokens():
-            tok.lemma = None
+    for tok in out.single_tokens():
+        for name in fields:
+            setattr(tok, name, None)
     return out
 
 
-def _clear_arcs(doc: Document) -> Document:
-    out = copy_document(doc)
-    for sent in out.sentences:
-        for tok in sent.single_tokens():
-            tok.head = None
-            tok.deprel = None
-    return out
+def _arc(tok: Token) -> tuple[int, str] | None:
+    if tok.head is None or tok.deprel is None:
+        return None
+    return (tok.head, tok.deprel)
 
 
 def train_stage_tagger(
@@ -346,12 +351,9 @@ def train_stage_tagger(
 ) -> tuple[object, Document, float | None]:
     """Train the tagger and tag a stripped copy of the dev split."""
     model = train_tagger(train, dev, language=language, variety=variety)
-    filled = tag_document(
-        strip_annotations(dev),
-        model,
-        lexicon=lexicon,
-        closed_table=closed_table,
-        language=language,
+    filled = strip_annotations(dev)
+    tag_in_place(
+        filled, model, lexicon=lexicon, closed_table=closed_table, language=language
     )
     return model, filled, model.metadata.dev_accuracy
 
@@ -369,16 +371,9 @@ def train_stage_lemmatizer(
     for the returned accuracy; the dev split must already carry xpos.
     """
     model = train_lemmatizer(train, lexicon=lexicon, language=language, variety=variety)
-    filled = lemmatize_document(_clear_lemmas(dev), model, language=language)
-    total = correct = 0
-    for gsent, fsent in zip(dev.sentences, filled.sentences):
-        for gtok, ftok in zip(gsent.single_tokens(), fsent.single_tokens()):
-            if gtok.lemma is None:
-                continue
-            total += 1
-            if ftok.lemma == gtok.lemma:
-                correct += 1
-    return model, filled, (correct / total if total else None)
+    filled = _cleared(dev, "lemma")
+    lemmatize_in_place(filled, model, language=language)
+    return model, filled, dev_accuracy(dev, filled, attrgetter("lemma"))
 
 
 def train_stage_parser(
@@ -398,13 +393,6 @@ def train_stage_parser(
     model = train_parser(
         train, schema, language=language, variety=variety, seed=seed, epochs=epochs
     )
-    filled = parse_dependency(_clear_arcs(dev), model, language=language)
-    total = correct = 0
-    for gsent, fsent in zip(dev.sentences, filled.sentences):
-        for gtok, ftok in zip(gsent.single_tokens(), fsent.single_tokens()):
-            if gtok.head is None or gtok.deprel is None:
-                continue
-            total += 1
-            if ftok.head == gtok.head and ftok.deprel == gtok.deprel:
-                correct += 1
-    return model, filled, (correct / total if total else None)
+    filled = _cleared(dev, "head", "deprel")
+    parse_in_place(filled, model, language=language)
+    return model, filled, dev_accuracy(dev, filled, _arc)

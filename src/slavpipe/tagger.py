@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import modelio
-from .conllu import Document, copy_document, format_feats, parse_feats
+from .conllu import Document, Token, canonical_feats, copy_document, strip_annotations
 from .errors import ModelError, TrainingError
+from .evaluate import dev_accuracy
 from .lexicon import Lexicon
 from .tokenizer import ClosedClassTable, closed_class_assign, is_closed_class_fixed
 
@@ -82,12 +83,6 @@ class TaggerModel:
         return {t: (counts.get(t, 0) + 1) / total for t in self.triples}
 
 
-def _canonical_feats(feats: str | None) -> str | None:
-    if feats is None:
-        return None
-    return format_feats(parse_feats(feats))
-
-
 def train_tagger(
     train: Document,
     dev: Document,
@@ -109,7 +104,7 @@ def train_tagger(
         if tok.upos is None or tok.xpos is None:
             continue
         n_tokens += 1
-        triple: Triple = (tok.upos, tok.xpos, _canonical_feats(tok.feats))
+        triple: Triple = (tok.upos, tok.xpos, canonical_feats(tok.feats))
         form_slot = form_counts.setdefault(tok.form, {})
         form_slot[triple] = form_slot.get(triple, 0) + 1
         triple_totals[triple] = triple_totals.get(triple, 0) + 1
@@ -148,27 +143,17 @@ def train_tagger(
         default_triple=default_triple,
         metadata=TaggerMetadata(language=language, variety=variety, token_count=n_tokens),
     )
-    model.metadata.dev_accuracy = _dev_accuracy(model, dev)
+    tagged = strip_annotations(dev)
+    tag_in_place(tagged, model)
+    model.metadata.dev_accuracy = dev_accuracy(dev, tagged, _tagging)
     return model
 
 
-def _dev_accuracy(model: TaggerModel, dev: Document) -> float | None:
-    from .conllu import strip_annotations
-
-    total = correct = 0
-    tagged = tag_document(strip_annotations(dev), model)
-    for sent_gold, sent_pred in zip(dev.sentences, tagged.sentences):
-        for g, p in zip(sent_gold.single_tokens(), sent_pred.single_tokens()):
-            if g.upos is None or g.xpos is None:
-                continue
-            total += 1
-            if (
-                p.upos == g.upos
-                and p.xpos == g.xpos
-                and _canonical_feats(p.feats) == _canonical_feats(g.feats)
-            ):
-                correct += 1
-    return correct / total if total else None
+def _tagging(tok: Token) -> Triple | None:
+    """What dev accuracy compares; gold without upos or xpos is not scored."""
+    if tok.upos is None or tok.xpos is None:
+        return None
+    return (tok.upos, tok.xpos, canonical_feats(tok.feats))
 
 
 def _ranked_candidates(model: TaggerModel, form: str) -> list[Triple]:
@@ -208,26 +193,20 @@ def _triple_for_xpos(model: TaggerModel, xpos: str) -> Triple:
     return (upos, xpos, None)
 
 
-def tag_document(
+def tag_in_place(
     doc: Document,
     model: TaggerModel,
     lexicon: Lexicon | None = None,
     closed_table: ClosedClassTable | None = None,
     language: str | None = None,
-) -> Document:
-    """Assign upos/xpos/feats to every single token of a copy of ``doc``.
+) -> None:
+    """Assign upos/xpos/feats to every single token of ``doc`` itself.
 
     Closed-class-fixed tokens keep their tags.  When ``language`` is given it
     must match the language recorded in the model metadata.
     """
-    if language is not None and model.metadata.language not in ("", language):
-        raise ModelError(
-            f"tagger model was trained for language {model.metadata.language!r}, "
-            f"pipeline is configured for {language!r}"
-        )
-
-    out = copy_document(doc)
-    for sent in out.sentences:
+    modelio.check_language("tagger", model.metadata.language, language)
+    for sent in doc.sentences:
         for i, tok in enumerate(sent.tokens):
             if tok.is_range or is_closed_class_fixed(tok):
                 continue
@@ -260,14 +239,22 @@ def tag_document(
                 else:
                     chosen = ("X", "X", None)
             tok.upos, tok.xpos, tok.feats = chosen
+
+
+def tag_document(
+    doc: Document,
+    model: TaggerModel,
+    lexicon: Lexicon | None = None,
+    closed_table: ClosedClassTable | None = None,
+    language: str | None = None,
+) -> Document:
+    """A tagged copy of ``doc``; see :func:`tag_in_place`."""
+    out = copy_document(doc)
+    tag_in_place(out, model, lexicon, closed_table, language)
     return out
 
 
 # --- model persistence -----------------------------------------------------
-
-
-def _triple_to_list(t: Triple) -> list:
-    return [t[0], t[1], t[2]]
 
 
 def save_tagger(model: TaggerModel, path) -> None:
@@ -279,16 +266,16 @@ def save_tagger(model: TaggerModel, path) -> None:
     }
     sections = {
         "form_probs": {
-            form: [[*_triple_to_list(t), p] for t, p in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
+            form: [[*t, p] for t, p in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
             for form, slot in model.form_probs.items()
         },
         "suffix_counts": {
-            sfx: [[*_triple_to_list(t), c] for t, c in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
+            sfx: [[*t, c] for t, c in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
             for sfx, slot in model.suffix_counts.items()
         },
         "xpos_best": {x: [u, f] for x, (u, f) in model.xpos_best.items()},
-        "triples": [_triple_to_list(t) for t in model.triples],
-        "default_triple": _triple_to_list(model.default_triple),
+        "triples": [list(t) for t in model.triples],
+        "default_triple": list(model.default_triple),
     }
     modelio.write_archive(path, "tagger", meta, sections)
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-from .conllu import Document, Sentence, Token, misc_set, sentence_text
-from .errors import ConfigurationError, DataError
+from .conllu import Document, Sentence, Token, misc_set, misc_value, sentence_text
+from .errors import ConfigurationError, DataError, read_text
 
 KNOWN_LANGUAGES = ("sl", "hr", "sr", "bg", "mk")
 
@@ -72,8 +72,15 @@ class ClosedClassTable:
 @dataclass
 class TokenizerRules:
     abbreviations: set[str] = field(default_factory=set)
-    emoticons: set[str] = field(default_factory=set)
+    emoticons: frozenset[str] = frozenset()
     closed_class: ClosedClassTable = field(default_factory=ClosedClassTable)
+
+    def __post_init__(self) -> None:
+        # Only emoticons that start with punctuation or a symbol are peeled
+        # off chunk ends, longest first.  Letter-only ones (xD and friends)
+        # match whole chunks only; peeling them would cut into ordinary words.
+        peel = [emo for emo in self.emoticons if _is_punct_or_sym(emo[0])]
+        self.peelable_emoticons = tuple(sorted(peel, key=lambda emo: (-len(emo), emo)))
 
 
 _SECTIONS = ("ABBREV", "EMOTICON", "CLOSED_PUNCT", "CLOSED_SYM")
@@ -86,12 +93,13 @@ def load_rules(source: str | Path) -> TokenizerRules:
     ``[CLOSED_PUNCT]`` and ``[CLOSED_SYM]`` sections with one entry per line.
     Lines starting with ``# `` are comments.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    return parse_rules(text, name=str(source))
+    return parse_rules(read_text(source), name=str(source))
 
 
 def parse_rules(text: str, name: str = "<rules>") -> TokenizerRules:
-    rules = TokenizerRules()
+    abbreviations: set[str] = set()
+    emoticons: set[str] = set()
+    closed_class = ClosedClassTable()
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -105,14 +113,14 @@ def parse_rules(text: str, name: str = "<rules>") -> TokenizerRules:
         if section is None:
             raise DataError(f"{name}: line {lineno}: entry before any section header")
         if section == "ABBREV":
-            rules.abbreviations.add(line.lower())
+            abbreviations.add(line.lower())
         elif section == "EMOTICON":
-            rules.emoticons.add(line)
+            emoticons.add(line)
         elif section == "CLOSED_PUNCT":
-            rules.closed_class.add_punctuation(line)
+            closed_class.add_punctuation(line)
         else:
-            rules.closed_class.add_symbol(line)
-    return rules
+            closed_class.add_symbol(line)
+    return TokenizerRules(abbreviations, frozenset(emoticons), closed_class)
 
 
 def default_rules(language: str) -> TokenizerRules:
@@ -149,8 +157,6 @@ def closed_class_assign(token: Token, table: ClosedClassTable) -> Token:
 
 
 def is_closed_class_fixed(token: Token) -> bool:
-    from .conllu import misc_value
-
     return misc_value(token.misc, CLOSED_CLASS_MISC) == "Yes"
 
 
@@ -213,27 +219,19 @@ def _take_trailing_run(chunk: str) -> tuple[str, str]:
 
 
 def _emoticon_suffix(chunk: str, rules: TokenizerRules) -> str | None:
-    # Letter-only emoticons (xD and friends) match whole chunks only; peeling
-    # them off word ends would cut into ordinary words.
-    best = None
-    for emo in rules.emoticons:
-        if not _is_punct_or_sym(emo[0]):
-            continue
-        if chunk.endswith(emo) and (best is None or len(emo) > len(best)):
-            best = emo
-    return best
+    for emo in rules.peelable_emoticons:
+        if chunk.endswith(emo):
+            return emo
+    return None
 
 
 def _emoticon_prefix(chunk: str, rules: TokenizerRules) -> str | None:
-    best = None
-    for emo in rules.emoticons:
-        if not _is_punct_or_sym(emo[0]):
-            continue
-        if chunk.startswith(emo) and (best is None or len(emo) > len(best)):
+    for emo in rules.peelable_emoticons:
+        if chunk.startswith(emo):
             rest = chunk[len(emo):]
             if not rest or not rest[0].isalnum():
-                best = emo
-    return best
+                return emo
+    return None
 
 
 def _keeps_final_period(core: str, rules: TokenizerRules) -> bool:

@@ -1,3 +1,6 @@
+import io
+import sys
+
 import pytest
 
 from slavpipe.cli import main
@@ -55,6 +58,42 @@ def test_tokenize_missing_input_is_data_error(tmp_path, capsys):
     code = main(["tokenize", "--lang", "sl", "--in", str(tmp_path / "absent.txt")])
     assert code == 2
     assert capsys.readouterr().err.startswith("data error:")
+
+
+def _unreadable_input_command(tmp_path, which, bad):
+    text = write(tmp_path, "in.txt", "Ena.")
+    corpus = write(tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    recipe = write(tmp_path, "mix.recipe", "component id=c reps=1\n")
+    out = str(tmp_path / "out")
+    tokenize = ["tokenize", "--lang", "sl", "--out", out]
+    prep = ["prep", "--corpus", f"c={corpus}", "--out", out]
+    return {
+        "in": tokenize + ["--in", bad],
+        "config": tokenize + ["--in", str(text), "--config", bad],
+        "rules": tokenize + ["--in", str(text), "--rules", bad],
+        "recipe": prep + [bad],
+        "diacritics": prep + [str(recipe), "--diacritics", bad],
+    }[which]
+
+
+@pytest.mark.parametrize("problem", ["not-utf8", "missing"])
+@pytest.mark.parametrize("which", ["in", "config", "rules", "recipe", "diacritics"])
+def test_unreadable_input_file_is_one_line_data_error(tmp_path, capsys, which, problem):
+    bad = tmp_path / "bad"
+    if problem == "not-utf8":
+        bad.write_bytes(b"[ABBREV]\n\xff\n")
+    assert main(_unreadable_input_command(tmp_path, which, str(bad))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read {bad}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_non_utf8_standard_input_is_data_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8"))
+    assert main(["tokenize", "--lang", "sl", "--in", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read standard input: ")
+    assert err.count("\n") == 1
 
 
 # --- annotate ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from slavpipe.evaluate import (
     FIELDS,
     MetricCounts,
     as_percent,
+    dev_accuracy,
     evaluate_documents,
     evaluate_spans,
     format_report,
@@ -61,6 +62,16 @@ def test_micro_f1_is_accuracy_for_identical_tokenization():
     counts = micro_counts(gold, pred, "upos")
     assert counts.gold == counts.pred == 2
     assert micro_f1(gold, pred, "upos") == counts.accuracy == 0.5
+
+
+def test_dev_accuracy_scores_only_annotated_gold():
+    lemma = lambda tok: tok.lemma
+    gold = doc_of(sent("a", "b", "c", "d", lemma=["a", None, "c", None]))
+    pred = doc_of(sent("a", "b", "c", "d", lemma=["a", "b", "x", None]))
+    assert dev_accuracy(gold, pred, lemma) == 0.5
+    bare = doc_of(sent("a", "b", "c", "d"))
+    assert dev_accuracy(bare, pred, lemma) is None
+    assert dev_accuracy(doc_of(), doc_of(), lemma) is None
 
 
 def test_feats_compared_canonically():

@@ -1,8 +1,15 @@
+import hashlib
 import shutil
 
 import pytest
 
-from slavpipe.conllu import copy_document, strip_annotations
+from slavpipe.conllu import (
+    Document,
+    copy_document,
+    document_text,
+    serialize_document,
+    strip_annotations,
+)
 from slavpipe.errors import ConfigurationError, ModelError
 from slavpipe.pipeline import (
     LANGUAGES,
@@ -352,3 +359,96 @@ def test_train_stage_parser(train_doc, dev_doc):
     )
     # gold arcs in dev were not consulted while filling
     assert model.metadata.epochs == 5
+
+
+# --- golden output ------------------------------------------------------------
+#
+# sha256 of the serialized annotation, computed before the stages learned to
+# annotate in place; any change of a boundary, tag, lemma, arc or misc entry
+# moves them.
+
+GOLDEN_TEXT_SHA256 = {
+    "standard": "bc61535db130681661f84ea5151443aa653975f55185ea6858cc5bf395473fdd",
+    "nonstandard": "bfd075141dbc7080ef93f63bfca7c4048492f035530e16af5a7cac06dca31b5c",
+    # web tokenizes like standard, and the models here are the same
+    "web": "bc61535db130681661f84ea5151443aa653975f55185ea6858cc5bf395473fdd",
+}
+GOLDEN_DOCUMENT_SHA256 = "77aae43543a91081ad9afdfdcbf99a4d790a20c71c1bb1b5fcb8df13357fafe9"
+
+
+def _golden_pipeline(model_dir, lexicon_file, processing_type):
+    kinds = ("tagger", "lemmatizer", "parser")
+    return Pipeline(
+        PipelineConfig(
+            language="sl",
+            processing_type=processing_type,
+            model_paths={
+                kind: model_dir / model_filename("sl", "standard", kind) for kind in kinds
+            },
+            lexicon_path=lexicon_file,
+        )
+    )
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(serialize_document(doc).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("processing_type", PROCESSING_TYPES)
+def test_golden_annotate_text(
+    processing_type, model_dir, lexicon_file, dev_doc, nonstandard_doc,
+    reported_speech_text,
+):
+    text = " ".join((
+        document_text(dev_doc),
+        reported_speech_text.strip(),
+        document_text(nonstandard_doc),
+        "Super :) hvala:-D www.example.com/a, <3 @ana #novo!!",
+    ))
+    pipe = _golden_pipeline(model_dir, lexicon_file, processing_type)
+    assert _sha256(pipe.annotate(text)) == GOLDEN_TEXT_SHA256[processing_type]
+
+
+def test_golden_annotate_document(model_dir, lexicon_file, dev_doc):
+    pipe = _golden_pipeline(model_dir, lexicon_file, "standard")
+    assert _sha256(pipe.annotate(strip_annotations(dev_doc))) == GOLDEN_DOCUMENT_SHA256
+
+
+def test_in_place_stages_match_their_copying_wrappers(model_dir, dev_doc):
+    from slavpipe.depparse import load_parser, parse_dependency, parse_in_place
+    from slavpipe.lemmatizer import lemmatize_document, lemmatize_in_place, load_lemmatizer
+    from slavpipe.tagger import load_tagger, tag_document, tag_in_place
+
+    def model(kind, load):
+        return load(model_dir / model_filename("sl", "standard", kind))
+
+    doc = strip_annotations(dev_doc)
+    stages = (
+        (tag_document, tag_in_place, model("tagger", load_tagger)),
+        (lemmatize_document, lemmatize_in_place, model("lemmatizer", load_lemmatizer)),
+        (parse_dependency, parse_in_place, model("parser", load_parser)),
+    )
+    for copying, in_place, stage_model in stages:
+        expected = serialize_document(copying(doc, stage_model, language="sl"))
+        assert in_place(doc, stage_model, language="sl") is None
+        assert serialize_document(doc) == expected
+
+
+def _half_cleared(doc, *fields):
+    """A copy of ``doc`` with ``fields`` removed from every other token."""
+    gold = copy_document(doc)
+    for tok in gold.single_tokens()[::2]:
+        for name in fields:
+            setattr(tok, name, None)
+    return gold
+
+
+def test_dev_scores_skip_unannotated_gold(train_doc, dev_doc):
+    lemma_gold = _half_cleared(dev_doc, "lemma")
+    arc_gold = _half_cleared(dev_doc, "head", "deprel")
+    # a small training set leaves errors for the scores to count
+    small = Document(sentences=train_doc.sentences[:2])
+    _, _, lemma_acc = train_stage_lemmatizer(small, lemma_gold, language="sl")
+    _, _, las = train_stage_parser(small, arc_gold, language="sl", epochs=2)
+    # 65 of the 130 dev tokens keep their gold lemma, 65 their gold arc
+    assert (lemma_acc, las) == (64 / 65, 45 / 65)
