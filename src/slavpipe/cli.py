@@ -4,7 +4,10 @@ Commands: ``tokenize``, ``annotate``, ``train <stage>``, ``evaluate``,
 ``prep <recipe>``, ``lexicon <load|query>``.  Input and output default to
 the standard streams; ``--in``/``--out`` accept file paths or ``-``.
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 model error.
+Exit codes: 0 success, 1 configuration error, 2 data error, 3 model error,
+4 internal error (any other exception, reported on one line).  When the
+reader of standard output goes away (``slavpipe annotate ... | head -1``)
+the command stops quietly with status 141, as a tool killed by SIGPIPE does.
 
 A plain-text config file of ``key = value`` lines (keys named after the
 long flags) can fill in any flag the command line leaves unset; explicit
@@ -14,6 +17,7 @@ flags always win.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -53,6 +57,9 @@ from .tokenizer import (
     load_rules,
     tokenize,
 )
+
+
+EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -357,7 +364,9 @@ def main(argv: list[str] | None = None) -> int:
             args.infile = "-"
         if getattr(args, "outfile", None) is None:
             args.outfile = "-"
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -367,6 +376,16 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of stdout has gone: point stdout at devnull so that the
+        # flush at interpreter exit does not fail again (the recipe of the
+        # Python signal module docs), and exit as SIGPIPE would have.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    except Exception as exc:  # noqa: BLE001 - the last resort: one line, own code
+        message = f"{type(exc).__name__}: {exc}".replace("\n", " ")
+        print(f"internal error: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

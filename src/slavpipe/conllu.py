@@ -34,7 +34,10 @@ def _parse_misc_parts(misc: str | None) -> list[str]:
 
 def misc_value(misc: str | None, key: str) -> str | None:
     """Return the value of ``key`` inside a raw misc string, if present."""
-    for part in _parse_misc_parts(misc):
+    # a key that is not a substring of misc cannot be the key of any entry
+    if not misc or key not in misc:
+        return None
+    for part in misc.split("|"):
         k, sep, v = part.partition("=")
         if k == key:
             return v if sep else ""
@@ -43,8 +46,12 @@ def misc_value(misc: str | None, key: str) -> str | None:
 
 def misc_set(misc: str | None, key: str, value: str) -> str:
     """Return a misc string with ``key=value`` added or replaced in place."""
-    parts = _parse_misc_parts(misc)
     entry = f"{key}={value}"
+    if not misc:
+        return entry
+    if key not in misc:
+        return f"{misc}|{entry}"
+    parts = misc.split("|")
     for i, part in enumerate(parts):
         if part.partition("=")[0] == key:
             parts[i] = entry
@@ -173,13 +180,15 @@ def surface_tokens(sentence: Sentence) -> list[Token]:
 
 def sentence_text(sentence: Sentence) -> str:
     """Reconstruct the sentence surface from forms and SpaceAfter marks."""
+    tokens = sentence.tokens
+    if any(isinstance(tok.id, tuple) for tok in tokens):
+        tokens = surface_tokens(sentence)
     parts: list[str] = []
-    surface = surface_tokens(sentence)
-    for i, tok in enumerate(surface):
+    for tok in tokens:
         parts.append(tok.form)
-        if i + 1 < len(surface) and tok.space_after:
-            parts.append(" ")
-    return "".join(parts)
+        misc = tok.misc
+        parts.append(" " if not misc or misc_value(misc, "SpaceAfter") != "No" else "")
+    return "".join(parts[:-1])
 
 
 def document_text(doc: Document) -> str:
@@ -210,18 +219,30 @@ def set_text_comment(sentence: Sentence, text: str) -> None:
 # --- parsing ---------------------------------------------------------------
 
 
+def _decimal(raw: str) -> int | None:
+    """The value of an ASCII decimal without sign or leading zero, else None.
+
+    ``str.isdigit`` alone also passes ``²``, which ``int`` refuses, and a
+    leading zero would not serialize back to the same bytes.
+    """
+    if raw.isascii() and raw.isdigit() and (raw == "0" or raw[0] != "0"):
+        return int(raw)
+    return None
+
+
 def _parse_id(raw: str, lineno: int) -> int | tuple[int, int]:
     if "-" in raw:
         a, _, b = raw.partition("-")
-        if not (a.isdigit() and b.isdigit()):
+        lo, hi = _decimal(a), _decimal(b)
+        if lo is None or hi is None:
             raise ConlluParseError(f"malformed token id {raw!r}", lineno)
-        lo, hi = int(a), int(b)
         if lo >= hi:
             raise ConlluParseError(f"empty token range {raw!r}", lineno)
         return (lo, hi)
-    if not raw.isdigit() or raw == "0" or raw.startswith("0"):
+    tid = _decimal(raw)
+    if not tid:  # None or 0
         raise ConlluParseError(f"malformed token id {raw!r}", lineno)
-    return int(raw)
+    return tid
 
 
 def _parse_token_line(line: str, lineno: int) -> Token:
@@ -233,11 +254,8 @@ def _parse_token_line(line: str, lineno: int) -> Token:
     tid = _parse_id(cols[0], lineno)
     unset = lambda v: None if v == "_" else v
     head_raw = cols[6]
-    if head_raw == "_":
-        head = None
-    elif head_raw.isdigit():
-        head = int(head_raw)
-    else:
+    head = None if head_raw == "_" else _decimal(head_raw)
+    if head is None and head_raw != "_":
         raise ConlluParseError(f"malformed head value {head_raw!r}", lineno)
     return Token(
         id=tid,
@@ -346,19 +364,18 @@ def parse_document(text: str) -> Document:
 
 
 def _format_token_line(tok: Token) -> str:
-    cols = [
+    return "\t".join((
         tok.id_str(),
         tok.form,
-        tok.lemma,
-        tok.upos,
-        tok.xpos,
-        tok.feats,
-        None if tok.head is None else str(tok.head),
-        tok.deprel,
-        tok.deps,
-        tok.misc,
-    ]
-    return "\t".join("_" if c is None else c for c in cols)
+        "_" if tok.lemma is None else tok.lemma,
+        "_" if tok.upos is None else tok.upos,
+        "_" if tok.xpos is None else tok.xpos,
+        "_" if tok.feats is None else tok.feats,
+        "_" if tok.head is None else str(tok.head),
+        "_" if tok.deprel is None else tok.deprel,
+        "_" if tok.deps is None else tok.deps,
+        "_" if tok.misc is None else tok.misc,
+    ))
 
 
 def serialize_document(doc: Document) -> str:
@@ -432,7 +449,8 @@ class Violation:
         return f"[{self.rule}] {where}: {self.message}"
 
 
-def _check_feats(feats: str) -> list[tuple[str, str]]:
+@lru_cache(maxsize=4096)
+def _check_feats(feats: str) -> tuple[tuple[str, str], ...]:
     problems = []
     keys: list[str] = []
     for part in feats.split("|"):
@@ -448,7 +466,7 @@ def _check_feats(feats: str) -> list[tuple[str, str]]:
         problems.append(
             ("feats-order", "feature keys are not in case-insensitive alphabetical order")
         )
-    return problems
+    return tuple(problems)
 
 
 def validate_document(doc: Document) -> list[Violation]:
@@ -460,56 +478,58 @@ def validate_document(doc: Document) -> list[Violation]:
     """
     violations: list[Violation] = []
 
-    def add(si: int, sid: str | None, tid: str | None, rule: str, msg: str) -> None:
-        violations.append(Violation(si, sid, tid, rule, msg))
+    def add(si: int, tid: str | None, rule: str, msg: str) -> None:
+        # sent_id is a regex over the comments: looked up only when reported
+        violations.append(Violation(si, doc.sentences[si].sent_id, tid, rule, msg))
 
     for si, sent in enumerate(doc.sentences):
-        sid = sent.sent_id
-        if not sent.tokens:
-            add(si, sid, None, "empty-sentence", "sentence has no tokens")
+        tokens = sent.tokens
+        if not tokens:
+            add(si, None, "empty-sentence", "sentence has no tokens")
             continue
 
         singles = sent.single_tokens()
         ids = [t.id for t in singles]
-        if ids != list(range(1, len(ids) + 1)):
-            add(si, sid, None, "id-contiguity", f"single token ids are {ids}")
-            continue
         n = len(ids)
+        if ids != list(range(1, n + 1)):
+            add(si, None, "id-contiguity", f"single token ids are {ids}")
+            continue
 
-        prev_end = 0
-        for pos, tok in enumerate(sent.tokens):
-            if not tok.is_range:
-                continue
-            lo, hi = tok.id
-            tid = tok.id_str()
-            if lo <= prev_end:
-                add(si, sid, tid, "range-overlap", "range overlaps an earlier range")
-            if hi > n:
-                add(si, sid, tid, "range-coverage", f"range end {hi} exceeds last token id {n}")
-            nxt = sent.tokens[pos + 1] if pos + 1 < len(sent.tokens) else None
-            if nxt is None or nxt.is_range or nxt.id != lo:
-                add(si, sid, tid, "range-position",
-                    f"range token is not immediately followed by token {lo}")
-            if any(v is not None for v in
-                   (tok.lemma, tok.upos, tok.xpos, tok.feats, tok.deprel, tok.deps)) \
-                    or tok.head is not None:
-                add(si, sid, tid, "range-annotations",
-                    "range tokens may carry only form and misc")
-            prev_end = max(prev_end, hi)
+        if n < len(tokens):  # the sentence has range tokens
+            prev_end = 0
+            for pos, tok in enumerate(tokens):
+                if not tok.is_range:
+                    continue
+                lo, hi = tok.id
+                tid = tok.id_str()
+                if lo <= prev_end:
+                    add(si, tid, "range-overlap", "range overlaps an earlier range")
+                if hi > n:
+                    add(si, tid, "range-coverage", f"range end {hi} exceeds last token id {n}")
+                nxt = tokens[pos + 1] if pos + 1 < len(tokens) else None
+                if nxt is None or nxt.is_range or nxt.id != lo:
+                    add(si, tid, "range-position",
+                        f"range token is not immediately followed by token {lo}")
+                if any(v is not None for v in
+                       (tok.lemma, tok.upos, tok.xpos, tok.feats, tok.deprel, tok.deps)) \
+                        or tok.head is not None:
+                    add(si, tid, "range-annotations",
+                        "range tokens may carry only form and misc")
+                prev_end = max(prev_end, hi)
 
         for tok in singles:
             if tok.feats is not None:
                 for rule, msg in _check_feats(tok.feats):
-                    add(si, sid, tok.id_str(), rule, msg)
+                    add(si, tok.id_str(), rule, msg)
             if tok.head is not None and not (0 <= tok.head <= n):
-                add(si, sid, tok.id_str(), "head-target",
+                add(si, tok.id_str(), "head-target",
                     f"head {tok.head} is not 0 or a token id in this sentence")
 
         stated = sent.text
         if stated is not None:
             actual = sentence_text(sent)
             if actual != stated:
-                add(si, sid, None, "text-mismatch",
+                add(si, None, "text-mismatch",
                     f"text comment {stated!r} != reconstructed {actual!r}")
 
     return violations

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -149,9 +150,10 @@ class Lexicon:
 def load_lexicon(source: str | Path, prefix_table: dict[str, str] | None = None) -> Lexicon:
     """Load a lexicon from a TSV file (``form<TAB>lemma<TAB>xpos[<TAB>freq]``).
 
-    Gzip-compressed files are detected by their magic bytes.  Rows with fewer
-    than three columns, or an unreadable frequency, raise
-    :class:`~slavpipe.errors.LexiconError` naming the offending line.
+    Gzip-compressed files are detected by their magic bytes.  A truncated or
+    corrupt gzip file, rows with fewer than three columns and an unreadable
+    frequency raise :class:`~slavpipe.errors.LexiconError`; a bad row is
+    named by its line.
     """
     path = Path(source)
     try:
@@ -161,7 +163,7 @@ def load_lexicon(source: str | Path, prefix_table: dict[str, str] | None = None)
     if blob[:2] == b"\x1f\x8b":
         try:
             blob = gzip.decompress(blob)
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:  # bad header, truncated, corrupt
             raise LexiconError(f"{path}: bad gzip data: {exc}") from exc
     try:
         text = blob.decode("utf-8")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .conllu import Document, Sentence, Token, copy_token, misc_set, misc_value, sentence_text
+from .conllu import Document, Sentence, Token, copy_token, misc_set, misc_value
 from .errors import ConfigurationError, DataError, read_text
 from .memo import memo_table, remember
 
@@ -386,19 +386,25 @@ def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
     sentences.
     """
     raw = _scan(text, mode, rules)
+    closed = rules.closed_class.entries
     doc = Document()
     for si, sent_tokens in enumerate(_segment(raw, mode), start=1):
         tokens = []
+        surface = []  # form, separator, form, ...: the sentence_text of the tokens
         for ti, rt in enumerate(sent_tokens, start=1):
+            form = rt.form
             misc = None if rt.space_after else "SpaceAfter=No"
-            tok = Token(id=ti, form=rt.form, misc=misc)
-            tokens.append(closed_class_assign(tok, rules.closed_class))
-        sentence = Sentence(tokens=tokens)
-        sentence.comments = [
-            f"# sent_id = {si}",
-            f"# text = {sentence_text(sentence)}",
-        ]
-        doc.sentences.append(sentence)
+            surface += (form, " " if rt.space_after else "")
+            entry = closed.get(form)
+            if entry is None:
+                tokens.append(Token(ti, form, misc=misc))
+            else:  # what closed_class_assign sets, built at once
+                tokens.append(Token(
+                    ti, form, entry.lemma, entry.upos, entry.xpos,
+                    misc=misc_set(misc, CLOSED_CLASS_MISC, "Yes"),
+                ))
+        comments = [f"# sent_id = {si}", f"# text = {''.join(surface[:-1])}"]
+        doc.sentences.append(Sentence(comments, tokens))
     if doc.sentences:
         last = doc.sentences[-1].tokens[-1]
         # the document never ends in a space, so the final token stays unmarked

@@ -9,11 +9,33 @@ package under test.
 
 from __future__ import annotations
 
+import gzip
 import random
 from fractions import Fraction
 
 from slavpipe.conllu import Document, Sentence, Token
 from slavpipe.lexicon import Lexicon
+
+# --- damaged files ----------------------------------------------------------
+
+GZIP_DAMAGE = ("magic-only", "truncated", "flipped-byte")
+
+
+def damaged_gzip(damage: str) -> bytes:
+    """A gzip lexicon broken in one of three ways.
+
+    ``gzip.decompress`` fails on the first two with ``EOFError`` and on the
+    last with ``zlib.error``, neither of them an ``OSError``.
+    """
+    packed = gzip.compress(
+        "".join(f"pes{i}\tpes\tNcmsn\t3\n" for i in range(200)).encode(), mtime=0
+    )
+    return {
+        "magic-only": b"\x1f\x8b",
+        "truncated": packed[:-6],
+        "flipped-byte": packed[:12] + bytes([packed[12] ^ 0xFF]) + packed[13:],
+    }[damage]
+
 
 # --- tiny synthetic language ------------------------------------------------
 

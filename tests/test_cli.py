@@ -2,14 +2,19 @@ import io
 import os
 import shutil
 import stat
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from slavpipe.cli import main
+import slavpipe
+from slavpipe.cli import EXIT_BROKEN_PIPE, main
 from slavpipe.conllu import parse_document, serialize_document
 from slavpipe.pipeline import model_filename
+
+from support import GZIP_DAMAGE, damaged_gzip
 
 
 @pytest.fixture
@@ -504,6 +509,16 @@ def test_lexicon_query_unknown_form(lexicon_file, capsys):
     assert "(no entry)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("damage", GZIP_DAMAGE)
+def test_damaged_gzip_lexicon_is_one_line_data_error(tmp_path, capsys, damage):
+    blob = tmp_path / "lexicon.tsv.gz"
+    blob.write_bytes(damaged_gzip(damage))
+    assert main(["lexicon", "load", "--lexicon", str(blob)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {blob}: bad gzip data: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # --- argument handling ------------------------------------------------------
 
 
@@ -515,3 +530,35 @@ def test_unknown_command_is_configuration_error(capsys):
 def test_unknown_flag_is_configuration_error(capsys):
     assert main(["tokenize", "--volume", "11"]) == 1
     assert capsys.readouterr().err.startswith("configuration error:")
+
+
+# --- last resort and closed pipes -------------------------------------------
+
+
+def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monkeypatch):
+    def boom(*args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr("slavpipe.cli.tokenize", boom)
+    src = write(tmp_path, "in.txt", "Ena.")
+    assert main(["tokenize", "--lang", "sl", "--in", str(src)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: first line second line\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sentences", [1, 5000])  # flushed at the end / while writing
+def test_closed_stdout_pipe_ends_quietly(tmp_path, sentences):
+    src = write(tmp_path, "in.txt", "Prva poved. " * sentences)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = dict(os.environ, PYTHONPATH=str(Path(slavpipe.__file__).parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "slavpipe.cli", "tokenize", "--lang", "sl", "--in", str(src)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.stderr == b""
+    assert done.returncode == EXIT_BROKEN_PIPE == 141

@@ -2,12 +2,13 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from slavpipe.conllu import (
     Document,
     Sentence,
     Token,
+    Violation,
     copy_document,
     copy_token,
     document_text,
@@ -23,7 +24,7 @@ from slavpipe.conllu import (
     surface_tokens,
     validate_document,
 )
-from slavpipe.errors import ConlluParseError
+from slavpipe.errors import ConlluParseError, DataError
 
 from support import random_document
 
@@ -140,6 +141,41 @@ def test_validator_flags_unsorted_feats():
     assert any(v.rule == "feats-order" for v in validate_document(doc))
 
 
+def test_validator_reports_each_fixture_in_order():
+    bad_feats = parse_document("1\ta\t_\t_\t_\tGender=Fem|Case=Nom\t_\t_\t_\t_\n\n")
+    bad_text = parse_document("# text = b\n1\ta\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    bad_head = parse_document("1\ta\t_\t_\t_\t_\t5\tdep\t_\t_\n\n")
+    order = "feature keys are not in case-insensitive alphabetical order"
+    assert validate_document(bad_feats) == [Violation(0, None, "1", "feats-order", order)]
+    assert validate_document(bad_text) == [
+        Violation(0, None, None, "text-mismatch", "text comment 'b' != reconstructed 'a'")
+    ]
+    assert validate_document(bad_head) == [
+        Violation(0, None, "1", "head-target", "head 5 is not 0 or a token id in this sentence")
+    ]
+
+
+def test_validator_reports_many_violations_in_document_order():
+    doc = parse_document(
+        "# sent_id = s1\n# text = x\n"
+        "1-2\tdela\t_\tNOUN\t_\t_\t_\t_\t_\t_\n"
+        "1\tdel\t_\t_\t_\tB=1|B=2|A=3|junk\t9\t_\t_\t_\n"
+        "2\ta\t_\t_\t_\tCase=Nom\t0\t_\t_\t_\n\n"
+        "1\tb\t_\t_\t_\t_\t3\t_\t_\t_\n\n"
+    )
+    doc.sentences[1].tokens[0].id = 2
+    assert [(v.sentence_index, v.sentence_id, v.token_id, v.rule)
+            for v in validate_document(doc)] == [
+        (0, "s1", "1-2", "range-annotations"),
+        (0, "s1", "1", "feats-format"),
+        (0, "s1", "1", "feats-unique"),
+        (0, "s1", "1", "feats-order"),
+        (0, "s1", "1", "head-target"),
+        (0, "s1", None, "text-mismatch"),
+        (1, None, None, "id-contiguity"),
+    ]
+
+
 def test_validator_accepts_clean_fixture(nonstandard_doc):
     assert validate_document(nonstandard_doc) == []
 
@@ -148,6 +184,34 @@ def test_text_reconstruction_with_ranges(nonstandard_doc):
     sent = nonstandard_doc.sentences[0]
     assert sentence_text(sent) == sent.text
     assert document_text(nonstandard_doc).startswith("mislm sej mam")
+
+
+def surface_definition(sent):
+    """The reference definition: the forms of surface_tokens joined by their spaces."""
+    surface = surface_tokens(sent)
+    return "".join(
+        tok.form + (" " if i + 1 < len(surface) and tok.space_after else "")
+        for i, tok in enumerate(surface)
+    )
+
+
+def test_sentence_text_follows_the_surface_tokens(nonstandard_doc):
+    sentences = list(nonstandard_doc.sentences)
+    rng = random.Random(11)
+    for _ in range(100):
+        sentences.extend(random_document(rng).sentences)
+    # a range without a space after it, over words whose own marks do not count
+    sentences.append(parse_document(
+        "1\tNe\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "2-3\tdela\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n"
+        "2\tdel\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n"
+        "3\ta\t_\t_\t_\t_\t_\t_\t_\t_\n"
+        "4\t!\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n\n"
+    ).sentences[0])
+    assert any(t.is_range and not t.space_after for s in sentences for t in s.tokens)
+    for sent in sentences:
+        assert sentence_text(sent) == surface_definition(sent)
+    assert sentence_text(sentences[-1]) == "Ne dela!"
 
 
 def test_form_with_internal_space_survives(nonstandard_doc):
@@ -180,6 +244,75 @@ def test_copy_token_copies_every_field():
     token = Token(**{f.name: f"value {i}" for i, f in enumerate(dataclasses.fields(Token))})
     dup = copy_token(token)
     assert dup == token and dup is not token
+
+
+def test_every_token_field_survives_serialization():
+    token = Token(id=1, form="form", lemma="lemma", upos="UPOS", xpos="Xpos",
+                  feats="Case=Nom", head=0, deprel="root", deps="0:root", misc="M=1")
+    values = [getattr(token, f.name) for f in dataclasses.fields(Token)]
+    assert None not in values and len(set(map(repr, values))) == len(values)
+    doc = Document(sentences=[Sentence(comments=["# sent_id = 1"], tokens=[token])])
+    assert parse_document(serialize_document(doc)).sentences[0].tokens == [token]
+
+
+def test_empty_optional_column_serializes_as_empty():
+    token = Token(id=1, form="a", lemma="", misc="")
+    text = serialize_document(Document(sentences=[Sentence(tokens=[token])]))
+    assert text == "1\ta\t\t_\t_\t_\t_\t_\t_\t\n\n"
+    assert parse_document(text).sentences[0].tokens == [token]
+
+
+_cell = st.text(alphabet="0123456789-_=|#aZ \u00b2\u0661", max_size=5)
+_line = st.one_of(
+    st.just(""),
+    st.text(max_size=10).map(lambda t: "# " + t),
+    st.lists(_cell, min_size=9, max_size=11).map("\t".join),
+)
+
+
+@given(st.one_of(st.text(), st.lists(_line, max_size=10).map(lambda ls: "\n".join(ls) + "\n")))
+@example("1\ta\t_\t_\t_\t_\t\u00b2\t_\t_\t_\n\n")  # isdigit, yet not int()-able
+@example("\u00b2\ta\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+def test_parse_document_raises_only_data_errors(text):
+    try:
+        doc = parse_document(text)
+    except DataError:
+        return
+    assert serialize_document(doc) == text
+
+
+def ref_misc_value(misc, key):
+    for part in misc.split("|") if misc else []:
+        k, sep, v = part.partition("=")
+        if k == key:
+            return v if sep else ""
+    return None
+
+
+def ref_misc_set(misc, key, value):
+    parts = misc.split("|") if misc else []
+    entry = f"{key}={value}"
+    for i, part in enumerate(parts):
+        if part.partition("=")[0] == key:
+            parts[i] = entry
+            return "|".join(parts)
+    return "|".join(parts + [entry])
+
+
+_misc_key = st.sampled_from(["SpaceAfter", "XSpaceAfter", "SpaceAfterX", "Space", "Foo", "A", ""])
+_misc_value = st.sampled_from(["No", "Yes", "SpaceAfter", "Foo", "", "a=b"])
+_misc_entry = st.one_of(
+    _misc_key,
+    st.builds(lambda k, v: f"{k}={v}", _misc_key, _misc_value),
+    st.sampled_from(["", "=", "=SpaceAfter", "Foo=SpaceAfter"]),
+)
+_misc = st.one_of(st.none(), st.lists(_misc_entry, max_size=5).map("|".join))
+
+
+@given(_misc, _misc_key, _misc_value)
+def test_misc_helpers_match_a_split_reference(misc, key, value):
+    assert misc_value(misc, key) == ref_misc_value(misc, key)
+    assert misc_set(misc, key, value) == ref_misc_set(misc, key, value)
 
 
 _key = st.text(st.characters(whitelist_categories=("Lu", "Ll")), min_size=1, max_size=8)

@@ -1,10 +1,14 @@
 import gzip
 import io
+import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from slavpipe.errors import LexiconError
+from slavpipe.errors import DataError, LexiconError
 from slavpipe.lexicon import Lexicon, load_lexicon, read_lexicon
+
+from support import GZIP_DAMAGE, damaged_gzip
 
 
 def build(entries):
@@ -100,6 +104,40 @@ def test_load_lexicon_plain_and_gzip(tmp_path):
     packed.write_bytes(gzip.compress(body.encode("utf-8")))
     assert load_lexicon(plain).allowed_tags("voda") == {"Ncfsn"}
     assert load_lexicon(packed).allowed_tags("voda") == {"Ncfsn"}
+
+
+@pytest.mark.parametrize("damage, cause", zip(GZIP_DAMAGE, (EOFError, EOFError, zlib.error)))
+def test_damaged_gzip_is_a_lexicon_error(tmp_path, damage, cause):
+    path = tmp_path / "lex.tsv.gz"
+    path.write_bytes(damaged_gzip(damage))
+    with pytest.raises(LexiconError, match="bad gzip data") as info:
+        load_lexicon(path)
+    assert isinstance(info.value.__cause__, cause)
+
+
+_cell = st.text(alphabet="ab\t1x\u00b2 \r", max_size=6)
+_rows = st.lists(_cell, max_size=6).map(lambda cells: "\n".join(cells).encode("utf-8"))
+
+
+def _damage(blob, cut, flip):
+    packed = bytearray(gzip.compress(blob, mtime=0)[:cut])
+    if packed and flip is not None:
+        packed[flip % len(packed)] ^= 0xFF
+    return bytes(packed)
+
+
+_gzipped = st.builds(_damage, _rows, st.integers(0, 80), st.none() | st.integers(2, 80))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])  # one file, rewritten
+@given(st.one_of(st.binary(), st.binary().map(lambda b: b"\x1f\x8b" + b), _rows, _gzipped))
+def test_load_lexicon_raises_only_data_errors(tmp_path, blob):
+    path = tmp_path / "lexicon"
+    path.write_bytes(blob)
+    try:
+        load_lexicon(path)
+    except DataError:
+        pass
 
 
 def test_load_lexicon_missing_file():
