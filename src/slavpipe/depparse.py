@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import modelio
 from .conllu import Document, Sentence, copy_document
@@ -501,14 +501,7 @@ def parse_dependency(
 
 
 def save_parser(model: ParserModel, path) -> None:
-    meta = {
-        "language": model.metadata.language,
-        "variety": model.metadata.variety,
-        "schema": model.schema.value,
-        "sentence_count": model.metadata.sentence_count,
-        "seed": model.metadata.seed,
-        "epochs": model.metadata.epochs,
-    }
+    meta = {**asdict(model.metadata), "schema": model.schema.value}
     sections = {
         "weights": model.weights,
         "dep_labels": model.dep_labels,
@@ -525,13 +518,7 @@ def load_parser(path) -> ParserModel:
             dep_labels=sections["dep_labels"],
             root_labels=sections["root_labels"],
             schema=TreeSchema(meta["schema"]),
-            metadata=ParserMetadata(
-                language=meta.get("language", ""),
-                variety=meta.get("variety", "standard"),
-                sentence_count=meta.get("sentence_count", 0),
-                seed=meta.get("seed", 0),
-                epochs=meta.get("epochs", 0),
-            ),
+            metadata=modelio.read_metadata(ParserMetadata, meta),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: malformed parser model: {exc}") from exc

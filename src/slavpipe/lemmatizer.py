@@ -20,7 +20,7 @@ contributes ``-e/-i``, ``-ce/-ci``, ``-ece/-eci`` and the whole-word pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import modelio
 from .conllu import Document, copy_document, misc_set
@@ -198,11 +198,6 @@ def lemmatize_document(
 
 
 def save_lemmatizer(model: LemmatizerModel, path) -> None:
-    meta = {
-        "language": model.metadata.language,
-        "variety": model.metadata.variety,
-        "token_count": model.metadata.token_count,
-    }
     sections: dict[str, object] = {
         "lookup": [[f, x, l] for (f, x), l in sorted(model.lookup.items())],
         "rules": [
@@ -215,7 +210,7 @@ def save_lemmatizer(model: LemmatizerModel, path) -> None:
             "rows": model.lexicon.to_rows(),
             "prefixes": model.lexicon.prefix_table,
         }
-    modelio.write_archive(path, "lemmatizer", meta, sections)
+    modelio.write_archive(path, "lemmatizer", asdict(model.metadata), sections)
 
 
 def _lookup_entry(row) -> tuple[tuple[str, str], str]:
@@ -250,11 +245,7 @@ def load_lemmatizer(path) -> LemmatizerModel:
             lookup=dict(map(_lookup_entry, sections["lookup"])),
             rules=[_rule(row) for row in sections["rules"]],
             lexicon=lexicon,
-            metadata=LemmatizerMetadata(
-                language=meta.get("language", ""),
-                variety=meta.get("variety", "standard"),
-                token_count=meta.get("token_count", 0),
-            ),
+            metadata=modelio.read_metadata(LemmatizerMetadata, meta),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: malformed lemmatizer model: {exc}") from exc

@@ -4,9 +4,13 @@ The lexicon answers three questions for the annotation stages: which
 morphosyntactic tags a form may take (:meth:`Lexicon.allowed_tags`), which
 lemma belongs to a (form, tag) pair (:meth:`Lexicon.lookup_lemma`), and
 whether a form is a listed member of a closed word class
-(:meth:`Lexicon.in_closed_class`).  Closed classes are recognized through a
+(:meth:`Lexicon.in_closed_class`, and :meth:`Lexicon.closed_class_allows` for
+a candidate tag).  Closed classes are recognized through a
 per-language table of tag prefixes following the MULTEXT-East convention of
-encoding the coarse part of speech in the first characters of the tag.
+encoding the coarse part of speech in the first characters of the tag: a
+form belongs to a closed class when one of its listed tags, or one of its
+lowercase form's, starts with the class prefix.  TSV lexicons may use LF
+or CRLF line ends.
 """
 
 from __future__ import annotations
@@ -45,14 +49,6 @@ class Lexicon:
         self.prefix_table = dict(
             DEFAULT_CLOSED_CLASS_PREFIXES if prefix_table is None else prefix_table
         )
-        self._closed_index: dict[str, set[str]] = {c: set() for c in self.prefix_table}
-        # the closed-class members of each prefix, so that add looks up one
-        # slice per prefix length instead of testing every prefix
-        self._members_by_prefix: dict[str, list[set[str]]] = {}
-        for category, prefix in self.prefix_table.items():
-            members = self._closed_index[category]
-            self._members_by_prefix.setdefault(prefix, []).append(members)
-        self._prefix_lengths = sorted({len(p) for p in self._members_by_prefix})
         self._version = 0  # bumped by every add; see slavpipe.memo
 
     def __len__(self) -> int:
@@ -65,12 +61,15 @@ class Lexicon:
     def add(self, form: str, lemma: str, xpos: str, frequency: int = 1) -> None:
         """Insert a triple; duplicate triples accumulate their frequencies."""
         self._version += 1
-        slot = self._index.setdefault(form, {})
-        key = (xpos, lemma)
-        slot[key] = slot.get(key, 0) + frequency
-        for length in self._prefix_lengths:
-            for members in self._members_by_prefix.get(xpos[:length], ()):
-                members.add(form)
+        self._fill([(form, lemma, xpos, frequency)])
+
+    def _fill(self, rows) -> None:
+        """Add (form, lemma, xpos, frequency) rows without a version bump."""
+        index = self._index
+        for form, lemma, xpos, frequency in rows:
+            slot = index.setdefault(form, {})
+            key = (xpos, lemma)
+            slot[key] = slot.get(key, 0) + frequency
 
     def _slot(self, form: str) -> dict[tuple[str, str], int]:
         if form in self._index:
@@ -108,12 +107,30 @@ class Lexicon:
         best_freq = max(f for f, _ in tags)
         return min(x for f, x in tags if f == best_freq)
 
+    def _tagged(self, prefix: str, *forms: str) -> bool:
+        """Whether a tag listed for one of ``forms`` starts with ``prefix``."""
+        for form in forms:
+            for xpos, _ in self._index.get(form, ()):
+                if xpos.startswith(prefix):
+                    return True
+        return False
+
     def in_closed_class(self, category: str, form: str) -> bool:
-        members = self._closed_index.get(category, set())
-        return form in members or form.lower() in members
+        prefix = self.prefix_table.get(category)
+        return prefix is not None and self._tagged(prefix, form, form.lower())
 
     def closed_class_forms(self, category: str) -> set[str]:
-        return set(self._closed_index.get(category, set()))
+        """Forms whose own listed tags put them in ``category``."""
+        prefix = self.prefix_table.get(category)
+        return set() if prefix is None else {f for f in self._index if self._tagged(prefix, f)}
+
+    def closed_class_allows(self, form: str, xpos: str) -> bool:
+        """False when ``xpos`` starts with the prefix of a closed class that
+        ``form`` is not in (see :meth:`in_closed_class`)."""
+        for prefix in self.prefix_table.values():
+            if xpos.startswith(prefix) and not self._tagged(prefix, form, form.lower()):
+                return False
+        return True
 
     # serialization into model archives
 
@@ -139,12 +156,15 @@ class Lexicon:
         ):
             raise TypeError(f"prefix table {prefix_table!r} does not map strings to strings")
         lex = cls(prefix_table)
-        for row in rows:
-            form, lemma, xpos, freq = row
-            if not (type(form) is type(lemma) is type(xpos) is str and type(freq) in (int, float)):
-                raise TypeError(f"lexicon row {row!r} is not [form, lemma, xpos, frequency]")
-            lex.add(form, lemma, xpos, freq)
+        lex._fill(map(_checked_row, rows))
         return lex
+
+
+def _checked_row(row) -> tuple[str, str, str, int | float]:
+    form, lemma, xpos, freq = row
+    if not (type(form) is type(lemma) is type(xpos) is str and type(freq) in (int, float)):
+        raise TypeError(f"lexicon row {row!r} is not [form, lemma, xpos, frequency]")
+    return form, lemma, xpos, freq
 
 
 def load_lexicon(source: str | Path, prefix_table: dict[str, str] | None = None) -> Lexicon:
@@ -178,8 +198,15 @@ def read_lexicon(
     prefix_table: dict[str, str] | None = None,
 ) -> Lexicon:
     lex = Lexicon(prefix_table)
+    lex._fill(_tsv_rows(stream, name))
+    return lex
+
+
+def _tsv_rows(stream: io.TextIOBase, name: str):
+    """The (form, lemma, xpos, frequency) rows of a TSV lexicon; a CRLF line
+    end is read as LF."""
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
+        line = raw[:-2] if raw.endswith("\r\n") else raw.rstrip("\n")
         if not line:
             continue
         cols = line.split("\t")
@@ -192,7 +219,6 @@ def read_lexicon(
             raise LexiconError(
                 f"{name}: line {lineno}: expected at most 4 columns, found {len(cols)}"
             )
-        form, lemma, xpos = cols[0], cols[1], cols[2]
         frequency = 1
         if len(cols) == 4:
             try:
@@ -201,5 +227,4 @@ def read_lexicon(
                 raise LexiconError(
                     f"{name}: line {lineno}: frequency {cols[3]!r} is not an integer"
                 ) from None
-        lex.add(form, lemma, xpos, frequency)
-    return lex
+        yield cols[0], cols[1], cols[2], frequency

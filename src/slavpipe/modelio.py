@@ -21,6 +21,7 @@ format versions and mismatched kinds with :class:`~slavpipe.errors.ModelError`.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import stat
@@ -95,6 +96,16 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def read_metadata(cls: type, meta: dict):
+    """A ``cls`` metadata dataclass from the meta keys that name its fields;
+    a ``language`` or ``variety`` that is not a string raises TypeError."""
+    values = {f.name: meta[f.name] for f in dataclasses.fields(cls) if f.name in meta}
+    for name in ("language", "variety"):
+        if type(values.get(name, "")) is not str:
+            raise TypeError(f"{name} {values[name]!r} is not a string")
+    return cls(**values)
 
 
 def check_language(kind: str, trained: str, configured: str | None) -> None:

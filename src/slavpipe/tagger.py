@@ -16,7 +16,7 @@ anything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import modelio
 from .conllu import Document, Token, canonical_feats, copy_document, strip_annotations
@@ -177,11 +177,7 @@ def _closed_ok(
     upos, xpos, _ = triple
     if closed_table is not None and upos in ("PUNCT", "SYM") and form not in closed_table:
         return False
-    if lexicon is not None:
-        for category, prefix in lexicon.prefix_table.items():
-            if xpos.startswith(prefix) and not lexicon.in_closed_class(category, form):
-                return False
-    return True
+    return lexicon is None or lexicon.closed_class_allows(form, xpos)
 
 
 def _triple_for_xpos(model: TaggerModel, xpos: str) -> Triple:
@@ -270,12 +266,6 @@ def tag_document(
 
 
 def save_tagger(model: TaggerModel, path) -> None:
-    meta = {
-        "language": model.metadata.language,
-        "variety": model.metadata.variety,
-        "token_count": model.metadata.token_count,
-        "dev_accuracy": model.metadata.dev_accuracy,
-    }
     sections = {
         "form_probs": {
             form: [[*t, p] for t, p in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
@@ -289,7 +279,7 @@ def save_tagger(model: TaggerModel, path) -> None:
         "triples": [list(t) for t in model.triples],
         "default_triple": list(model.default_triple),
     }
-    modelio.write_archive(path, "tagger", meta, sections)
+    modelio.write_archive(path, "tagger", asdict(model.metadata), sections)
 
 
 def _triple(row) -> Triple:
@@ -339,12 +329,7 @@ def load_tagger(path) -> TaggerModel:
             xpos_best={x: _upos_feats(x, p) for x, p in sections["xpos_best"].items()},
             triples=[_triple(row) for row in sections["triples"]],
             default_triple=_triple(sections["default_triple"]),
-            metadata=TaggerMetadata(
-                language=meta.get("language", ""),
-                variety=meta.get("variety", "standard"),
-                token_count=meta.get("token_count", 0),
-                dev_accuracy=meta.get("dev_accuracy"),
-            ),
+            metadata=modelio.read_metadata(TaggerMetadata, meta),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{path}: malformed tagger model: {exc}") from exc

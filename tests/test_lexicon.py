@@ -151,3 +151,71 @@ def test_rows_roundtrip():
     assert again.allowed_tags("na") == {"Sl"}
     assert again.in_closed_class("adposition", "na")
     assert again.entries("voda") == lex.entries("voda")
+
+
+def test_crlf_lexicon_loads_like_lf(tmp_path):
+    body = "voda\tvoda\tNcfsn\t7\n\nvode\tvoda\tNcfsg\nna\tna\tSl\t3\n"
+    want = read_lexicon(io.StringIO(body)).to_rows()
+    assert want == [
+        ["na", "na", "Sl", 3], ["voda", "voda", "Ncfsn", 7], ["vode", "voda", "Ncfsg", 1]
+    ]
+    crlf = body.replace("\n", "\r\n").encode("utf-8")
+    plain = tmp_path / "lex.tsv"
+    plain.write_bytes(crlf)
+    packed = tmp_path / "lex.tsv.gz"
+    packed.write_bytes(gzip.compress(crlf))
+    assert load_lexicon(plain).to_rows() == want
+    assert load_lexicon(packed).to_rows() == want
+
+
+def test_closed_class_checks_the_form_and_its_lowercase_separately():
+    lex = build([("Ta", "Ta", "Ncmsn", 1), ("ta", "ta", "Pd-msn", 9)])
+    assert lex.allowed_tags("Ta") == {"Ncmsn"}
+    assert lex.in_closed_class("pronoun", "Ta")
+    assert lex.closed_class_allows("Ta", "Pd-msn")
+    assert lex.closed_class_forms("pronoun") == {"ta"}
+    assert not lex.in_closed_class("no-such-class", "ta")
+    assert lex.closed_class_forms("no-such-class") == set()
+
+
+OVERLAPPING_PREFIXES = {"pronoun": "P", "personal-pronoun": "Pp", "conjunction": "C"}
+_forms = st.text(alphabet="aAbB", min_size=1, max_size=3)
+# tags with no closed prefix, one-character and two-character prefixes
+TAGS = ["Ncfsn", "Vmpr3s", "Sl", "Q", "Pp1", "Pd", "P", "Cc", "Cs", "Cx", "D"]
+_lexicon_rows = st.lists(
+    st.tuples(_forms, st.sampled_from(["x", "y"]), st.sampled_from(TAGS), st.integers(1, 3)),
+    max_size=12,
+)
+
+
+@given(rows=_lexicon_rows, table=st.sampled_from([None, OVERLAPPING_PREFIXES]))
+def test_closed_classes_follow_the_listed_tags(rows, table):
+    lex = Lexicon(table)
+    for row in rows:
+        lex.add(*row)
+    prefixes = lex.prefix_table
+    listed: dict[str, set[str]] = {}
+    for form, _, xpos, _ in rows:
+        listed.setdefault(form, set()).add(xpos)
+
+    def member(category, form):
+        prefix = prefixes[category]
+        return any(x.startswith(prefix) for f in (form, form.lower()) for x in listed.get(f, ()))
+
+    queried = sorted({f for f, *_ in rows} | {f.upper() for f, *_ in rows} | {"zz"})
+    tsv = "".join(f"{f}\t{lemma}\t{x}\t{n}\n" for f, lemma, x, n in rows)
+    built = Lexicon.from_rows(lex.to_rows(), table)
+    read = read_lexicon(io.StringIO(tsv), prefix_table=table)
+    for got in (lex, built, read):
+        assert got.to_rows() == lex.to_rows()
+        for category, prefix in prefixes.items():
+            assert got.closed_class_forms(category) == {
+                f for f, tags in listed.items() if any(x.startswith(prefix) for x in tags)
+            }
+            for form in queried:
+                assert got.in_closed_class(category, form) == member(category, form)
+        for form in queried:
+            for xpos in TAGS:
+                assert got.closed_class_allows(form, xpos) == all(
+                    member(c, form) for c, p in prefixes.items() if xpos.startswith(p)
+                )

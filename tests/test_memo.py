@@ -132,6 +132,15 @@ def test_lexicon_add_drops_the_tagger_memo(tagger_model, vocab):
     assert _tags(after)[:2] == ("VERB", "Vmpr3s")
 
 
+def test_lexicon_add_admits_a_closed_class_tag(tagger_model):
+    lex = Lexicon()
+    before = tag_document(_one_token("na"), tagger_model, lexicon=lex)
+    assert _tags(before)[1] != "Sl"  # the form is not listed as an adposition
+    lex.add("na", "na", "Sl")
+    after = tag_document(_one_token("na"), tagger_model, lexicon=lex)
+    assert _tags(after)[:2] == ("ADP", "Sl")
+
+
 def test_closed_table_add_drops_the_tagger_memo(tagger_model):
     table = ClosedClassTable()
     table.add_punctuation(".")

@@ -1,10 +1,17 @@
 import stat
 import struct
+from dataclasses import asdict
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from slavpipe import modelio
+from slavpipe.depparse import load_parser
 from slavpipe.errors import ModelError
+from slavpipe.lemmatizer import load_lemmatizer
 from slavpipe.modelio import FORMAT_VERSION, MAGIC, read_archive, write_archive, write_atomic
+from slavpipe.pipeline import model_filename
+from slavpipe.tagger import load_tagger
 
 
 @pytest.fixture
@@ -153,3 +160,67 @@ def test_atomic_write_through_a_symlink_replaces_its_target(tmp_path):
     write_atomic(link, [b"new"])
     assert link.is_symlink() and real.read_bytes() == b"new"
     assert [p.name for p in real.parent.iterdir()] == ["model.slm"]
+
+
+LOADERS = {"tagger": load_tagger, "lemmatizer": load_lemmatizer, "parser": load_parser}
+
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _replaced(node, path, value):
+    """``node`` with the node at ``path`` replaced; only the path is copied."""
+    if not path:
+        return value
+    copy = list(node) if isinstance(node, list) else dict(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_mutated_archive_node_is_a_model_error(tmp_path, model_dir, kind, data):
+    meta, sections = read_archive(model_dir / model_filename("sl", "standard", kind), kind)
+    tree = {"meta": meta, **sections}
+    path = [data.draw(st.sampled_from(sorted(tree)))]
+    node = tree[path[0]]
+    # walk down until the draw stops or a leaf is reached
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        path.append(key)
+        node = node[key]
+    mutated = _replaced(tree, path, data.draw(JSON))
+    target = tmp_path / "mutated.slm"
+    write_atomic(target, modelio._archive_chunks(mutated.pop("meta"), mutated))
+    try:
+        LOADERS[kind](target)
+    except ModelError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("field", ["language", "variety"])
+def test_metadata_that_is_not_a_string_is_refused_at_load(tmp_path, model_dir, kind, field):
+    meta, sections = read_archive(model_dir / model_filename("sl", "standard", kind), kind)
+    target = tmp_path / "bad.slm"
+    write_archive(target, kind, {**meta, field: ["sl"]}, sections)
+    with pytest.raises(ModelError, match=f"malformed {kind} model: {field} "):
+        LOADERS[kind](target)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_metadata_reads_back_from_its_fields(model_dir, kind):
+    path = model_dir / model_filename("sl", "standard", kind)
+    meta, _ = read_archive(path, kind)
+    loaded = LOADERS[kind](path).metadata
+    assert {"kind": kind, **asdict(loaded)} == {k: v for k, v in meta.items() if k != "schema"}
