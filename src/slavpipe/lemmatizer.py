@@ -232,15 +232,21 @@ def _rule(row) -> SuffixRule:
     raise TypeError(f"rule row {row!r} is not [suffix, prefix, replacement, frequency]")
 
 
-def load_lemmatizer(path) -> LemmatizerModel:
-    """Read a lemmatizer archive; a malformed one is a :class:`ModelError`."""
+def load_lemmatizer(path, lexicon: Lexicon | None = None) -> LemmatizerModel:
+    """Read a lemmatizer archive; a malformed one is a :class:`ModelError`.
+
+    ``lexicon`` serves a model whose archive embeds none, and is also the
+    model's lexicon when the embedded one has exactly its rows and prefix
+    table (:meth:`Lexicon.matches_rows`), so that one object is built and
+    kept instead of two equal ones.  Any other embedded lexicon is built
+    from its rows.
+    """
     meta, sections = modelio.read_archive(path, "lemmatizer")
     try:
-        lexicon = None
         if "lexicon" in sections:
-            lexicon = Lexicon.from_rows(
-                sections["lexicon"]["rows"], sections["lexicon"]["prefixes"]
-            )
+            rows, prefixes = sections["lexicon"]["rows"], sections["lexicon"]["prefixes"]
+            if lexicon is None or not lexicon.matches_rows(rows, prefixes):
+                lexicon = Lexicon.from_rows(rows, prefixes)
         model = LemmatizerModel(
             lookup=dict(map(_lookup_entry, sections["lookup"])),
             rules=[_rule(row) for row in sections["rules"]],

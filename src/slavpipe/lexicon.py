@@ -150,14 +150,51 @@ class Lexicon:
         Rows that are not [form, lemma, xpos, frequency] and a prefix table
         that does not map strings to strings raise TypeError or ValueError.
         """
-        if prefix_table is not None and not (
-            isinstance(prefix_table, dict)
-            and all(type(k) is type(v) is str for k, v in prefix_table.items())
-        ):
+        if prefix_table is not None and not _maps_strings(prefix_table):
             raise TypeError(f"prefix table {prefix_table!r} does not map strings to strings")
         lex = cls(prefix_table)
         lex._fill(map(_checked_row, rows))
         return lex
+
+    def matches_rows(self, rows, prefix_table) -> bool:
+        """Whether ``rows`` and ``prefix_table`` are exactly this lexicon's
+        :meth:`to_rows` and :attr:`prefix_table`, so that :meth:`from_rows`
+        would build an equal lexicon without raising.
+
+        One pass, no sort: rows must be lists of three strings and a number
+        of the type and value stored, in strictly ascending (form, xpos,
+        lemma) order, one per entry.  Anything else is False, never an error.
+        """
+        if not (
+            type(rows) is list
+            and len(rows) == len(self)
+            and _maps_strings(prefix_table)
+            and prefix_table == self.prefix_table
+        ):
+            return False
+        index = self._index
+        last = ()  # below every key
+        for row in rows:
+            if type(row) is not list or len(row) != 4:
+                return False
+            form, lemma, xpos, freq = row
+            if not (type(form) is type(lemma) is type(xpos) is str and type(freq) in (int, float)):
+                return False
+            key = (form, xpos, lemma)
+            if key <= last:
+                return False
+            last = key
+            stored = index.get(form, _NO_SLOT).get((xpos, lemma))
+            if type(stored) is not type(freq) or stored != freq:
+                return False
+        return True
+
+
+_NO_SLOT: dict = {}
+
+
+def _maps_strings(table) -> bool:
+    return isinstance(table, dict) and all(type(k) is type(v) is str for k, v in table.items())
 
 
 def _checked_row(row) -> tuple[str, str, str, int | float]:

@@ -244,10 +244,10 @@ class Pipeline:
             load_tagger(self._model_path("morph")) if "morph" in self.tasks else None
         )
         self.lemmatizer = (
-            load_lemmatizer(self._model_path("lemma")) if "lemma" in self.tasks else None
+            load_lemmatizer(self._model_path("lemma"), lexicon=self.lexicon)
+            if "lemma" in self.tasks
+            else None
         )
-        if self.lemmatizer is not None and self.lemmatizer.lexicon is None:
-            self.lemmatizer.lexicon = self.lexicon
         self.parser = (
             load_parser(self._model_path("depparse"))
             if "depparse" in self.tasks

@@ -181,6 +181,11 @@ def make_lexicon(vocab: Vocabulary, rng: random.Random | None = None) -> Lexicon
     return lex
 
 
+def lexicon_tsv(lex: Lexicon) -> str:
+    """The TSV text that :func:`slavpipe.lexicon.load_lexicon` reads back as ``lex``."""
+    return "".join(f"{form}\t{lemma}\t{xpos}\t{freq}\n" for form, lemma, xpos, freq in lex.to_rows())
+
+
 def trap_entries(rng: random.Random, count: int, taken: set[str]) -> list[tuple[str, str, str]]:
     """Noun-looking forms that the lexicon lists only as verbs.
 

@@ -14,7 +14,7 @@ from slavpipe.cli import EXIT_BROKEN_PIPE, main
 from slavpipe.conllu import parse_document, serialize_document
 from slavpipe.pipeline import model_filename
 
-from support import GZIP_DAMAGE, damaged_gzip
+from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv
 
 
 @pytest.fixture
@@ -219,6 +219,29 @@ def test_malformed_model_is_one_line_model_error(tmp_path, model_dir, capsys, ki
     assert captured.err.startswith(f"model error: {models}")
     assert f"malformed {kind} model" in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_malformed_lemmatizer_with_the_configured_lexicon_is_model_error(
+    tmp_path, model_dir, synthetic_lexicon, capsys
+):
+    from slavpipe.modelio import read_archive, write_archive
+
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    path = models / model_filename("sl", "standard", "lemmatizer")
+    meta, sections = read_archive(path, "lemmatizer")
+    sections["lexicon"]["rows"][-1][3] = "2"
+    write_archive(path, "lemmatizer", meta, sections)
+    lexicon = write(tmp_path, "lexicon.tsv", lexicon_tsv(synthetic_lexicon))
+    src = write(tmp_path, "in.txt", "besedilo.")
+    code = main([
+        "annotate", "--lang", "sl", "--tasks", "tokenize,morph,lemma",
+        "--model-dir", str(models), "--lexicon", str(lexicon), "--in", str(src),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: {path}: malformed lemmatizer model")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("failure", ["replace", "directory"])

@@ -1,6 +1,6 @@
 import pytest
 
-from slavpipe.conllu import Document, Sentence, Token, misc_value
+from slavpipe.conllu import Document, Sentence, Token, copy_document, misc_value
 from slavpipe.errors import ModelError, StageError, TrainingError
 from slavpipe.lemmatizer import (
     LemmatizerModel,
@@ -166,8 +166,6 @@ def test_save_load_roundtrip(tmp_path, model, dev_doc):
     assert again.lexicon is not None
     assert again.lexicon.allowed_tags("naj") == model.lexicon.allowed_tags("naj")
 
-    from slavpipe.conllu import copy_document
-
     bare = copy_document(dev_doc)
     for tok in bare.single_tokens():
         tok.lemma = None
@@ -245,3 +243,86 @@ def test_malformed_archive_refused_at_load(tmp_path, section, value):
     write_archive(path, "lemmatizer", {}, {**MINIMAL_SECTIONS, section: value})
     with pytest.raises(ModelError, match="malformed lemmatizer model"):
         load_lemmatizer(path)
+
+
+# --- a configured lexicon shared with the archive's -------------------------
+
+
+@pytest.fixture
+def embedded(tmp_path, model):
+    """The archive of ``model`` and an equal copy of the lexicon it embeds."""
+    path = tmp_path / "lemmatizer.slm"
+    save_lemmatizer(model, path)
+    return path, Lexicon.from_rows(model.lexicon.to_rows(), model.lexicon.prefix_table)
+
+
+def lemmas(model, doc):
+    bare = copy_document(doc)
+    for tok in bare.single_tokens():
+        tok.lemma = None
+    out = lemmatize_document(bare, model)
+    return [(t.lemma, t.misc) for s in out.sentences for t in s.tokens]
+
+
+def test_configured_lexicon_is_shared_when_the_archive_embeds_it(embedded, dev_doc):
+    path, configured = embedded
+    shared = load_lemmatizer(path, lexicon=configured)
+    assert shared.lexicon is configured
+    assert lemmas(shared, dev_doc) == lemmas(load_lemmatizer(path), dev_doc)
+
+
+def test_configured_lexicon_serves_an_archive_without_one(tmp_path, train_doc, embedded):
+    path = tmp_path / "bare.slm"
+    save_lemmatizer(train_lemmatizer(train_doc), path)
+    configured = embedded[1]
+    assert load_lemmatizer(path, lexicon=configured).lexicon is configured
+
+
+def _float_frequency(rows, prefixes):
+    rows[0][3] = float(rows[0][3])
+    return rows, prefixes
+
+
+def _swapped(rows, prefixes):
+    rows[0], rows[1] = rows[1], rows[0]
+    return rows, prefixes
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda rows, prefixes: (rows[1:], prefixes), id="row-removed"),
+        pytest.param(_float_frequency, id="frequency-float"),
+        pytest.param(lambda rows, prefixes: (rows[:1] + rows, prefixes), id="row-duplicated"),
+        pytest.param(_swapped, id="rows-swapped"),
+        pytest.param(lambda rows, prefixes: (rows, {"pronoun": "P"}), id="other-prefix-table"),
+    ],
+)
+def test_lexicon_not_shared_unless_the_archive_describes_it_exactly(
+    tmp_path, embedded, dev_doc, change
+):
+    from slavpipe.modelio import read_archive, write_archive
+
+    path, configured = embedded
+    meta, sections = read_archive(path, "lemmatizer")
+    rows, prefixes = change(sections["lexicon"]["rows"], sections["lexicon"]["prefixes"])
+    changed = tmp_path / "changed.slm"
+    lexicon = {"rows": rows, "prefixes": prefixes}
+    write_archive(changed, "lemmatizer", meta, {**sections, "lexicon": lexicon})
+    with_configured, own = load_lemmatizer(changed, lexicon=configured), load_lemmatizer(changed)
+    assert with_configured.lexicon is not configured
+    assert with_configured.lexicon.to_rows() == own.lexicon.to_rows()
+    assert with_configured.lexicon.prefix_table == own.lexicon.prefix_table == prefixes
+    assert lemmas(with_configured, dev_doc) == lemmas(own, dev_doc)
+
+
+def test_boolean_frequency_is_refused_with_or_without_a_configured_lexicon(tmp_path, embedded):
+    from slavpipe.modelio import read_archive, write_archive
+
+    path, configured = embedded
+    meta, sections = read_archive(path, "lemmatizer")
+    sections["lexicon"]["rows"][0][3] = True
+    write_archive(path, "lemmatizer", meta, sections)
+    for lexicon in (None, configured):
+        with pytest.raises(ModelError, match="malformed lemmatizer model"):
+            load_lemmatizer(path, lexicon=lexicon)

@@ -9,6 +9,7 @@ from slavpipe import modelio
 from slavpipe.depparse import load_parser
 from slavpipe.errors import ModelError
 from slavpipe.lemmatizer import load_lemmatizer
+from slavpipe.lexicon import Lexicon
 from slavpipe.modelio import FORMAT_VERSION, MAGIC, read_archive, write_archive, write_atomic
 from slavpipe.pipeline import model_filename
 from slavpipe.tagger import load_tagger
@@ -185,27 +186,64 @@ def _replaced(node, path, value):
     return copy
 
 
+def _mutated_archive(data, tree: dict, target) -> dict:
+    """Write ``tree`` with one drawn node replaced to ``target``; return the
+    sections written.  The new value is drawn JSON or a sibling of the node,
+    which duplicates a row or a field of one."""
+    path = [data.draw(st.sampled_from(sorted(tree)))]
+    parent, node = tree, tree[path[0]]
+    # walk down until the draw stops (one step in four) or a leaf is reached
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys))
+        path.append(key)
+        parent, node = node, node[key]
+    siblings = list(parent.values() if isinstance(parent, dict) else parent)
+    mutated = _replaced(tree, path, data.draw(JSON | st.sampled_from(siblings)))
+    write_atomic(target, modelio._archive_chunks(mutated.pop("meta"), mutated))
+    return mutated
+
+
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_any_mutated_archive_node_is_a_model_error(tmp_path, model_dir, kind, data):
     meta, sections = read_archive(model_dir / model_filename("sl", "standard", kind), kind)
-    tree = {"meta": meta, **sections}
-    path = [data.draw(st.sampled_from(sorted(tree)))]
-    node = tree[path[0]]
-    # walk down until the draw stops or a leaf is reached
-    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
-        keys = sorted(node) if isinstance(node, dict) else range(len(node))
-        key = data.draw(st.sampled_from(keys))
-        path.append(key)
-        node = node[key]
-    mutated = _replaced(tree, path, data.draw(JSON))
     target = tmp_path / "mutated.slm"
-    write_atomic(target, modelio._archive_chunks(mutated.pop("meta"), mutated))
+    _mutated_archive(data, {"meta": meta, **sections}, target)
     try:
         LOADERS[kind](target)
     except ModelError:
         pass
+
+
+def _loaded(path, lexicon):
+    try:
+        return load_lemmatizer(path, lexicon=lexicon)
+    except ModelError:
+        return None
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_mutated_lemmatizer_archive_loads_alike_with_the_lexicon_it_embedded(
+    tmp_path, model_dir, data
+):
+    meta, sections = read_archive(model_dir / model_filename("sl", "standard", "lemmatizer"),
+                                  "lemmatizer")
+    embedded = sections["lexicon"]["rows"], sections["lexicon"]["prefixes"]
+    configured = Lexicon.from_rows(*embedded)
+    target = tmp_path / "mutated.slm"
+    mutated = _mutated_archive(data, {"meta": meta, **sections}, target)
+    own, with_configured = _loaded(target, None), _loaded(target, configured)
+    assert (own is None) == (with_configured is None)
+    if own is not None:
+        assert own.lexicon.to_rows() == with_configured.lexicon.to_rows()
+        assert own.lexicon.prefix_table == with_configured.lexicon.prefix_table
+        section = mutated["lexicon"]
+        written = modelio._dumps([section["rows"], section["prefixes"]])
+        # JSON text tells 1, 1.0 and true apart
+        assert (with_configured.lexicon is configured) == (written == modelio._dumps(embedded))
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

@@ -7,10 +7,12 @@ from slavpipe.conllu import (
     Document,
     copy_document,
     document_text,
+    misc_value,
     serialize_document,
     strip_annotations,
 )
 from slavpipe.errors import ConfigurationError, ModelError
+from slavpipe.lexicon import Lexicon
 from slavpipe.pipeline import (
     LANGUAGES,
     PIPELINE_TASKS,
@@ -26,6 +28,8 @@ from slavpipe.pipeline import (
     train_stage_parser,
     train_stage_tagger,
 )
+
+from support import lexicon_tsv
 
 # Availability of the six tasks per language and variety, restated row by
 # row so a regression in the module table cannot hide.
@@ -304,7 +308,50 @@ def test_pipeline_lexicon_backfills_lemmatizer(tmp_path, train_doc, lexicon_file
             model_dir=bare_dir, lexicon_path=lexicon_file,
         )
     )
-    assert pipe.lemmatizer.lexicon is not None
+    assert pipe.lemmatizer.lexicon is pipe.lexicon
+
+
+@pytest.fixture
+def embedded_lexicon_file(tmp_path, synthetic_lexicon):
+    """A TSV lexicon with the rows ``model_dir``'s lemmatizer embeds."""
+    path = tmp_path / "embedded.tsv"
+    path.write_text(lexicon_tsv(synthetic_lexicon), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("constrain", [None, False])
+def test_pipeline_keeps_one_lexicon_when_the_lemmatizer_embeds_it(
+    model_dir, embedded_lexicon_file, dev_doc, constrain
+):
+    config = PipelineConfig(
+        language="sl", model_dir=model_dir, lexicon_path=embedded_lexicon_file,
+        tagger_lexicon_constraint=constrain,
+    )
+    pipe = Pipeline(config)
+    assert pipe.lexicon is pipe.lemmatizer.lexicon
+    bare = strip_annotations(dev_doc)
+    shared = serialize_document(pipe.annotate(bare))
+    pipe.lemmatizer.lexicon = Lexicon.from_rows(
+        pipe.lexicon.to_rows(), pipe.lexicon.prefix_table
+    )
+    assert serialize_document(pipe.annotate(bare)) == shared
+
+
+def test_one_add_to_a_shared_lexicon_reaches_tagger_and_lemmatizer(
+    model_dir, embedded_lexicon_file
+):
+    pipe = Pipeline(
+        PipelineConfig(
+            language="sl", tasks=("tokenize", "morph", "lemma"),
+            model_dir=model_dir, lexicon_path=embedded_lexicon_file,
+        )
+    )
+    [before] = pipe.annotate("zzqx").sentences[0].tokens
+    pipe.lexicon.add("zzqx", "zzqlema", "Ncfsn")
+    [after] = pipe.annotate("zzqx").sentences[0].tokens
+    assert (before.xpos, before.lemma) != ("Ncfsn", "zzqlema")
+    assert (after.xpos, after.lemma) == ("Ncfsn", "zzqlema")
+    assert misc_value(after.misc, "Lemmatizer") == "lexicon"
 
 
 def test_language_mismatch_surfaces_at_annotate(model_dir, vocab):
