@@ -9,9 +9,10 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 model error,
 reader of standard output goes away (``slavpipe annotate ... | head -1``)
 the command stops quietly with status 141, as a tool killed by SIGPIPE does.
 
-A plain-text config file of ``key = value`` lines (keys named after the
-long flags) can fill in any flag the command line leaves unset; explicit
-flags always win.
+``--config FILE`` takes ``key = value`` lines: a key is a long flag name
+without ``--`` (``in``, ``model-dir`` or ``model_dir``), and its value is
+checked as the flag's (choices, integers; a bad one is exit 1).  Flags on the
+command line win; a repeatable one (``--corpus``) adds to the file's entries.
 """
 
 from __future__ import annotations
@@ -88,34 +89,38 @@ def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
     return value
 
 
-def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset flags from the key = value config file."""
-    text = read_text(args.config)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _config_settings(path: str) -> list[tuple[str, int, str]]:
+    """Each ``key = value`` line of a config file as ``(--key=value, line, key)``."""
+    settings = []
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigurationError(
-                f"{args.config}: line {lineno}: expected 'key = value'"
-            )
-        dest = key.strip().replace("-", "_")
-        value = value.strip()
-        if not hasattr(args, dest):
-            raise ConfigurationError(
-                f"{args.config}: line {lineno}: unknown setting {key.strip()!r}"
-            )
-        if getattr(args, dest) is None:
-            if dest in ("seed", "epochs"):
-                try:
-                    setattr(args, dest, int(value))
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{args.config}: line {lineno}: {key.strip()} needs an integer"
-                    ) from None
-            else:
-                setattr(args, dest, value)
+        key = key.strip()
+        if not sep or key.split() != [key]:
+            raise ConfigurationError(f"{path}: line {lineno}: expected 'key = value'")
+        settings.append((f"--{key.replace('_', '-')}={value.strip()}", lineno, key))
+    return settings
+
+
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse the command line, then again behind the config file's settings."""
+    args = parser.parse_args(argv)
+    path = args.config
+    if path is None:
+        return args
+    settings = _config_settings(path)
+    try:
+        args, unknown = parser.parse_known_args(
+            [argv[0], *(arg for arg, _, _ in settings), *argv[1:]]
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    if unknown:
+        lineno, key = next((n, k) for arg, n, k in settings if arg == unknown[0])
+        raise ConfigurationError(f"{path}: line {lineno}: unknown setting {key!r}")
+    return args
 
 
 def _split_tasks(tasks: str | None) -> tuple[str, ...] | None:
@@ -125,17 +130,14 @@ def _split_tasks(tasks: str | None) -> tuple[str, ...] | None:
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    constraint = None
-    if getattr(args, "lexicon_constraint", None) is not None:
-        constraint = args.lexicon_constraint == "on"
     return PipelineConfig(
         language=_require(args, "lang", "--lang"),
-        processing_type=args.type or "standard",
+        processing_type=args.type,
         tasks=_split_tasks(args.tasks),
         model_dir=args.model_dir,
         rules_path=args.rules,
         lexicon_path=args.lexicon,
-        tagger_lexicon_constraint=constraint,
+        tagger_lexicon_constraint={"on": True, "off": False}.get(args.lexicon_constraint),
     )
 
 
@@ -144,8 +146,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_tokenize(args: argparse.Namespace) -> int:
     lang = _require(args, "lang", "--lang")
-    ptype = args.type or "standard"
-    config = PipelineConfig(language=lang, processing_type=ptype, tasks=("tokenize",))
+    config = PipelineConfig(language=lang, processing_type=args.type, tasks=("tokenize",))
     variety = resolve_components(config)["tokenize"]
     rules = load_rules(args.rules) if args.rules else default_rules(lang)
     doc = tokenize(read_text(args.infile), TokenizerMode(variety), rules)
@@ -163,10 +164,9 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     lang = _require(args, "lang", "--lang")
-    variety = args.variety or "standard"
+    variety = args.variety
     train_doc = _read_document(_require(args, "train", "--train"))
-    dev_doc = _read_document(args.dev) if args.dev else None
-    dev_for_stage = dev_doc if dev_doc is not None else Document()
+    dev_doc = _read_document(args.dev) if args.dev else Document()
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
 
     if args.stage == "tagger":
@@ -176,25 +176,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
         elif lang in KNOWN_LANGUAGES:
             closed = default_rules(lang).closed_class
         model, filled, score = train_stage_tagger(
-            train_doc, dev_for_stage, lang, variety, lexicon=lexicon, closed_table=closed
+            train_doc, dev_doc, lang, variety, lexicon=lexicon, closed_table=closed
         )
         save = save_tagger
         score_name = "dev accuracy"
     elif args.stage == "lemmatizer":
         model, filled, score = train_stage_lemmatizer(
-            train_doc, dev_for_stage, lang, variety, lexicon=lexicon
+            train_doc, dev_doc, lang, variety, lexicon=lexicon
         )
         save = save_lemmatizer
         score_name = "dev accuracy"
     else:
         model, filled, score = train_stage_parser(
             train_doc,
-            dev_for_stage,
+            dev_doc,
             lang,
             variety,
-            schema=TreeSchema(args.schema or "ud"),
-            seed=args.seed if args.seed is not None else 13,
-            epochs=args.epochs if args.epochs is not None else 8,
+            schema=TreeSchema(args.schema),
+            seed=args.seed,
+            epochs=args.epochs,
         )
         save = save_parser
         score_name = "dev las"
@@ -211,7 +211,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         save(model, model_out)
     except OSError as exc:
         raise DataError(f"cannot write {model_out}: {exc}") from exc
-    if dev_doc is not None:
+    if args.dev:
         dev_out = args.dev_out or f"{model_out}.dev.conllu"
         _write_text(dev_out, serialize_document(filled))
     shown = "n/a" if score is None else f"{score:.4f}"
@@ -231,14 +231,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         report.per_label.update(full.per_label)
     except EvaluationError as exc:
         print(f"token-level metrics skipped: {exc}", file=sys.stderr)
-    _write_text(args.outfile, format_report(report, style=args.report or "table") + "\n")
+    _write_text(args.outfile, format_report(report, style=args.report) + "\n")
     return 0
 
 
 def _cmd_prep(args: argparse.Namespace) -> int:
     recipe = load_recipe(args.recipe)
     corpora = {}
-    for item in args.corpus or []:
+    for item in args.corpus:
         cid, sep, path = item.partition("=")
         if not sep:
             raise ConfigurationError(
@@ -291,12 +291,12 @@ def build_parser() -> _Parser:
 
     common = _Parser(add_help=False)
     common.add_argument("--config", help="key = value file filling unset flags")
-    common.add_argument("--in", dest="infile", default=None, help="input path or -")
-    common.add_argument("--out", dest="outfile", default=None, help="output path or -")
+    common.add_argument("--in", dest="infile", default="-", help="input path or -")
+    common.add_argument("--out", dest="outfile", default="-", help="output path or -")
 
     lang_opts = _Parser(add_help=False)
     lang_opts.add_argument("--lang", default=None)
-    lang_opts.add_argument("--type", choices=["standard", "nonstandard", "web"], default=None)
+    lang_opts.add_argument("--type", choices=["standard", "nonstandard", "web"], default="standard")
     lang_opts.add_argument("--rules", default=None, help="tokenizer rules file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -318,27 +318,27 @@ def build_parser() -> _Parser:
     p.add_argument("stage", choices=["tagger", "lemmatizer", "parser"])
     p.add_argument("--train", default=None, help="training data (CoNLL-U)")
     p.add_argument("--dev", default=None, help="dev data (CoNLL-U)")
-    p.add_argument("--variety", choices=["standard", "nonstandard"], default=None)
+    p.add_argument("--variety", choices=["standard", "nonstandard"], default="standard")
     p.add_argument("--lexicon", default=None)
     p.add_argument("--model-dir", default=None)
     p.add_argument("--model-out", default=None)
     p.add_argument("--dev-out", default=None, help="where to write the filled dev split")
-    p.add_argument("--schema", choices=["ud", "jos"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    p.add_argument("--schema", choices=["ud", "jos"], default="ud")
+    p.add_argument("--seed", type=int, default=13)
+    p.add_argument("--epochs", type=int, default=8)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("evaluate", parents=[common],
                        help="score a system output against gold")
     p.add_argument("--gold", default=None, help="gold data (CoNLL-U)")
     p.add_argument("--fields", default=None, help="comma-separated metric fields")
-    p.add_argument("--report", choices=["table", "kv"], default=None)
+    p.add_argument("--report", choices=["table", "kv"], default="table")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("prep", parents=[common, lang_opts],
                        help="build a training set from a recipe")
     p.add_argument("recipe", help="recipe file")
-    p.add_argument("--corpus", action="append", default=None, metavar="ID=PATH")
+    p.add_argument("--corpus", action="append", default=[], metavar="ID=PATH")
     p.add_argument("--diacritics", default=None, help="diacritic replacement map")
     p.add_argument("--seed", type=int, default=None, help="shuffle seed for sampling")
     p.set_defaults(func=_cmd_prep)
@@ -357,13 +357,7 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            _apply_config(args)
-        if getattr(args, "infile", None) is None:
-            args.infile = "-"
-        if getattr(args, "outfile", None) is None:
-            args.outfile = "-"
+        args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status

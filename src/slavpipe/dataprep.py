@@ -56,14 +56,18 @@ def _as_repetitions(value, what: str, minimum: str) -> Decimal:
 
 def load_diacritic_map(source: str | Path) -> dict[str, str]:
     """Read a two-column (``char<TAB>replacement``) mapping file."""
+    return parse_diacritic_map(read_text(source), name=str(source))
+
+
+def parse_diacritic_map(text: str, name: str = "<map>") -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(read_text(source).splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         cols = raw.split("\t")
         if len(cols) != 2 or len(cols[0]) != 1:
             raise DataError(
-                f"{source}: line {lineno}: expected single character, TAB, replacement"
+                f"{name}: line {lineno}: expected single character, TAB, replacement"
             )
         mapping[cols[0]] = cols[1]
     return mapping
@@ -76,17 +80,12 @@ def default_diacritic_map(language: str) -> dict[str, str]:
         raise ConfigurationError(
             f"no diacritic replacement map is defined for language {language!r}"
         )
-    mapping: dict[str, str] = {}
     text = (
         resources.files("slavpipe")
         .joinpath(f"data/diacritics/{language}.map")
         .read_text(encoding="utf-8")
     )
-    for raw in text.splitlines():
-        if raw:
-            char, repl = raw.split("\t")
-            mapping[char] = repl
-    return mapping
+    return parse_diacritic_map(text, name=f"{language}.map")
 
 
 def dediacritize_text(text: str, mapping: dict[str, str]) -> str:

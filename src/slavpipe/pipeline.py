@@ -36,7 +36,7 @@ from .lemmatizer import (
     train_lemmatizer,
 )
 from .lexicon import Lexicon, load_lexicon
-from .tagger import load_tagger, tag_document, tag_in_place, train_tagger
+from .tagger import load_tagger, tag_document, tag_in_place, tagging, train_tagger
 from .tokenizer import (
     ClosedClassTable,
     TokenizerMode,
@@ -349,12 +349,13 @@ def train_stage_tagger(
     lexicon: Lexicon | None = None,
     closed_table: ClosedClassTable | None = None,
 ) -> tuple[object, Document, float | None]:
-    """Train the tagger and tag a stripped copy of the dev split."""
-    model = train_tagger(train, dev, language=language, variety=variety)
+    """Train the tagger, tag a stripped copy of the dev split and score it."""
+    model = train_tagger(train, Document(), language=language, variety=variety)
     filled = strip_annotations(dev)
     tag_in_place(
         filled, model, lexicon=lexicon, closed_table=closed_table, language=language
     )
+    model.metadata.dev_accuracy = dev_accuracy(dev, filled, tagging)
     return model, filled, model.metadata.dev_accuracy
 
 

@@ -146,11 +146,11 @@ def train_tagger(
     )
     tagged = strip_annotations(dev)
     tag_in_place(tagged, model)
-    model.metadata.dev_accuracy = dev_accuracy(dev, tagged, _tagging)
+    model.metadata.dev_accuracy = dev_accuracy(dev, tagged, tagging)
     return model
 
 
-def _tagging(tok: Token) -> Triple | None:
+def tagging(tok: Token) -> Triple | None:
     """What dev accuracy compares; gold without upos or xpos is not scored."""
     if tok.upos is None or tok.xpos is None:
         return None

@@ -8,6 +8,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slavpipe
 from slavpipe.cli import EXIT_BROKEN_PIPE, main
@@ -195,6 +196,130 @@ def test_config_unknown_key(tmp_path, capsys):
     code = main(["tokenize", "--config", str(config), "--in", str(src)])
     assert code == 1
     assert "unknown setting 'colour'" in capsys.readouterr().err
+
+
+def _config_case(tmp_path, case, model_dir, train_doc):
+    """Command line, config line and expected (status, stderr start) for one case."""
+    text = write(tmp_path, "in.txt", "Ena.")
+    corpus = write(tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    recipe = write(tmp_path, "mix.recipe", "component id=c reps=1\n")
+    train = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    out = str(tmp_path / "out")
+    bad_value = (1, "configuration error: {config}: argument --")
+    unknown = (1, "configuration error: {config}: line 1: unknown setting ")
+    return {
+        "schema": (["train", "parser", "--lang", "sl", "--train", str(train),
+                    "--model-out", out], "schema = xyz", bad_value),
+        "lexicon-constraint": (["annotate", "--lang", "sl", "--model-dir", str(model_dir),
+                                "--in", str(text), "--out", out],
+                               "lexicon-constraint = maybe", bad_value),
+        "variety": (["train", "tagger", "--lang", "sl", "--train", str(train),
+                     "--model-dir", out], "variety = bogus", bad_value),
+        "in": (["tokenize", "--lang", "sl", "--out", out], f"in = {text}", (0, "")),
+        "corpus": (["prep", str(recipe), "--out", out], f"corpus = c={corpus}", (0, "")),
+        "func": (["tokenize", "--lang", "sl", "--in", str(text)], "func = x", unknown),
+        "stage": (["train", "tagger", "--lang", "sl", "--train", str(train),
+                   "--model-out", out], "stage = x", unknown),
+        "infile": (["tokenize", "--lang", "sl", "--out", out], f"infile = {text}", unknown),
+    }[case]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["schema", "lexicon-constraint", "variety", "in", "corpus", "func", "stage", "infile"],
+)
+def test_config_values_are_parsed_as_flags(tmp_path, capsys, model_dir, train_doc, case):
+    argv, line, (status, err_start) = _config_case(tmp_path, case, model_dir, train_doc)
+    config = write(tmp_path, "pipe.conf", line + "\n")
+    assert main([*argv, "--config", str(config)]) == status
+    err = capsys.readouterr().err
+    assert err.startswith(err_start.format(config=config))
+    if status:
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out").exists()
+
+
+def test_config_corpus_entries_come_before_command_line_ones(tmp_path):
+    first = write(tmp_path, "a.conllu", "1\tprvi\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    second = write(tmp_path, "b.conllu", "1\tdrugi\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    recipe = write(tmp_path, "mix.recipe", "component id=a reps=1\ncomponent id=b reps=1\n")
+    config = write(tmp_path, "pipe.conf", f"corpus = a={first}\ncorpus = b={first}\n")
+    out = tmp_path / "out.conllu"
+    code = main([
+        "prep", str(recipe), "--config", str(config),
+        "--corpus", f"b={second}", "--out", str(out),
+    ])
+    assert code == 0
+    doc = parse_document(out.read_text(encoding="utf-8"))
+    assert [s.tokens[0].form for s in doc.sentences] == ["prvi", "drugi"]
+
+
+_FLAG_KEYS = [
+    "config", "in", "out", "lang", "type", "rules", "tasks", "model-dir", "model_dir",
+    "lexicon", "lexicon-constraint", "train", "dev", "variety", "model-out", "dev-out",
+    "schema", "seed", "epochs", "gold", "fields", "report", "corpus", "diacritics",
+    "form", "xpos",
+]
+_PATH_KEYS = {
+    "config", "in", "out", "rules", "model-dir", "model_dir", "lexicon", "train", "dev",
+    "model-out", "dev-out", "gold", "diacritics",
+}
+_GOOD_VALUES = {
+    "lang": ["sl", "hr"], "type": ["standard", "nonstandard"], "report": ["table", "kv"],
+    "fields": ["upos", "lemma,upos"], "seed": ["7", "-3"],
+}
+_LINE_TEXT = st.text(
+    st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")), max_size=12
+)
+_VALUES = st.one_of(
+    _LINE_TEXT,
+    _LINE_TEXT.map(lambda v: "-" + v),
+    st.tuples(_LINE_TEXT, _LINE_TEXT).map("=".join),
+)
+
+
+@st.composite
+def _config_lines(draw, paths):
+    kind = draw(st.sampled_from(["flag"] * 4 + ["random", "blank", "comment"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   "]))
+    if kind == "comment":
+        return "#" + draw(_LINE_TEXT)
+    key = draw(st.sampled_from(_FLAG_KEYS) if kind == "flag" else _LINE_TEXT)
+    if key in _PATH_KEYS:
+        value = draw(st.sampled_from(paths))
+    elif key == "corpus":
+        value = "c=" + draw(st.sampled_from(paths))
+    else:
+        value = draw(st.one_of(st.sampled_from(_GOOD_VALUES.get(key, ["x"])), _VALUES))
+    return f"{key} = {value}"
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_file_ends_in_a_documented_status(tmp_path, capsys, data):
+    text = write(tmp_path, "in.txt", "Ena poved.")
+    conllu = write(tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    recipe = write(tmp_path, "mix.recipe", "component id=c reps=2 dedia=1\n")
+    paths = [str(text), str(conllu), str(tmp_path / "absent"), str(tmp_path)]
+    command = data.draw(st.sampled_from([
+        ["tokenize", "--in", str(text)],
+        ["tokenize", "--lang", "sl", "--in", str(text)],
+        ["evaluate", "--in", str(conllu)],
+        ["evaluate", "--gold", str(conllu), "--in", str(conllu)],
+        ["prep", str(recipe), "--in", str(conllu)],
+        ["prep", str(recipe), "--corpus", f"c={conllu}", "--in", str(conllu)],
+    ]))
+    lines = data.draw(st.lists(_config_lines(paths), max_size=4))
+    config = write(tmp_path, "pipe.conf", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main([*command, "--out", str(tmp_path / "out"), "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    if code:
+        assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("kind, tasks", [("tagger", "morph"), ("lemmatizer", "morph,lemma")])
