@@ -9,10 +9,11 @@ Exit codes: 0 success, 1 configuration error, 2 data error, 3 model error,
 reader of standard output goes away (``slavpipe annotate ... | head -1``)
 the command stops quietly with status 141, as a tool killed by SIGPIPE does.
 
-``--config FILE`` takes ``key = value`` lines: a key is a long flag name
-without ``--`` (``in``, ``model-dir`` or ``model_dir``), and its value is
-checked as the flag's (choices, integers; a bad one is exit 1).  Flags on the
-command line win; a repeatable one (``--corpus``) adds to the file's entries.
+``--config FILE`` takes ``key = value`` lines: a key is a long flag name of
+the command, in full, without ``--`` (``in``, ``model-dir`` or ``model_dir``;
+any other key is an unknown setting, exit 1), and its value is checked as the
+flag's (choices, integers; a bad one is exit 1).  Flags on the command line
+win; a repeatable one (``--corpus``) adds to the file's entries.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGP
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # the subparsers, by command name
+
     def error(self, message):  # noqa: A003 - argparse hook
         raise ConfigurationError(message)
 
@@ -89,9 +92,13 @@ def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
     return value
 
 
-def _config_settings(path: str) -> list[tuple[str, int, str]]:
-    """Each ``key = value`` line of a config file as ``(--key=value, line, key)``."""
-    settings = []
+def _config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """Each ``key = value`` line of a config file as one ``--key=value`` argument.
+
+    Keys must be exact long flags of ``command``: argparse expands prefixes and
+    reads an unknown ``--key=value`` that holds a space as a positional.
+    """
+    args = []
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,8 +107,11 @@ def _config_settings(path: str) -> list[tuple[str, int, str]]:
         key = key.strip()
         if not sep or key.split() != [key]:
             raise ConfigurationError(f"{path}: line {lineno}: expected 'key = value'")
-        settings.append((f"--{key.replace('_', '-')}={value.strip()}", lineno, key))
-    return settings
+        flag = f"--{key.replace('_', '-')}"
+        if flag not in command._option_string_actions:
+            raise ConfigurationError(f"{path}: line {lineno}: unknown setting {key!r}")
+        args.append(f"{flag}={value.strip()}")
+    return args
 
 
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
@@ -110,17 +120,11 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     path = args.config
     if path is None:
         return args
-    settings = _config_settings(path)
+    settings = _config_args(path, parser.commands[args.command])
     try:
-        args, unknown = parser.parse_known_args(
-            [argv[0], *(arg for arg, _, _ in settings), *argv[1:]]
-        )
+        return parser.parse_args([argv[0], *settings, *argv[1:]])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    if unknown:
-        lineno, key = next((n, k) for arg, n, k in settings if arg == unknown[0])
-        raise ConfigurationError(f"{path}: line {lineno}: unknown setting {key!r}")
-    return args
 
 
 def _split_tasks(tasks: str | None) -> tuple[str, ...] | None:
@@ -204,9 +208,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if args.model_dir is None:
             raise ConfigurationError("--model-out or --model-dir is required")
         Path(args.model_dir).mkdir(parents=True, exist_ok=True)
-        model_out = str(
-            Path(args.model_dir) / model_filename(lang, variety, args.stage)
-        )
+        model_out = str(Path(args.model_dir) / model_filename(lang, variety, args.stage))
     try:
         save(model, model_out)
     except OSError as exc:
@@ -241,9 +243,7 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     for item in args.corpus:
         cid, sep, path = item.partition("=")
         if not sep:
-            raise ConfigurationError(
-                f"--corpus expects ID=PATH, got {item!r}"
-            )
+            raise ConfigurationError(f"--corpus expects ID=PATH, got {item!r}")
         corpora[cid] = _read_document(path)
     mapping = None
     if args.diacritics:
@@ -300,6 +300,7 @@ def build_parser() -> _Parser:
     lang_opts.add_argument("--rules", default=None, help="tokenizer rules file")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("tokenize", parents=[common, lang_opts],
                        help="split raw text into sentences and tokens")

@@ -59,7 +59,7 @@ def load_diacritic_map(source: str | Path) -> dict[str, str]:
     return parse_diacritic_map(read_text(source), name=str(source))
 
 
-def parse_diacritic_map(text: str, name: str = "<map>") -> dict[str, str]:
+def parse_diacritic_map(text: str, name: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():

@@ -221,12 +221,19 @@ def _config_case(tmp_path, case, model_dir, train_doc):
         "stage": (["train", "tagger", "--lang", "sl", "--train", str(train),
                    "--model-out", out], "stage = x", unknown),
         "infile": (["tokenize", "--lang", "sl", "--out", out], f"infile = {text}", unknown),
+        "spaced-prep": (["prep", str(recipe), "--out", out], "colour = dark red", unknown),
+        "spaced-train": (["train", "tagger", "--lang", "sl", "--train", str(train),
+                          "--model-out", out], "colour = dark red", unknown),
+        "other-command": (["prep", str(recipe), "--corpus", f"c={corpus}", "--out", out],
+                          "model-dir = /data/my models", unknown),
+        "prefix": (["tokenize", "--in", str(text), "--out", out], "la = sl", unknown),
     }[case]
 
 
 @pytest.mark.parametrize(
     "case",
-    ["schema", "lexicon-constraint", "variety", "in", "corpus", "func", "stage", "infile"],
+    ["schema", "lexicon-constraint", "variety", "in", "corpus", "func", "stage", "infile",
+     "spaced-prep", "spaced-train", "other-command", "prefix"],
 )
 def test_config_values_are_parsed_as_flags(tmp_path, capsys, model_dir, train_doc, case):
     argv, line, (status, err_start) = _config_case(tmp_path, case, model_dir, train_doc)
@@ -277,17 +284,23 @@ _VALUES = st.one_of(
     _LINE_TEXT,
     _LINE_TEXT.map(lambda v: "-" + v),
     st.tuples(_LINE_TEXT, _LINE_TEXT).map("=".join),
+    st.tuples(_LINE_TEXT, _LINE_TEXT).map(lambda p: f"{p[0]}x y{p[1]}"),
 )
 
 
 @st.composite
 def _config_lines(draw, paths):
-    kind = draw(st.sampled_from(["flag"] * 4 + ["random", "blank", "comment"]))
+    kind = draw(st.sampled_from(["flag"] * 3 + ["near", "random", "blank", "comment"]))
     if kind == "blank":
         return draw(st.sampled_from(["", "   "]))
     if kind == "comment":
         return "#" + draw(_LINE_TEXT)
-    key = draw(st.sampled_from(_FLAG_KEYS) if kind == "flag" else _LINE_TEXT)
+    if kind != "flag":
+        # A prefix of a flag, a positional's name, `help`, or any text.
+        near = ["la", "mod", "colour", "help", "stage", "action", "recipe"]
+        key = draw(st.sampled_from(near) if kind == "near" else _LINE_TEXT)
+        return f"{key} = {draw(_VALUES)}"
+    key = draw(st.sampled_from(_FLAG_KEYS))
     if key in _PATH_KEYS:
         value = draw(st.sampled_from(paths))
     elif key == "corpus":
@@ -311,6 +324,8 @@ def test_any_config_file_ends_in_a_documented_status(tmp_path, capsys, data):
         ["evaluate", "--gold", str(conllu), "--in", str(conllu)],
         ["prep", str(recipe), "--in", str(conllu)],
         ["prep", str(recipe), "--corpus", f"c={conllu}", "--in", str(conllu)],
+        ["train", "tagger", "--in", str(text)],
+        ["lexicon", "load", "--in", str(text)],
     ]))
     lines = data.draw(st.lists(_config_lines(paths), max_size=4))
     config = write(tmp_path, "pipe.conf", "\n".join(lines) + "\n")
