@@ -65,7 +65,12 @@ EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGP
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser that takes flags by their full names only, like config keys."""
+
     commands: dict[str, argparse.ArgumentParser]  # the subparsers, by command name
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):  # noqa: A003 - argparse hook
         raise ConfigurationError(message)
@@ -95,8 +100,8 @@ def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
 def _config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
     """Each ``key = value`` line of a config file as one ``--key=value`` argument.
 
-    Keys must be exact long flags of ``command``: argparse expands prefixes and
-    reads an unknown ``--key=value`` that holds a space as a positional.
+    Keys must be exact long flags of ``command``: argparse reads an unknown
+    ``--key=value`` that holds a space as a positional.
     """
     args = []
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):

@@ -11,6 +11,13 @@ stack/buffer context.  Training is deterministic for a fixed seed.  Actions
 are numbered in lexicographic order of their names (``left=<label>``,
 ``right=<label>``, ``shift``), and the decoder resolves equal scores to the
 smallest index, i.e. the smallest name, so parsing is reproducible as well.
+
+The decoder memoises, per model (:mod:`slavpipe.memo`), what one token's
+(form, upos, xpos) fixes: the scores after the bias and its s0 features, and
+its rows as s1, as first buffer token and as second.  Only the six pair
+features are looked up per transition.  Each score is still the same
+sequence of float additions in feature order, so a warm, cold or capped memo
+gives the same parses.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ import random
 from dataclasses import asdict, dataclass, field
 
 from . import modelio
-from .conllu import Document, Sentence, copy_document
+from .conllu import Document, Sentence, Token, copy_document
 from .errors import ModelError, StageError, TrainingError
+from .memo import memo_table, remember
 
 ROOT = 0
 _NONE = "<none>"
@@ -189,29 +197,41 @@ class _Actions:
         return self._valid[buffered][arcs]
 
 
+def _unary(values: tuple[str, str, str]) -> tuple[tuple[str, ...], ...]:
+    """The unary feature strings of one position's (form, upos, xpos).
+
+    In scoring order: its three features as s0, its three as s1, its two as
+    the first buffer token (``b0f``, ``b0u``) and its one as the second
+    (``b1u``).
+    """
+    f, u, x = values
+    return (
+        ("s0f=" + f, "s0u=" + u, "s0x=" + x),
+        ("s1f=" + f, "s1u=" + u, "s1x=" + x),
+        ("b0f=" + f, "b0u=" + u),
+        ("b1u=" + u,),
+    )
+
+
 class _Context:
-    """The feature strings of one sentence, by stack/buffer position.
+    """The (form, upos, xpos) values of one sentence, by stack/buffer position.
 
     Position 0 is the root and 1..n are the sentence's single tokens; n + 1
     and n + 2 stand for an empty stack slot or buffer slot (``<none>``).
-    The features of a configuration, in scoring order, are
-    ``_BIAS + s0[s0] + s1[s1] + buffer[pos] + pairs(s0, s1, pos)``.
+    The features of a configuration, in scoring order, are ``_BIAS``, the
+    s0 features of ``s0``, the s1 features of ``s1``, the b0 features of
+    ``pos + 1`` and the b1u feature of ``pos + 2`` (see :func:`_unary`), then
+    ``pairs(s0, s1, pos)``.
     """
 
-    def __init__(self, sentence: Sentence):
-        self.tokens = sentence.single_tokens()
-        n = self.n = len(self.tokens)
-        self.none = n + 1
-        self.values = (
-            [("<root>", "<root>", "<root>")]
-            + [(t.form, t.upos or _NONE, t.xpos or _NONE) for t in self.tokens]
-            + [(_NONE, _NONE, _NONE)] * 2
-        )
-        v = self.values
-        self.s0 = [("s0f=" + f, "s0u=" + u, "s0x=" + x) for f, u, x in v[: n + 1]]
-        self.s1 = [("s1f=" + f, "s1u=" + u, "s1x=" + x) for f, u, x in v[: n + 2]]
-        self.buffer = [
-            ("b0f=" + v[p][0], "b0u=" + v[p][1], "b1u=" + v[p + 1][1]) for p in range(1, n + 2)
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.n = len(tokens)
+        self.none = self.n + 1
+        self.values = [
+            ("<root>", "<root>", "<root>"),
+            *((t.form, t.upos or _NONE, t.xpos or _NONE) for t in tokens),
+            *[(_NONE, _NONE, _NONE)] * 2,
         ]
 
     def pairs(self, s0: int, s1: int, pos: int) -> tuple[str, ...]:
@@ -360,8 +380,12 @@ def _train_sentence(
     dep_labels: list[str],
     root_labels: list[str],
 ) -> None:
-    ctx = _Context(sentence)
+    ctx = _Context(sentence.single_tokens())
     n = ctx.n
+    unary = [_unary(values) for values in ctx.values]
+    s0_feats = [_BIAS + u[0] for u in unary]
+    s1_feats = [u[1] for u in unary]
+    buffer_feats = [u[2] + after[3] for u, after in zip(unary[1:], unary[2:])]
     position = {t.id: p for p, t in enumerate(ctx.tokens, 1)}
     position[ROOT] = ROOT
     gold_head = [None] + [position[t.head] for t in ctx.tokens]
@@ -381,7 +405,7 @@ def _train_sentence(
         )
         s0 = stack[-1]
         s1 = stack[-2] if len(stack) > 1 else ctx.none
-        feats = _BIAS + ctx.s0[s0] + ctx.s1[s1] + ctx.buffer[pos] + ctx.pairs(s0, s1, pos)
+        feats = s0_feats[s0] + s1_feats[s1] + buffer_feats[pos] + ctx.pairs(s0, s1, pos)
         valid = actions.valid(stack, pos < n)
         predicted = valid[0]
         if len(valid) > 1:  # a forced move needs no scores
@@ -426,21 +450,39 @@ def _oracle(
     return actions.right[label]
 
 
-def parse_sentence(model: ParserModel, sentence: Sentence) -> dict[int, tuple[int, str]]:
-    """Greedy decode; returns ``{token id: (head, deprel)}``."""
-    ctx = _Context(sentence)
+def _entry(model: ParserModel, values: tuple[str, str, str]) -> tuple:
+    """The parser memo's entry for one position's values.
+
+    It holds the scores after the bias and the s0 features, then the
+    position's s1 rows, b0 rows and b1u row, in feature order.  Only tuples,
+    which the collector stops tracking, so a full memo does not lengthen its
+    full passes.
+    """
+    rows = model._rows
+    s0, s1, b0, b1u = _unary(values)
+    prefix = model._bias_scores[:]
+    _add_rows(prefix, _found(rows, s0))
+    return (
+        tuple(prefix),
+        tuple(_found(rows, s1)),
+        tuple(_found(rows, b0)),
+        tuple(_found(rows, b1u)),
+    )
+
+
+def _decode(model: ParserModel, tokens: list[Token]) -> list[tuple[int, str]]:
+    """Greedy decode of one sentence's single tokens; each one's (head, deprel)."""
+    ctx = _Context(tokens)
     n = ctx.n
     actions = model._actions
     rows = model._rows
-    # per-sentence caches: the scores after bias and the three s0 features,
-    # which depend on s0 alone, and each position's other unary-feature rows
-    prefix = []
-    for feats in ctx.s0:
-        scores = model._bias_scores[:]
-        _add_rows(scores, _found(rows, feats))
-        prefix.append(scores)
-    s1_rows = [_found(rows, feats) for feats in ctx.s1]
-    buffer_rows = [_found(rows, feats) for feats in ctx.buffer]
+    memo = memo_table(model, ())
+    entries = []
+    for values in ctx.values:
+        entry = memo.get(values)
+        if entry is None:
+            entry = remember(memo, values, _entry(model, values))
+        entries.append(entry)
 
     stack = [ROOT]
     pos = 0
@@ -450,15 +492,23 @@ def parse_sentence(model: ParserModel, sentence: Sentence) -> dict[int, tuple[in
         valid = actions.valid(stack, pos < n)
         move = valid[0]
         if len(valid) > 1:  # a forced move needs no scores
-            s0 = stack[-1]
-            s1 = stack[-2] if len(stack) > 1 else ctx.none
-            scores = prefix[s0][:]
+            # a one-item stack only shifts, so a scored move has an s1
+            s0, s1 = stack[-1], stack[-2]
+            scores = list(entries[s0][0])
             pairs = _found(rows, ctx.pairs(s0, s1, pos))
-            _add_rows(scores, [*s1_rows[s1], *buffer_rows[pos], *pairs])
+            _add_rows(
+                scores, [*entries[s1][1], *entries[pos + 1][2], *entries[pos + 2][3], *pairs]
+            )
             move = max(valid, key=scores.__getitem__)
         pos += _apply(actions.moves[move], stack, pos, heads, labels)
-    ids = [ROOT] + [t.id for t in ctx.tokens]
-    return {ids[p]: (ids[heads[p]], labels[p]) for p in range(1, n + 1)}
+    ids = [ROOT, *(t.id for t in tokens)]
+    return [(ids[heads[p]], labels[p]) for p in range(1, n + 1)]
+
+
+def parse_sentence(model: ParserModel, sentence: Sentence) -> dict[int, tuple[int, str]]:
+    """Greedy decode; returns ``{token id: (head, deprel)}``."""
+    tokens = sentence.single_tokens()
+    return {tok.id: arc for tok, arc in zip(tokens, _decode(model, tokens))}
 
 
 def parse_in_place(doc: Document, model: ParserModel, language: str | None = None) -> None:
@@ -472,20 +522,17 @@ def parse_in_place(doc: Document, model: ParserModel, language: str | None = Non
         raise ModelError("parser model has no root labels; cannot attach trees")
 
     for si, sent in enumerate(doc.sentences):
-        where = sent.sent_id or f"sentence {si + 1}"
-        for tok in sent.single_tokens():
+        tokens = sent.single_tokens()
+        for tok in tokens:
             if tok.upos is None or tok.xpos is None or tok.lemma is None:
+                where = sent.sent_id or f"sentence {si + 1}"
                 raise StageError(
                     "depparse",
                     f"token {tok.id} ({tok.form!r}) in {where} misses "
                     "upos/xpos/lemma required for parsing",
                 )
-        if not sent.single_tokens():
-            continue
-        parsed = parse_sentence(model, sent)
-        for tok in sent.tokens:
-            if not tok.is_range:
-                tok.head, tok.deprel = parsed[tok.id]
+        for tok, (head, deprel) in zip(tokens, _decode(model, tokens)):
+            tok.head, tok.deprel = head, deprel
 
 
 def parse_dependency(

@@ -695,6 +695,13 @@ def test_unknown_flag_is_configuration_error(capsys):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_abbreviated_flag_is_configuration_error(tmp_path, capsys):
+    src = write(tmp_path, "in.txt", "Ena.")
+    assert main(["tokenize", "--la", "sl", "--in", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "--la" in err
+
+
 # --- last resort and closed pipes -------------------------------------------
 
 

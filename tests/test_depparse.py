@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from slavpipe import modelio
+from slavpipe import memo, modelio
 from slavpipe.conllu import Document, Sentence, Token, copy_document, serialize_document
 from slavpipe.depparse import (
     ParserModel,
@@ -336,6 +336,19 @@ def test_golden_archive_and_parse(
     for parser in (model, load_parser(path)):
         out = serialize_document(parse_dependency(dev, parser))
         assert _sha256(out.encode("utf-8")) == parse_sha
+
+
+@pytest.mark.parametrize("cap", [memo.CAP, 4], ids=["cap", "cap4"])
+def test_golden_parse_on_a_warm_model(
+    monkeypatch, train_doc, dev_doc, multi_root_doc, vocab, cap
+):
+    monkeypatch.setattr(memo, "CAP", cap)
+    model = train_parser(train_doc, TreeSchema.UD, language="sl", seed=13, epochs=6)
+    parse_dependency(make_corpus(103, 30, vocab, id_prefix="warm"), model)
+    assert 0 < len(vars(model)["_memo"][2]) <= cap
+    dev = Document(sentences=dev_doc.sentences + multi_root_doc.sentences)
+    out = serialize_document(parse_dependency(dev, model))
+    assert _sha256(out.encode("utf-8")) == UD_PARSE_SHA256
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ on, and with the memo capped at a few entries.
 """
 
 import gc
+import platform
 import random
 import weakref
 
@@ -29,8 +30,9 @@ from slavpipe.tokenizer import ClosedClassTable, TokenizerMode, default_rules, t
 
 from support import trap_entries
 
-KINDS = ("tagger", "lemmatizer")
+KINDS = ("tagger", "lemmatizer", "parser")
 TASKS = ("tokenize", "morph", "lemma")
+PARSE_TASKS = TASKS + ("depparse",)
 
 
 @pytest.fixture(scope="module")
@@ -41,11 +43,11 @@ def lexicon_path(tmp_path_factory, vocab):
     return path
 
 
-def _config(model_dir, lexicon_path, processing_type):
+def _config(model_dir, lexicon_path, processing_type, tasks=TASKS):
     return PipelineConfig(
         language="sl",
         processing_type=processing_type,
-        tasks=TASKS,
+        tasks=tasks,
         model_paths={k: model_dir / model_filename("sl", "standard", k) for k in KINDS},
         lexicon_path=lexicon_path,
     )
@@ -206,14 +208,34 @@ def test_capped_memo_gives_the_same_output(
         " ".join(t.form for t in sent.tokens)
         for sent in dev_doc.sentences + nonstandard_doc.sentences
     ]
-    config = _config(model_dir, lexicon_path, "nonstandard")
+    config = _config(model_dir, lexicon_path, "nonstandard", PARSE_TASKS)
     uncapped = Pipeline(config)
     expected = [_annotated(uncapped, t) for t in texts]
     assert max(_memo_sizes(uncapped.tagger, uncapped.lemmatizer, uncapped.rules)) > 4
+    assert _memo_sizes(uncapped.parser)[0] > 4
 
     monkeypatch.setattr(memo, "CAP", 4)
     capped = Pipeline(config)
     for text, want in zip(texts, expected):
         assert _annotated(capped, text) == want
-        sizes = _memo_sizes(capped.tagger, capped.lemmatizer, capped.rules)
+        sizes = _memo_sizes(capped.tagger, capped.lemmatizer, capped.rules, capped.parser)
         assert sizes and max(sizes) <= 4
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython",
+    reason="untracking of atomic tuples is a CPython collector detail",
+)
+def test_parser_memo_entries_are_not_tracked_by_the_collector(
+    model_dir, lexicon_path, dev_doc
+):
+    pipe = Pipeline(_config(model_dir, lexicon_path, "standard", PARSE_TASKS))
+    for sent in dev_doc.sentences:
+        pipe.annotate(" ".join(t.form for t in sent.tokens))
+    # a pass stops tracking a tuple whose items are untracked when the pass
+    # starts, so each pass untracks one more level of an entry's nesting
+    for _ in range(4):
+        gc.collect()
+    entries = vars(pipe.parser)["_memo"][2].values()
+    assert len(entries) > 20
+    assert not [entry for entry in entries if gc.is_tracked(entry)]
