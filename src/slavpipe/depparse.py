@@ -505,12 +505,6 @@ def _decode(model: ParserModel, tokens: list[Token]) -> list[tuple[int, str]]:
     return [(ids[heads[p]], labels[p]) for p in range(1, n + 1)]
 
 
-def parse_sentence(model: ParserModel, sentence: Sentence) -> dict[int, tuple[int, str]]:
-    """Greedy decode; returns ``{token id: (head, deprel)}``."""
-    tokens = sentence.single_tokens()
-    return {tok.id: arc for tok, arc in zip(tokens, _decode(model, tokens))}
-
-
 def parse_in_place(doc: Document, model: ParserModel, language: str | None = None) -> None:
     """Attach heads and labels to every sentence of ``doc`` itself.
 

@@ -90,15 +90,13 @@ class Lexicon:
         """Lemma for (form, xpos): highest frequency wins, ties go to the
         lexicographically smallest lemma.  Absent exactly when
         :meth:`allowed_tags` does not contain ``xpos``."""
-        candidates = [
-            (freq, lemma)
-            for (tag, lemma), freq in self._slot(form).items()
-            if tag == xpos
-        ]
-        if not candidates:
-            return None
-        best_freq = max(f for f, _ in candidates)
-        return min(lemma for freq, lemma in candidates if freq == best_freq)
+        best_freq = best = None
+        for (tag, lemma), freq in self._slot(form).items():
+            if tag == xpos and (
+                best is None or freq > best_freq or (freq == best_freq and lemma < best)
+            ):
+                best_freq, best = freq, lemma
+        return best
 
     def most_frequent_tag(self, form: str) -> str | None:
         tags = [(freq, xpos) for (xpos, _), freq in self._slot(form).items()]
@@ -127,6 +125,8 @@ class Lexicon:
     def closed_class_allows(self, form: str, xpos: str) -> bool:
         """False when ``xpos`` starts with the prefix of a closed class that
         ``form`` is not in (see :meth:`in_closed_class`)."""
+        if not xpos.startswith(tuple(self.prefix_table.values())):
+            return True
         for prefix in self.prefix_table.values():
             if xpos.startswith(prefix) and not self._tagged(prefix, form, form.lower()):
                 return False

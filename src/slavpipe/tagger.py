@@ -196,22 +196,27 @@ def _decide(
     lexicon: Lexicon | None,
     closed_table: ClosedClassTable | None,
 ) -> Triple:
-    """The triple for a form that the closed table does not fix."""
+    """The triple for a form that the closed table does not fix.
+
+    That is the first sound ranked candidate, among the lexicon's tags when
+    it lists the form; failing that, the lexicon's own tag, then the first
+    sound candidate of any tag, the default triple and X.
+    """
     candidates = _ranked_candidates(model, form)
-    sound = [c for c in candidates if _closed_ok(c, form, lexicon, closed_table)]
-    allowed = lexicon.allowed_tags(form) if lexicon is not None else set()
+    allowed = lexicon.allowed_tags(form) if lexicon is not None else None
     if allowed:
-        constrained = [c for c in sound if c[1] in allowed]
-        if constrained:
-            return constrained[0]
+        for c in candidates:
+            if c[1] in allowed and _closed_ok(c, form, lexicon, closed_table):
+                return c
         # no model mass on the allowed set: trust the lexicon
         fallback_tag = lexicon.most_frequent_tag(form)
         assert fallback_tag is not None
         candidate = _triple_for_xpos(model, fallback_tag)
         if _closed_ok(candidate, form, lexicon, closed_table):
             return candidate
-    if sound:
-        return sound[0]
+    for c in candidates:
+        if _closed_ok(c, form, lexicon, closed_table):
+            return c
     if _closed_ok(model.default_triple, form, lexicon, closed_table):
         return model.default_triple
     return ("X", "X", None)

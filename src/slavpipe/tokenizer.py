@@ -190,10 +190,15 @@ def _is_punct_or_sym(ch: str) -> bool:
 
 
 def _is_terminal_form(form: str) -> bool:
-    return bool(form) and all(ch in TERMINAL_CHARS for ch in form)
+    return bool(form) and not form.strip(".!?…")  # ".!?…" is TERMINAL_CHARS
 
 
 def _match_special(chunk: str) -> str | None:
+    # An e-mail or mention needs an "@", a hashtag a leading "#" and a URL
+    # "http" or "www." in any case: under IGNORECASE only the ASCII pair of
+    # each letter matches h, t, p or w.
+    if not ("@" in chunk or chunk.startswith("#") or chunk[:4].lower() in ("http", "www.")):
+        return None
     for pattern in _SPECIAL_RES:
         m = pattern.match(chunk)
         if m:
@@ -230,6 +235,8 @@ def _take_trailing_run(chunk: str) -> tuple[str, str]:
 
 
 def _emoticon_suffix(chunk: str, rules: TokenizerRules) -> str | None:
+    if not chunk.endswith(rules.peelable_emoticons):
+        return None
     for emo in rules.peelable_emoticons:
         if chunk.endswith(emo):
             return emo
@@ -237,6 +244,8 @@ def _emoticon_suffix(chunk: str, rules: TokenizerRules) -> str | None:
 
 
 def _emoticon_prefix(chunk: str, rules: TokenizerRules) -> str | None:
+    if not chunk.startswith(rules.peelable_emoticons):
+        return None
     for emo in rules.peelable_emoticons:
         if chunk.startswith(emo):
             rest = chunk[len(emo):]
@@ -299,6 +308,8 @@ def _split_internal(core: str) -> list[str]:
 
     Digit-flanked separators stay put so decimal numbers survive whole.
     """
+    if "," not in core and ";" not in core:
+        return [core]
     out: list[str] = []
     current = ""
     for i, ch in enumerate(core):

@@ -10,7 +10,6 @@ from slavpipe.depparse import (
     TreeSchema,
     load_parser,
     parse_dependency,
-    parse_sentence,
     save_parser,
     train_parser,
     validate_tree,
@@ -32,6 +31,12 @@ def sentence(arcs, forms=None):
             )
         )
     return Sentence(comments=[], tokens=tokens)
+
+
+def parsed_arcs(model, sent):
+    """``{token id: (head, deprel)}`` read off a parsed copy of ``sent``."""
+    parsed = parse_dependency(Document(sentences=[sent]), model).sentences[0]
+    return {tok.id: (tok.head, tok.deprel) for tok in parsed.single_tokens()}
 
 
 # --- validation -------------------------------------------------------------
@@ -125,7 +130,7 @@ def trained(train_doc):
 def test_training_learns_the_templates(trained, dev_doc):
     total = correct = 0
     for sent in dev_doc.sentences:
-        parsed = parse_sentence(trained, sent)
+        parsed = parsed_arcs(trained, sent)
         for tok in sent.single_tokens():
             total += 1
             correct += parsed[tok.id] == (tok.head, tok.deprel)
@@ -177,7 +182,7 @@ def test_jos_training_on_multi_root_trees(multi_root_doc):
         sentences=[copy_document(multi_root_doc).sentences[0] for _ in range(20)]
     )
     model = train_parser(train, TreeSchema.JOS, seed=3, epochs=6)
-    parsed = parse_sentence(model, train.sentences[0])
+    parsed = parsed_arcs(model, train.sentences[0])
     gold = {t.id: (t.head, t.deprel) for t in train.sentences[0].single_tokens()}
     assert parsed == gold
 
@@ -207,7 +212,7 @@ def test_nonprojective_gold_still_trains():
     sent = sentence([(3, "a"), (4, "b"), (0, "root"), (3, "c")])
     doc = Document(sentences=[sent])
     model = train_parser(doc, TreeSchema.UD, epochs=2)
-    parsed = parse_sentence(model, sent)
+    parsed = parsed_arcs(model, sent)
     assert validate_tree_mapping(parsed)
 
 
@@ -254,7 +259,7 @@ def test_save_load_parses_identically(tmp_path, trained, dev_doc):
     assert again.schema is TreeSchema.UD
     assert again.metadata.seed == 13
     for sent in dev_doc.sentences[:10]:
-        assert parse_sentence(again, sent) == parse_sentence(trained, sent)
+        assert parsed_arcs(again, sent) == parsed_arcs(trained, sent)
 
 
 MINIMAL_SECTIONS = {
@@ -366,4 +371,4 @@ def test_ties_resolve_to_the_smallest_action_name(schema, expected):
     # no weights, so every action scores 0.0; labels are listed out of sorted
     # order and "Z" is both a dependent and a root label
     model = ParserModel(dep_labels=["a", "Z"], root_labels=["root", "Z"], schema=schema)
-    assert parse_sentence(model, sentence([(None, None)] * 3)) == expected
+    assert parsed_arcs(model, sentence([(None, None)] * 3)) == expected

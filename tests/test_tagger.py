@@ -6,7 +6,14 @@ import pytest
 from slavpipe.conllu import Document, Sentence, Token, strip_annotations
 from slavpipe.errors import ModelError, TrainingError
 from slavpipe.lexicon import Lexicon
-from slavpipe.tagger import load_tagger, save_tagger, tag_document, train_tagger
+from slavpipe.tagger import (
+    TaggerModel,
+    _decide,
+    load_tagger,
+    save_tagger,
+    tag_document,
+    train_tagger,
+)
 from slavpipe.tokenizer import ClosedClassTable
 
 from support import make_corpus, trap_entries
@@ -232,3 +239,57 @@ def test_malformed_archive_refused_at_load(tmp_path, section, value):
     write_archive(path, "tagger", {}, {**MINIMAL_SECTIONS, section: value})
     with pytest.raises(ModelError, match="malformed tagger model"):
         load_tagger(path)
+
+
+# --- the decision for one form ---------------------------------------------
+
+NOUN = ("NOUN", "Ncmsn", "Case=Nom")
+ADJ = ("ADJ", "Agpmsn", None)
+VERB = ("VERB", "Vmr3s", None)
+PRON = ("PRON", "Pq-msn", None)
+PUNCT = ("PUNCT", "Z", None)
+
+
+def tiny_tagger(ranked, default_triple=NOUN):
+    """A model that ranks ``ranked`` in order for the form "kaj"."""
+    n = len(ranked)
+    return TaggerModel(
+        form_probs={"kaj": {t: (n - i) / n for i, t in enumerate(ranked)}},
+        xpos_best={"Ncmsn": ("NOUN", "Case=Nom")},
+        triples=sorted({*ranked, default_triple}, key=lambda t: (*t[:2], t[2] or "")),
+        default_triple=default_triple,
+    )
+
+
+def listing(*xpos):
+    """A lexicon listing "kaj" under ``xpos``, the first tag the most frequent."""
+    lex = Lexicon()
+    for rank, tag in enumerate(xpos):
+        lex.add("kaj", "kaj", tag, len(xpos) - rank)
+    return lex
+
+
+# Expected triples were produced by the eager decision (every candidate
+# checked before choosing) that the first-passing search replaced.
+@pytest.mark.parametrize(
+    "ranked, default_triple, xpos, expected",
+    [
+        # "kaj" is not listed as a pronoun, so the closed class vetoes the top
+        pytest.param([PRON, ADJ, VERB], NOUN, [], ADJ, id="top-vetoed-unlisted"),
+        # the closed table vetoes PUNCT for a word, although the lexicon allows Z
+        pytest.param([PUNCT, ADJ, VERB], NOUN, ["Z", "Agpmsn"], ADJ, id="top-vetoed-listed"),
+        pytest.param([ADJ, PUNCT, VERB], NOUN, ["Vmr3s"], VERB, id="lower-ranked-allowed"),
+        pytest.param([ADJ, VERB], NOUN, ["Ncmsn", "Vmr3s"], VERB, id="allowed-by-rank"),
+        pytest.param([ADJ, VERB], NOUN, ["Ncmsn"], NOUN, id="lexicon-tag"),
+        pytest.param([ADJ, VERB], NOUN, ["Rgp"], ("ADV", "Rgp", None), id="lexicon-tag-unseen"),
+        pytest.param([PUNCT, ADJ, VERB], NOUN, ["Z"], ADJ, id="lexicon-tag-vetoed"),
+        pytest.param([PUNCT, PRON], NOUN, ["Z"], NOUN, id="all-vetoed-default"),
+        pytest.param([PUNCT, PRON], PUNCT, ["Z"], ("X", "X", None), id="all-vetoed-x"),
+        pytest.param([PUNCT], PRON, [], ("X", "X", None), id="unlisted-all-vetoed-x"),
+    ],
+)
+def test_decide_takes_the_first_sound_candidate(ranked, default_triple, xpos, expected):
+    table = ClosedClassTable()
+    table.add_punctuation(".")
+    model = tiny_tagger(ranked, default_triple)
+    assert _decide(model, "kaj", listing(*xpos), table) == expected

@@ -1,9 +1,14 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from slavpipe.conllu import document_text, validate_document
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
+    _SPECIAL_RES,
+    TERMINAL_CHARS,
     TokenizerMode,
+    _is_terminal_form,
+    _match_special,
     closed_class_assign,
     default_rules,
     is_closed_class_fixed,
@@ -156,3 +161,46 @@ def test_every_shipped_language_has_rules():
         rules = default_rules(lang)
         assert rules.abbreviations
         assert rules.closed_class.get(".") is not None
+
+
+# --- fast rejects -----------------------------------------------------------
+
+_SL_EMOTICONS = default_rules("sl").peelable_emoticons
+_CHUNK_PIECES = [
+    *"HTPWſKhtpwsk", *"aeiouxzAZčš", *"0123456789", *",;.:/@#()-", "http", "HtTp",
+    "www.", "WwW.", "://", *_SL_EMOTICONS,
+]
+
+
+@given(st.lists(st.sampled_from(_CHUNK_PIECES), min_size=1, max_size=12).map("".join))
+def test_special_prefilter_passes_every_chunk_a_pattern_matches(chunk):
+    # every match keeps a nonempty token after trimming, so a match the
+    # prefilter let through is never None
+    if any(pattern.match(chunk) for pattern in _SPECIAL_RES):
+        assert _match_special(chunk) is not None
+
+
+@given(st.text(alphabet=[*sorted(TERMINAL_CHARS), "a", ",", ":"]))
+def test_terminal_form_is_all_terminal_chars(form):
+    assert _is_terminal_form(form) == (bool(form) and all(ch in TERMINAL_CHARS for ch in form))
+
+
+# Expected forms were produced by the tokenizer before the fast rejects.
+@pytest.mark.parametrize(
+    "text, standard, nonstandard",
+    [
+        (":Dobro", [[":", "Dobro"]], [[":", "Dobro"]]),
+        ("super:-):)", [["super", ":", "-", ")", ":", ")"]], [["super", ":-)", ":)"]]),
+        ("HTTP://X.SI/a,", [["HTTP://X.SI/a", ","]], [["HTTP://X.SI/a", ","]]),
+        ("WwW.primer.si)", [["WwW.primer.si", ")"]], [["WwW.primer.si", ")"]]),
+        ("ana@b.si.", [["ana@b.si", "."]], [["ana@b.si", "."]]),
+        ("@ana!!", [["@", "ana", "!!"]], [["@ana", "!!"]]),
+        ("#novo…", [["#", "novo", "…"]], [["#novo", "…"]]),
+        ("3,14", [["3,14"]], [["3,14"]]),
+        ("a,b;c", [["a", ",", "b", ";", "c"]], [["a", ",", "b", ";", "c"]]),
+        ("?!…", [["?!…"]], [["?!…"]]),
+    ],
+)
+def test_chunk_splits_in_both_modes(sl_rules, text, standard, nonstandard):
+    assert forms(tokenize(text, TokenizerMode.STANDARD, sl_rules)) == standard
+    assert forms(tokenize(text, TokenizerMode.NONSTANDARD, sl_rules)) == nonstandard
