@@ -17,11 +17,11 @@ least one full copy keeps its original spelling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
 
-from .conllu import Document, Sentence, Token, copy_token, sentence_text, set_text_comment
+from .conllu import Document, Sentence, copy_document, sentence_text, set_text_comment
 from .errors import ConfigurationError, DataError, RecipeError, read_text
 
 _SOURCE_PREFIX = "# source = "
@@ -92,26 +92,7 @@ def dediacritize_text(text: str, mapping: dict[str, str]) -> str:
     return text.translate({ord(k): v for k, v in mapping.items()})
 
 
-def dediacritize_document(doc: Document, mapping: dict[str, str]) -> Document:
-    """Replace mapped characters in all forms; text comments follow suit."""
-    table = {ord(k): v for k, v in mapping.items()}
-    out = Document()
-    for sent in doc.sentences:
-        new = Sentence(
-            comments=list(sent.comments),
-            tokens=[replace(t, form=t.form.translate(table)) for t in sent.tokens],
-        )
-        if new.text is not None:
-            set_text_comment(new, sentence_text(new))
-        out.sentences.append(new)
-    return out
-
-
-# --- oversampling ----------------------------------------------------------
-
-
-def _copy_sentence(sent: Sentence) -> Sentence:
-    return Sentence(comments=list(sent.comments), tokens=[copy_token(t) for t in sent.tokens])
+# --- copies and splits -----------------------------------------------------
 
 
 def _suffix_sent_id(sent: Sentence, copy_index: int) -> None:
@@ -128,70 +109,7 @@ def _copy_plan(n_sentences: int, repetitions: Decimal) -> list[int]:
     plan = [n_sentences] * full
     if frac:
         plan.append(int(round_half_up(frac * n_sentences)))
-    return [c for c in plan if c > 0] if plan else []
-
-
-def oversample_document(doc: Document, repetitions) -> Document:
-    """Repeat a document ``repetitions`` times (one fractional digit).
-
-    Fractional parts take the first ``round(frac * n)`` sentences.  Every
-    copy gets its ``sent_id`` comments suffixed with ``-r<copy>`` so ids stay
-    unique in the combined output.
-    """
-    reps = _as_repetitions(repetitions, "repetitions", "0.1")
-    out = Document()
-    for copy_index, count in enumerate(_copy_plan(len(doc.sentences), reps), start=1):
-        for sent in doc.sentences[:count]:
-            copy = _copy_sentence(sent)
-            _suffix_sent_id(copy, copy_index)
-            out.sentences.append(copy)
-    return out
-
-
-# --- tokenization-variant conversions --------------------------------------
-
-
-def merge_spaced_forms(doc: Document) -> Document:
-    """Remove internal spaces from token forms (n:1 tokenization variant)."""
-    out = Document()
-    for sent in doc.sentences:
-        new = Sentence(
-            comments=list(sent.comments),
-            tokens=[replace(t, form=t.form.replace(" ", "")) for t in sent.tokens],
-        )
-        if new.text is not None:
-            set_text_comment(new, sentence_text(new))
-        out.sentences.append(new)
-    return out
-
-
-def flatten_ranges(doc: Document) -> Document:
-    """Drop multiword range tokens, keeping their syntactic words (1:n).
-
-    The words inherit contiguous ids (renumbered if necessary, heads
-    remapped) and the last word of each range inherits the range's
-    ``SpaceAfter`` information; text comments are regenerated.
-    """
-    out = Document()
-    for sent in doc.sentences:
-        singles = sent.single_tokens()
-        id_map = {t.id: i + 1 for i, t in enumerate(singles)}
-        range_misc: dict[int, str | None] = {}
-        for tok in sent.tokens:
-            if tok.is_range:
-                range_misc[tok.id[1]] = tok.misc
-        tokens = []
-        for tok in singles:
-            misc = range_misc.get(tok.id, tok.misc)
-            head = tok.head
-            if head is not None and head != 0:
-                head = id_map.get(head, head)
-            tokens.append(replace(tok, id=id_map[tok.id], head=head, misc=misc))
-        new = Sentence(comments=list(sent.comments), tokens=tokens)
-        if new.text is not None:
-            set_text_comment(new, sentence_text(new))
-        out.sentences.append(new)
-    return out
+    return [c for c in plan if c > 0]
 
 
 def split_document(doc: Document, fractions: list, shuffle_seed: int | None = None) -> list[Document]:
@@ -207,7 +125,7 @@ def split_document(doc: Document, fractions: list, shuffle_seed: int | None = No
     start = 0
     for i, frac in enumerate(fracs):
         end = n if i == len(fracs) - 1 else start + int(round_half_up(frac * n))
-        parts.append(Document(sentences=[_copy_sentence(s) for s in sentences[start:end]]))
+        parts.append(copy_document(Document(sentences=sentences[start:end])))
         start = end
     return parts
 
@@ -374,6 +292,8 @@ def build_recipe_dataset(
     ``corpora`` maps corpus ids to documents.  A component that dediacritizes
     must leave at least one full repetition untouched and needs a
     ``diacritic_map``; violations are refused with :class:`RecipeError`.
+    Copy ``k`` of a sentence has its ``sent_id`` suffixed with ``-r<k>``; a
+    dediacritized copy has its ``# text =`` comment regenerated.
     """
     report = RecipeReport()
     out = Document()
@@ -413,8 +333,8 @@ def build_recipe_dataset(
         )
         emitted = tokens_emitted = dedia_tokens = 0
         for copy_index, count in enumerate(_copy_plan(n, reps), start=1):
-            for si, sent in enumerate(sentences[:count]):
-                copy = _copy_sentence(sent)
+            copies = copy_document(Document(sentences=sentences[:count])).sentences
+            for si, copy in enumerate(copies):
                 _suffix_sent_id(copy, copy_index)
                 dediacritize_this = 2 <= copy_index <= 1 + full_dedia or (
                     copy_index == 2 + full_dedia and si < dedia_prefix

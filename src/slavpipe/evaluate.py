@@ -209,31 +209,20 @@ def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
         )
 
 
-def _arc_counts(gold: Document, pred: Document, labeled: bool) -> MetricCounts:
+def las_counts(gold: Document, pred: Document) -> MetricCounts:
     total = correct = 0
     for si, gsent, gtoks, ptoks in _aligned(gold, pred):
         for gtok, ptok in zip(gtoks, ptoks):
             _require_arc(gtok, gsent, si, "gold")
             _require_arc(ptok, gsent, si, "predicted")
             total += 1
-            correct += gtok.head == ptok.head and (
-                not labeled or gtok.deprel == ptok.deprel
-            )
+            correct += gtok.head == ptok.head and gtok.deprel == ptok.deprel
     return MetricCounts(total, total, correct)
-
-
-def las_counts(gold: Document, pred: Document) -> MetricCounts:
-    return _arc_counts(gold, pred, labeled=True)
 
 
 def las_score(gold: Document, pred: Document) -> float:
     """Fraction of tokens with both head and dependency label correct."""
     return las_counts(gold, pred).accuracy
-
-
-def uas_score(gold: Document, pred: Document) -> float:
-    """Fraction of tokens with the head correct, label disregarded."""
-    return _arc_counts(gold, pred, labeled=False).accuracy
 
 
 def per_label_accuracy(

@@ -72,17 +72,6 @@ class TaggerModel:
     default_triple: Triple = ("X", "X", None)
     metadata: TaggerMetadata = field(default_factory=TaggerMetadata)
 
-    def form_distribution(self, form: str) -> dict[Triple, float]:
-        return dict(self.form_probs.get(form, {}))
-
-    def suffix_distribution(self, suffix: str) -> dict[Triple, float]:
-        """Add-one smoothed distribution over all training triples."""
-        counts = self.suffix_counts.get(suffix)
-        if counts is None:
-            return {}
-        total = sum(counts.values()) + len(self.triples)
-        return {t: (counts.get(t, 0) + 1) / total for t in self.triples}
-
 
 def train_tagger(
     train: Document,

@@ -263,25 +263,31 @@ def _keeps_final_period(core: str, rules: TokenizerRules) -> bool:
 
 
 def _split_chunk(chunk: str, mode: TokenizerMode, rules: TokenizerRules) -> list[str]:
-    if not chunk:
-        return []
     nonstandard = mode is TokenizerMode.NONSTANDARD
-
-    if nonstandard:
-        if chunk in rules.emoticons:
-            return [chunk]
-        emo = _emoticon_prefix(chunk, rules)
-        if emo is not None:
-            return [emo] + _split_chunk(chunk[len(emo):], mode, rules)
-        special = _match_special(chunk)
-        if special is not None:
-            rest = chunk[len(special):]
-            if all(_is_punct_or_sym(ch) for ch in rest):
-                return [special] + _split_chunk(rest, mode, rules)
-
-    if _is_punct_or_sym(chunk[0]):
-        head, rest = _take_leading_run(chunk)
-        return [head] + _split_chunk(rest, mode, rules)
+    out: list[str] = []
+    # head pieces, in order: a whole emoticon, an emoticon prefix, a special
+    # followed only by punctuation, a leading punctuation run
+    while chunk:
+        if nonstandard:
+            if chunk in rules.emoticons:
+                out.append(chunk)
+                return out
+            emo = _emoticon_prefix(chunk, rules)
+            if emo is not None:
+                out.append(emo)
+                chunk = chunk[len(emo):]
+                continue
+            special = _match_special(chunk)
+            if special is not None:
+                rest = chunk[len(special):]
+                if all(_is_punct_or_sym(ch) for ch in rest):
+                    out.append(special)
+                    chunk = rest
+                    continue
+        if not _is_punct_or_sym(chunk[0]):
+            break
+        head, chunk = _take_leading_run(chunk)
+        out.append(head)
 
     tail: list[str] = []
     core = chunk
@@ -298,7 +304,8 @@ def _split_chunk(chunk: str, mode: TokenizerMode, rules: TokenizerRules) -> list
             break
         core, run = _take_trailing_run(core)
         tail.append(run)
-    out = _split_internal(core) if core else []
+    if core:
+        out.extend(_split_internal(core))
     out.extend(reversed(tail))
     return out
 

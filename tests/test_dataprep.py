@@ -1,22 +1,27 @@
+import hashlib
+import random
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
-from slavpipe.conllu import Document, Sentence, Token, parse_document, sentence_text
+from slavpipe.conllu import (
+    Document,
+    Sentence,
+    Token,
+    sentence_text,
+    serialize_document,
+    set_text_comment,
+)
 from slavpipe.dataprep import (
     Recipe,
     RecipeComponent,
     build_recipe_dataset,
     compute_repetition_ratio,
-    dediacritize_document,
     dediacritize_text,
     default_diacritic_map,
-    flatten_ranges,
     load_diacritic_map,
     load_recipe,
-    merge_spaced_forms,
-    oversample_document,
     parse_recipe,
     round_half_up,
     split_document,
@@ -97,26 +102,34 @@ def test_load_diacritic_map_rejects_bad_lines(tmp_path):
         load_diacritic_map(path)
 
 
+def _recipe_copies(doc, reps, dedia="0"):
+    recipe = Recipe(components=(RecipeComponent("c", reps, dediacritize_repetitions=dedia),))
+    dataset, _ = build_recipe_dataset(recipe, {"c": doc}, default_diacritic_map("sl"))
+    return dataset.sentences
+
+
 def test_dediacritize_document_updates_text_comments():
     doc = small_doc(2)
-    mapping = default_diacritic_map("sl")
-    out = dediacritize_document(doc, mapping)
-    for sent in out.sentences:
+    out = _recipe_copies(doc, "2", dedia="1")
+    # the first copy keeps its diacritics, the second loses them everywhere
+    assert [s.text for s in out[:2]] == [s.text for s in doc.sentences]
+    assert all("š" in s.tokens[0].form for s in out[:2])
+    for sent in out[2:]:
         assert all("š" not in t.form for t in sent.tokens)
         assert sent.text == sentence_text(sent)
         assert "š" not in sent.text
     # input untouched
     assert "š" in doc.sentences[0].tokens[0].form
+    assert "š" in doc.sentences[0].text
 
 
 # --- oversampling -----------------------------------------------------------
 
 
 def test_oversample_whole_and_fractional():
-    doc = small_doc(10)
-    out = oversample_document(doc, "2.3")
-    assert len(out.sentences) == 23
-    ids = [s.sent_id for s in out.sentences]
+    out = _recipe_copies(small_doc(10), "2.3")
+    assert len(out) == 23
+    ids = [s.sent_id for s in out]
     assert ids[0] == "d.1-r1"
     assert ids[10] == "d.1-r2"
     assert ids[20] == "d.1-r3"
@@ -125,21 +138,22 @@ def test_oversample_whole_and_fractional():
 
 
 def test_oversample_validates_repetitions():
-    doc = small_doc(2)
     with pytest.raises(RecipeError, match="more than one fractional digit"):
-        oversample_document(doc, "1.25")
+        parse_recipe("component id=c reps=1.25\n")
     with pytest.raises(RecipeError, match="below the minimum"):
-        oversample_document(doc, "0")
+        parse_recipe("component id=c reps=0\n")
     with pytest.raises(RecipeError, match="not a decimal"):
-        oversample_document(doc, "lots")
+        parse_recipe("component id=c reps=lots\n")
 
 
 def test_oversample_copies_are_independent():
     doc = small_doc(1)
-    out = oversample_document(doc, "2")
-    out.sentences[0].tokens[0].form = "changed"
-    assert out.sentences[1].tokens[0].form != "changed"
+    out = _recipe_copies(doc, "2")
+    out[0].tokens[0].form = "changed"
+    out[0].comments.append("# note = changed")
+    assert out[1].tokens[0].form != "changed"
     assert doc.sentences[0].tokens[0].form != "changed"
+    assert "# note = changed" not in out[1].comments + doc.sentences[0].comments
 
 
 @given(
@@ -150,64 +164,25 @@ def test_oversample_count_matches_the_ratio(n, tenths):
     reps = Decimal(tenths) / 10
     doc = Document(
         sentences=[
-            Sentence(comments=[], tokens=[Token(id=1, form="x")]) for _ in range(n)
+            Sentence(comments=[f"# sent_id = s{i}"], tokens=[Token(id=1, form="x")])
+            for i in range(n)
         ]
     )
-    out = oversample_document(doc, reps)
+    recipe = Recipe(components=(RecipeComponent("c", reps),))
+    out, report = build_recipe_dataset(recipe, {"c": doc})
     full = tenths // 10
     frac = Decimal(tenths % 10) / 10
     expected = full * n + int(round_half_up(frac * n))
-    assert len(out.sentences) == expected
+    assert report.components[0].sentences_emitted == len(out.sentences) == expected
+    ids = [s.sent_id for s in out.sentences]
+    assert len(set(ids)) == len(ids)
     # once a tenth of the corpus is at least one sentence, the emitted count
     # re-derived as a ratio rounds back to (nearly) the request
     if expected and n >= 10:
         assert abs(compute_repetition_ratio(expected, n) - reps) <= Decimal("0.1")
 
 
-# --- tokenization-variant conversions ---------------------------------------
-
-
-def test_merge_spaced_forms(nonstandard_doc):
-    merged = merge_spaced_forms(nonstandard_doc)
-    sent = merged.sentences[1]
-    assert sent.tokens[5].form == "parlament"
-    assert sent.tokens[0].form == "@leaathenatabako"
-    assert sent.text == sentence_text(sent)
-    assert "parla ment" not in sent.text
-
-
-def test_flatten_ranges(nonstandard_doc):
-    flat = flatten_ranges(nonstandard_doc)
-    sent = flat.sentences[0]
-    assert all(not t.is_range for t in sent.tokens)
-    assert [t.id for t in sent.tokens] == list(range(1, 27))
-    forms = [t.form for t in sent.tokens]
-    assert "ta" in forms and "stare" in forms and "tastare" not in forms
-    # the range's SpaceAfter=No lands on its last covered word
-    stare = next(t for t in sent.tokens if t.form == "stare")
-    assert stare.misc == "SpaceAfter=No"
-    ta = next(t for t in sent.tokens if t.form == "ta")
-    assert ta.misc is None
-    assert sent.text == sentence_text(sent)
-    assert "ta stare" in sent.text
-
-
-def test_flatten_ranges_remaps_heads():
-    text = (
-        "# text = okej je\n"
-        "1-2\tokej\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n"
-        "1\to\t_\t_\t_\t_\t2\tdep\t_\t_\n"
-        "2\tkej\t_\t_\t_\t_\t0\troot\t_\t_\n"
-        "3\tje\t_\t_\t_\t_\t2\tdep\t_\t_\n"
-        "\n"
-    )
-    doc = parse_document(text)
-    flat = flatten_ranges(doc)
-    toks = flat.sentences[0].tokens
-    assert [t.id for t in toks] == [1, 2, 3]
-    assert [t.head for t in toks] == [2, 0, 2]
-    assert toks[1].misc == "SpaceAfter=No"
-    assert flat.sentences[0].text == "o kejje"
+# --- splits -----------------------------------------------------------------
 
 
 def test_split_document_fractions():
@@ -236,6 +211,12 @@ def test_split_document_fractions_must_sum_to_one():
 
 
 def test_component_validation():
+    with pytest.raises(RecipeError, match="more than one fractional digit"):
+        RecipeComponent("c", "1.25")
+    with pytest.raises(RecipeError, match="below the minimum"):
+        RecipeComponent("c", "0")
+    with pytest.raises(RecipeError, match="not a decimal"):
+        RecipeComponent("c", "lots")
     with pytest.raises(RecipeError, match="cannot dediacritize"):
         RecipeComponent("c", Decimal("2"), dediacritize_repetitions=Decimal("3"))
     with pytest.raises(RecipeError, match="outside"):
@@ -436,3 +417,52 @@ def test_recipe_roundtrip_on_generated_corpus():
     dataset, report = build_recipe_dataset(recipe, {"gen": std})
     assert report.components[0].sentences_emitted == 25 * 2 + 10
     assert report.total_tokens == sum(len(s.single_tokens()) for s in dataset.sentences)
+
+
+# --- golden pin -------------------------------------------------------------
+# Digest of the combined dataset and the report of one recipe build.  It pins
+# the copy plan, the sent_id suffixes, which copies lose their diacritics, the
+# regenerated text comments, filtering, subsampling and the shuffle.
+
+RECIPE_PIN_SHA256 = "59a466be808d931f43f936fa8e5e02c0bcda44ba71b5a5ad2ab709a487372e4a"
+
+
+def _pin_corpus(seed: int, prefix: str) -> Document:
+    """Sentences with diacritics, source and text comments, and range tokens."""
+    rng = random.Random(seed)
+    letters = "abdeijklmnoprstuvzčšžćđČŠĐ"
+    doc = Document()
+    for i in range(1, 31):
+        words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+                 for _ in range(rng.randint(2, 6))]
+        tokens = [Token(j, form) for j, form in enumerate(words, 1)]
+        tokens[-1].misc = "SpaceAfter=No"
+        tokens.append(Token(len(tokens) + 1, "."))
+        if i % 4 == 0:  # the first two words also written as one range token
+            tokens.insert(0, Token((1, 2), words[0] + words[1], misc="SpaceAfter=No"))
+        sent = Sentence(
+            comments=[f"# sent_id = {prefix}.{i}",
+                      f"# source = {rng.choice(['tweets', 'forums', 'news'])}"],
+            tokens=tokens,
+        )
+        set_text_comment(sent, sentence_text(sent))
+        doc.sentences.append(sent)
+    return doc
+
+
+def test_golden_recipe_build():
+    recipe = parse_recipe(
+        "ratio web:std\n"
+        "component id=web reps=2.7 dedia=1.4 fraction=0.8 "
+        "filter=exclude:forums group=web\n"
+        "component id=std reps=1.5 dedia=0.3 group=std\n"
+    )
+    corpora = {"web": _pin_corpus(3, "w"), "std": _pin_corpus(4, "s")}
+    before = serialize_document(corpora["web"]) + serialize_document(corpora["std"])
+    dataset, report = build_recipe_dataset(
+        recipe, corpora, default_diacritic_map("hr"), shuffle_seed=5
+    )
+    out = serialize_document(dataset) + report.format()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECIPE_PIN_SHA256
+    # building reads the corpora and leaves them as they were
+    assert serialize_document(corpora["web"]) + serialize_document(corpora["std"]) == before

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -65,18 +64,6 @@ def test_no_suffix_match_uses_default_triple(model):
     tagged = tag_document(one_token_doc("ŋŋŋ"), model)
     tok = tagged.sentences[0].tokens[0]
     assert (tok.upos, tok.xpos, tok.feats) == model.default_triple
-
-
-def test_smoothed_suffix_distribution_is_proper(model):
-    dist = model.suffix_distribution("a")
-    assert dist, "suffix 'a' must be known from noun nominatives"
-    assert math.isclose(sum(dist.values()), 1.0)
-    assert all(p > 0 for p in dist.values())
-    assert set(dist) == set(model.triples)
-
-
-def test_unknown_suffix_distribution_empty(model):
-    assert model.suffix_distribution("žžžž") == {}
 
 
 def test_lexicon_constraint_redirects_trap_form(model, vocab):
@@ -195,7 +182,7 @@ def test_load_rejects_other_kind(tmp_path, model):
 def test_ranked_candidates_rank_preserving(model, vocab):
     # the highest-probability triple for a seen form is chosen
     form = vocab.noun(vocab.nouns[0], "nom")[0]
-    probs = model.form_distribution(form)
+    probs = model.form_probs[form]
     best = max(probs.items(), key=lambda kv: kv[1])[0]
     tagged = tag_document(one_token_doc(form), model)
     tok = tagged.sentences[0].tokens[0]

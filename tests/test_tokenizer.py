@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from slavpipe.conllu import document_text, validate_document
+from slavpipe.cli import main
+from slavpipe.conllu import document_text, parse_document, validate_document
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
     _SPECIAL_RES,
@@ -204,3 +205,50 @@ def test_terminal_form_is_all_terminal_chars(form):
 def test_chunk_splits_in_both_modes(sl_rules, text, standard, nonstandard):
     assert forms(tokenize(text, TokenizerMode.STANDARD, sl_rules)) == standard
     assert forms(tokenize(text, TokenizerMode.NONSTANDARD, sl_rules)) == nonstandard
+
+
+# --- long chunks ------------------------------------------------------------
+# Separator lines, emoticon runs and spam without spaces are one chunk each;
+# splitting one must not grow the stack with its length.
+
+LONG_CHUNKS = [
+    "-=" * 5000,
+    "-)" * 5000,
+    ":)" * 5000,
+    "(:)" * 3400,
+    "@a.b" + ".," * 5000,
+]
+
+
+@pytest.mark.parametrize("mode", list(TokenizerMode))
+@pytest.mark.parametrize("chunk", LONG_CHUNKS, ids=lambda c: c[:4])
+def test_long_chunks_split_without_recursion(sl_rules, mode, chunk):
+    doc = tokenize(chunk, mode, sl_rules)
+    assert "".join(form for sent in forms(doc) for form in sent) == chunk
+    assert validate_document(doc) == []
+
+
+def test_cli_tokenizes_a_long_chunk(tmp_path, capsys):
+    src = tmp_path / "in.txt"
+    src.write_text("Danes " + "-=" * 5000 + " jutri.", encoding="utf-8")
+    code = main(["annotate", "--lang", "sl", "--type", "web", "--tasks", "tokenize",
+                 "--in", str(src)])
+    assert code == 0
+    doc = parse_document(capsys.readouterr().out)
+    assert validate_document(doc) == []
+    assert "-=" * 5000 in "".join(t.form for s in doc.sentences for t in s.tokens)
+
+
+_CHUNK_ALPHABET = [*_SL_EMOTICONS, *"@#(),;.:-=!?", *"abXč"]
+
+
+@given(
+    unit=st.lists(st.sampled_from(_CHUNK_ALPHABET), min_size=1, max_size=6).map("".join),
+    repeats=st.integers(min_value=1, max_value=600),
+    tail=st.lists(st.sampled_from(_CHUNK_ALPHABET), max_size=30).map("".join),
+)
+def test_any_chunk_splits_back_into_itself(sl_rules, unit, repeats, tail):
+    chunk = unit * repeats + tail
+    for mode in TokenizerMode:
+        doc = tokenize(chunk, mode, sl_rules)
+        assert "".join(form for sent in forms(doc) for form in sent) == chunk
