@@ -46,19 +46,12 @@ from .pipeline import (
     Pipeline,
     PipelineConfig,
     model_filename,
-    resolve_components,
     train_stage_lemmatizer,
     train_stage_parser,
     train_stage_tagger,
 )
 from .tagger import save_tagger
-from .tokenizer import (
-    KNOWN_LANGUAGES,
-    TokenizerMode,
-    default_rules,
-    load_rules,
-    tokenize,
-)
+from .tokenizer import KNOWN_LANGUAGES, default_rules, load_rules
 
 
 EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGPIPE
@@ -151,16 +144,6 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 
 # --- commands ---------------------------------------------------------------
-
-
-def _cmd_tokenize(args: argparse.Namespace) -> int:
-    lang = _require(args, "lang", "--lang")
-    config = PipelineConfig(language=lang, processing_type=args.type, tasks=("tokenize",))
-    variety = resolve_components(config)["tokenize"]
-    rules = load_rules(args.rules) if args.rules else default_rules(lang)
-    doc = tokenize(read_text(args.infile), TokenizerMode(variety), rules)
-    _write_text(args.outfile, serialize_document(doc))
-    return 0
 
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
@@ -309,7 +292,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("tokenize", parents=[common, lang_opts],
                        help="split raw text into sentences and tokens")
-    p.set_defaults(func=_cmd_tokenize)
+    # annotate with the tokenize task alone: annotate's other settings are
+    # fixed here, and are no flags or config keys of tokenize
+    p.set_defaults(func=_cmd_annotate, tasks="tokenize", model_dir=None,
+                   lexicon=None, lexicon_constraint=None)
 
     p = sub.add_parser("annotate", parents=[common, lang_opts],
                        help="run the annotation pipeline")

@@ -156,9 +156,6 @@ class Document:
     def single_tokens(self) -> list[Token]:
         return [t for s in self.sentences for t in s.single_tokens()]
 
-    def token_count(self) -> int:
-        return len(self.single_tokens())
-
 
 def surface_tokens(sentence: Sentence) -> list[Token]:
     """Tokens as they appear in the raw text: ranges replace their words."""

@@ -144,7 +144,6 @@ def train_lemmatizer(
 def lemmatize_in_place(
     doc: Document,
     model: LemmatizerModel,
-    record_tier: bool = True,
     language: str | None = None,
 ) -> None:
     """Assign a lemma to every single token of ``doc`` itself.
@@ -178,19 +177,17 @@ def lemmatize_in_place(
                     lemma = tok.form
                     tier = "identity"
                 tok.lemma = lemma
-            if record_tier:
-                tok.misc = misc_set(tok.misc, TIER_MISC, tier)
+            tok.misc = misc_set(tok.misc, TIER_MISC, tier)
 
 
 def lemmatize_document(
     doc: Document,
     model: LemmatizerModel,
-    record_tier: bool = True,
     language: str | None = None,
 ) -> Document:
     """A lemmatized copy of ``doc``; see :func:`lemmatize_in_place`."""
     out = copy_document(doc)
-    lemmatize_in_place(out, model, record_tier, language)
+    lemmatize_in_place(out, model, language)
     return out
 
 

@@ -14,10 +14,11 @@ stage's output, so later stages can never peek at gold annotations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
+from . import modelio
 from .conllu import Document, Token, copy_document, strip_annotations, validate_document
 from .depparse import (
     TreeSchema,
@@ -119,30 +120,6 @@ def stage_variants(processing_type: str) -> dict[str, str]:
     return dict(_STAGE_VARIANTS[processing_type])
 
 
-def _check_type_supported(language: str, processing_type: str) -> None:
-    """The nonstandard and web types need nonstandard models to exist."""
-    if processing_type == "standard":
-        return
-    if (language, "nonstandard") in _AVAILABLE and not _AVAILABLE[
-        (language, "nonstandard")
-    ]:
-        raise ConfigurationError(
-            f"language {language!r} has no nonstandard processing; only the "
-            "standard type is available"
-        )
-
-
-def available_tasks(language: str, processing_type: str) -> tuple[str, ...]:
-    """Pipeline tasks this build can run for a language and processing type."""
-    variants = stage_variants(processing_type)
-    _check_type_supported(language, processing_type)
-    return tuple(
-        task
-        for task in PIPELINE_TASKS
-        if task_available(language, variants[task], task)
-    )
-
-
 def model_filename(language: str, variety: str, kind: str) -> str:
     return f"{language}_{variety}_{kind}.slm"
 
@@ -166,49 +143,53 @@ class PipelineConfig:
     lexicon_path: str | Path | None = None
     tagger_lexicon_constraint: bool | None = None
 
-    def resolved_tasks(self) -> tuple[str, ...]:
-        if self.tasks is None:
-            tasks = available_tasks(self.language, self.processing_type)
-            if not tasks:
-                raise ConfigurationError(
-                    f"no tasks are available for language {self.language!r} "
-                    f"with processing type {self.processing_type!r}"
-                )
-            return tasks
-        seen = []
-        for task in self.tasks:
-            if task not in TASKS:
-                raise ConfigurationError(
-                    f"unknown task {task!r}; tasks are {', '.join(TASKS)}"
-                )
-            if task not in seen:
-                seen.append(task)
-        if not seen:
-            raise ConfigurationError("the task list is empty")
-        return tuple(task for task in TASKS if task in seen)
-
 
 def resolve_components(config: PipelineConfig) -> dict[str, str]:
-    """Map each requested task to the model variety that will serve it.
+    """Map each task the run does, in ``TASKS`` order, to the model variety
+    that serves it; ``tasks=None`` asks for every available pipeline task.
 
     Availability is checked against the matrix cell of the variety actually
     routed to, so a nonstandard configuration may include parsing (served by
     the standard model) even though no nonstandard parser exists.
     """
+    language, requested = config.language, config.tasks
+    if requested is not None:
+        for task in requested:
+            if task not in TASKS:
+                raise ConfigurationError(
+                    f"unknown task {task!r}; tasks are {', '.join(TASKS)}"
+                )
+        if not requested:
+            raise ConfigurationError("the task list is empty")
     variants = stage_variants(config.processing_type)
-    _check_type_supported(config.language, config.processing_type)
+    # the nonstandard and web types need nonstandard models to exist
+    if config.processing_type != "standard" and (language, "nonstandard") in _AVAILABLE:
+        if not _AVAILABLE[(language, "nonstandard")]:
+            raise ConfigurationError(
+                f"language {language!r} has no nonstandard processing; only the "
+                "standard type is available"
+            )
+    if requested is None:
+        requested = [t for t in PIPELINE_TASKS if task_available(language, variants[t], t)]
+        if not requested:
+            raise ConfigurationError(
+                f"no tasks are available for language {language!r} "
+                f"with processing type {config.processing_type!r}"
+            )
     components: dict[str, str] = {}
-    for task in config.resolved_tasks():
+    for task in TASKS:
+        if task not in requested:
+            continue
         if task in ("ner", "srl"):
             raise ConfigurationError(
                 f"task {task!r} is listed in the availability matrix but this "
                 "build provides no models for it"
             )
         variety = variants[task]
-        if not task_available(config.language, variety, task):
+        if not task_available(language, variety, task):
             raise ConfigurationError(
                 f"task {task!r} is not available for language "
-                f"{config.language!r} in the {variety!r} variety"
+                f"{language!r} in the {variety!r} variety"
             )
         components[task] = variety
     return components
@@ -219,10 +200,8 @@ class Pipeline:
 
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
-        self.tasks = config.resolved_tasks()
-        self.components = resolve_components(
-            replace(config, tasks=self.tasks)
-        )
+        self.components = resolve_components(config)
+        self.tasks = tuple(self.components)
         self.rules: TokenizerRules | None = None
         if "tokenize" in self.tasks or "morph" in self.tasks:
             if config.rules_path is not None:
@@ -240,21 +219,18 @@ class Pipeline:
                 "tagger lexicon constraint requested but no lexicon configured"
             )
         self._tagger_lexicon = self.lexicon if constrain else None
-        self.tagger = (
-            load_tagger(self._model_path("morph")) if "morph" in self.tasks else None
-        )
-        self.lemmatizer = (
-            load_lemmatizer(self._model_path("lemma"), lexicon=self.lexicon)
-            if "lemma" in self.tasks
-            else None
-        )
-        self.parser = (
-            load_parser(self._model_path("depparse"))
-            if "depparse" in self.tasks
-            else None
-        )
+        self.tagger = self._load("morph", load_tagger)
+        self.lemmatizer = self._load("lemma", load_lemmatizer, lexicon=self.lexicon)
+        self.parser = self._load("depparse", load_parser)
 
-    def _model_path(self, task: str) -> Path:
+    def _load(self, task: str, loader, **kwargs):
+        """The model serving ``task``, or None when the task does not run.
+
+        A model trained for another language than the configured one is a
+        :class:`ModelError` here, before any input is read.
+        """
+        if task not in self.components:
+            return None
         kind = _MODEL_KINDS[task]
         override = self.config.model_paths.get(kind)
         if override is not None:
@@ -270,7 +246,9 @@ class Pipeline:
             )
         if not path.exists():
             raise ModelError(f"{kind} model file {path} does not exist")
-        return path
+        model = loader(path, **kwargs)
+        modelio.check_language(kind, model.metadata.language, self.config.language)
+        return model
 
     @property
     def closed_class_table(self) -> ClosedClassTable | None:
@@ -293,19 +271,17 @@ class Pipeline:
             doc = tokenize(source, mode, self.rules)
         else:
             doc = copy_document(source)
-        lang = self.config.language
         if "morph" in self.tasks:
             doc = tag_document(
                 doc,
                 self.tagger,
                 lexicon=self._tagger_lexicon,
                 closed_table=self.closed_class_table,
-                language=lang,
             )
         if "lemma" in self.tasks:
-            doc = lemmatize_document(doc, self.lemmatizer, language=lang)
+            doc = lemmatize_document(doc, self.lemmatizer)
         if "depparse" in self.tasks:
-            doc = parse_dependency(doc, self.parser, language=lang)
+            doc = parse_dependency(doc, self.parser)
         problems = validate_document(doc)
         if problems:
             raise StageError("pipeline", f"output failed validation: {problems[0]}")
@@ -352,9 +328,7 @@ def train_stage_tagger(
     """Train the tagger, tag a stripped copy of the dev split and score it."""
     model = train_tagger(train, Document(), language=language, variety=variety)
     filled = strip_annotations(dev)
-    tag_in_place(
-        filled, model, lexicon=lexicon, closed_table=closed_table, language=language
-    )
+    tag_in_place(filled, model, lexicon=lexicon, closed_table=closed_table)
     model.metadata.dev_accuracy = dev_accuracy(dev, filled, tagging)
     return model, filled, model.metadata.dev_accuracy
 
@@ -373,7 +347,7 @@ def train_stage_lemmatizer(
     """
     model = train_lemmatizer(train, lexicon=lexicon, language=language, variety=variety)
     filled = _cleared(dev, "lemma")
-    lemmatize_in_place(filled, model, language=language)
+    lemmatize_in_place(filled, model)
     return model, filled, dev_accuracy(dev, filled, attrgetter("lemma"))
 
 
@@ -395,5 +369,5 @@ def train_stage_parser(
         train, schema, language=language, variety=variety, seed=seed, epochs=epochs
     )
     filled = _cleared(dev, "head", "deprel")
-    parse_in_place(filled, model, language=language)
+    parse_in_place(filled, model)
     return model, filled, dev_accuracy(dev, filled, _arc)

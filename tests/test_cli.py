@@ -150,6 +150,22 @@ def test_annotate_missing_model_is_exit_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("model error:")
 
 
+def test_annotate_refuses_a_foreign_model_before_reading_input(tmp_path, model_dir, capsys):
+    models = tmp_path / "models"
+    models.mkdir()
+    shutil.copy(
+        model_dir / model_filename("sl", "standard", "tagger"),
+        models / model_filename("hr", "standard", "tagger"),
+    )
+    code = main([
+        "annotate", "--lang", "hr", "--tasks", "tokenize,morph",
+        "--model-dir", str(models), "--in", str(tmp_path / "absent.txt"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and "trained for language 'sl'" in err
+
+
 def test_annotate_rejects_malformed_conllu(tmp_path, model_dir, capsys):
     src = write(tmp_path, "in.conllu", "1\tonly-three\tcols\n\n")
     code = main([
@@ -196,6 +212,14 @@ def test_config_unknown_key(tmp_path, capsys):
     code = main(["tokenize", "--config", str(config), "--in", str(src)])
     assert code == 1
     assert "unknown setting 'colour'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["tasks = tokenize,morph", "model-dir = m"])
+def test_tokenize_config_refuses_annotate_only_settings(tmp_path, capsys, line):
+    config = write(tmp_path, "pipe.conf", f"lang = sl\n{line}\n")
+    src = write(tmp_path, "in.txt", "Ena.")
+    assert main(["tokenize", "--config", str(config), "--in", str(src)]) == 1
+    assert "unknown setting" in capsys.readouterr().err
 
 
 def _config_case(tmp_path, case, model_dir, train_doc):
@@ -709,7 +733,7 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monke
     def boom(*args):
         raise RuntimeError("first line\nsecond line")
 
-    monkeypatch.setattr("slavpipe.cli.tokenize", boom)
+    monkeypatch.setattr("slavpipe.pipeline.tokenize", boom)
     src = write(tmp_path, "in.txt", "Ena.")
     assert main(["tokenize", "--lang", "sl", "--in", str(src)]) == 4
     captured = capsys.readouterr()

@@ -83,12 +83,6 @@ def test_closed_tier_keeps_lemma(model):
     assert tiers(out) == ["closed"]
 
 
-def test_tier_recording_optional(model, vocab):
-    form, _, xpos, _, _ = vocab.noun(vocab.nouns[0], "nom")
-    out = lemmatize_document(tagged_doc((form, xpos)), model, record_tier=False)
-    assert tiers(out) == [None]
-
-
 def test_rerun_is_idempotent(model, vocab):
     form, _, xpos, _, _ = vocab.verb(vocab.verbs[0], "pres")
     once = lemmatize_document(tagged_doc((form, xpos)), model)

@@ -19,7 +19,6 @@ from slavpipe.pipeline import (
     PROCESSING_TYPES,
     Pipeline,
     PipelineConfig,
-    available_tasks,
     model_filename,
     resolve_components,
     stage_variants,
@@ -84,22 +83,28 @@ def test_stage_routing_per_processing_type():
         stage_variants("formal")
 
 
+def available(language, ptype):
+    return tuple(resolve_components(PipelineConfig(language=language, processing_type=ptype)))
+
+
 def test_available_tasks_follow_routing():
-    assert available_tasks("sl", "standard") == PIPELINE_TASKS
+    assert available("sl", "standard") == PIPELINE_TASKS
     # parsing is still offered for the nonstandard type because it routes to
     # the standard parser
-    assert available_tasks("sl", "nonstandard") == PIPELINE_TASKS
-    assert available_tasks("hr", "web") == PIPELINE_TASKS
-    assert available_tasks("mk", "standard") == ("tokenize", "morph", "lemma")
+    assert available("sl", "nonstandard") == PIPELINE_TASKS
+    assert available("hr", "web") == PIPELINE_TASKS
+    assert available("mk", "standard") == ("tokenize", "morph", "lemma")
 
 
 def test_languages_without_nonstandard_models_refuse_those_types():
     for language in ("bg", "mk"):
         for ptype in ("nonstandard", "web"):
             with pytest.raises(ConfigurationError, match="no nonstandard processing"):
-                available_tasks(language, ptype)
+                available(language, ptype)
             with pytest.raises(ConfigurationError, match="no nonstandard processing"):
-                resolve_components(PipelineConfig(language=language, processing_type=ptype))
+                resolve_components(
+                    PipelineConfig(language=language, processing_type=ptype, tasks=("tokenize",))
+                )
 
 
 def test_resolve_components_maps_tasks_to_varieties():
@@ -130,11 +135,11 @@ def test_resolve_components_refuses_unavailable_cells():
 
 def test_resolved_tasks_normalization():
     config = PipelineConfig(language="sl", tasks=("lemma", "tokenize", "lemma"))
-    assert config.resolved_tasks() == ("tokenize", "lemma")
+    assert tuple(resolve_components(config)) == ("tokenize", "lemma")
     with pytest.raises(ConfigurationError, match="unknown task"):
-        PipelineConfig(language="sl", tasks=("tag",)).resolved_tasks()
+        resolve_components(PipelineConfig(language="sl", tasks=("tag",)))
     with pytest.raises(ConfigurationError, match="task list is empty"):
-        PipelineConfig(language="sl", tasks=()).resolved_tasks()
+        resolve_components(PipelineConfig(language="sl", tasks=()))
 
 
 def test_every_language_type_combination_resolves_or_refuses():
@@ -149,7 +154,10 @@ def test_every_language_type_combination_resolves_or_refuses():
                     ("mk", "nonstandard"), ("mk", "web"),
                 }
             else:
-                assert set(components) == set(available_tasks(language, ptype))
+                assert set(components) == {
+                    task for task in PIPELINE_TASKS
+                    if task_available(language, stage_variants(ptype)[task], task)
+                }
 
 
 # --- running the pipeline ---------------------------------------------------
@@ -354,15 +362,15 @@ def test_one_add_to_a_shared_lexicon_reaches_tagger_and_lemmatizer(
     assert misc_value(after.misc, "Lemmatizer") == "lexicon"
 
 
-def test_language_mismatch_surfaces_at_annotate(model_dir, vocab):
-    config = PipelineConfig(
-        language="hr",
-        tasks=("tokenize", "morph"),
-        model_paths={"tagger": model_dir / model_filename("sl", "standard", "tagger")},
-    )
-    pipe = Pipeline(config)
-    with pytest.raises(ModelError, match="trained for language 'sl'"):
-        pipe.annotate("nešto.")
+def test_language_mismatch_is_refused_at_load(model_dir):
+    for task, kind in (("morph", "tagger"), ("lemma", "lemmatizer"), ("depparse", "parser")):
+        config = PipelineConfig(
+            language="hr",
+            tasks=(task,),
+            model_paths={kind: model_dir / model_filename("sl", "standard", kind)},
+        )
+        with pytest.raises(ModelError, match=f"{kind} model was trained for language 'sl'"):
+            Pipeline(config)
 
 
 # --- training workflows -----------------------------------------------------
