@@ -137,7 +137,7 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         processing_type=args.type,
         tasks=_split_tasks(args.tasks),
         model_dir=args.model_dir,
-        rules_path=args.rules,
+        rules_path=args.rules or None,  # an empty --rules= means the bundled rules
         lexicon_path=args.lexicon,
         tagger_lexicon_constraint={"on": True, "off": False}.get(args.lexicon_constraint),
     )

@@ -146,7 +146,7 @@ class Sentence:
         return None
 
     def single_tokens(self) -> list[Token]:
-        return [t for t in self.tokens if not t.is_range]
+        return [t for t in self.tokens if not isinstance(t.id, tuple)]
 
 
 @dataclass
@@ -184,7 +184,9 @@ def sentence_text(sentence: Sentence) -> str:
     for tok in tokens:
         parts.append(tok.form)
         misc = tok.misc
-        parts.append(" " if not misc or misc_value(misc, "SpaceAfter") != "No" else "")
+        # misc without the key's text cannot hold SpaceAfter=No
+        spaced = not misc or "SpaceAfter" not in misc or misc_value(misc, "SpaceAfter") != "No"
+        parts.append(" " if spaced else "")
     return "".join(parts[:-1])
 
 
@@ -362,7 +364,7 @@ def parse_document(text: str) -> Document:
 
 def _format_token_line(tok: Token) -> str:
     return "\t".join((
-        tok.id_str(),
+        tok.id_str() if isinstance(tok.id, tuple) else str(tok.id),
         tok.form,
         "_" if tok.lemma is None else tok.lemma,
         "_" if tok.upos is None else tok.upos,

@@ -26,7 +26,7 @@ from . import modelio
 from .conllu import Document, copy_document, misc_set
 from .errors import ModelError, StageError, TrainingError
 from .lexicon import Lexicon
-from .tokenizer import is_closed_class_fixed
+from .tokenizer import CLOSED_CLASS_MISC, is_closed_class_fixed
 
 TIER_MISC = "Lemmatizer"
 RULE_CONTEXT = 3
@@ -154,9 +154,15 @@ def lemmatize_in_place(
     modelio.check_language("lemmatizer", model.metadata.language, language)
     for si, sent in enumerate(doc.sentences):
         for tok in sent.tokens:
-            if tok.is_range:
+            if isinstance(tok.id, tuple):  # a range
                 continue
-            if is_closed_class_fixed(tok) and tok.lemma is not None:
+            misc = tok.misc
+            # misc without the key's text cannot mark the token fixed
+            if (
+                tok.lemma is not None
+                and misc and CLOSED_CLASS_MISC in misc
+                and is_closed_class_fixed(tok)
+            ):
                 tier = "closed"
             else:
                 if tok.xpos is None:
@@ -177,7 +183,7 @@ def lemmatize_in_place(
                     lemma = tok.form
                     tier = "identity"
                 tok.lemma = lemma
-            tok.misc = misc_set(tok.misc, TIER_MISC, tier)
+            tok.misc = misc_set(misc, TIER_MISC, tier)
 
 
 def lemmatize_document(

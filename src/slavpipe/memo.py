@@ -20,18 +20,16 @@ of them.
 
 from __future__ import annotations
 
+from operator import is_
+
 CAP = 1 << 15
 
 
 def memo_table(owner: object, scope: tuple) -> dict:
     """The memo on ``owner`` for decisions fixed by ``owner`` and ``scope``."""
-    versions = tuple(getattr(obj, "_version", None) for obj in scope)
+    versions = tuple([getattr(obj, "_version", None) for obj in scope])
     slot = owner.__dict__.get("_memo")
-    if (
-        slot is None
-        or slot[1] != versions
-        or any(held is not obj for held, obj in zip(slot[0], scope))
-    ):
+    if slot is None or slot[1] != versions or not all(map(is_, slot[0], scope)):
         slot = owner.__dict__["_memo"] = (scope, versions, {})
     return slot[2]
 

@@ -170,12 +170,10 @@ def resolve_components(config: PipelineConfig) -> dict[str, str]:
                 "standard type is available"
             )
     if requested is None:
+        # never empty: tokenize is served by the standard variety, or by the
+        # nonstandard one when its row is not empty, and every non-empty row
+        # holds tokenize
         requested = [t for t in PIPELINE_TASKS if task_available(language, variants[t], t)]
-        if not requested:
-            raise ConfigurationError(
-                f"no tasks are available for language {language!r} "
-                f"with processing type {config.processing_type!r}"
-            )
     components: dict[str, str] = {}
     for task in TASKS:
         if task not in requested:

@@ -24,7 +24,12 @@ from .errors import ModelError, TrainingError
 from .evaluate import dev_accuracy
 from .lexicon import Lexicon
 from .memo import memo_table, remember
-from .tokenizer import ClosedClassTable, closed_class_assign, is_closed_class_fixed
+from .tokenizer import (
+    CLOSED_CLASS_MISC,
+    ClosedClassTable,
+    closed_class_assign,
+    is_closed_class_fixed,
+)
 
 Triple = tuple[str, str, str | None]
 
@@ -226,13 +231,18 @@ def tag_in_place(
     """
     modelio.check_language("tagger", model.metadata.language, language)
     decided = memo_table(model, (lexicon, closed_table))
+    closed = closed_table.entries if closed_table is not None else {}
     for sent in doc.sentences:
         tokens = sent.tokens
         for i, tok in enumerate(tokens):
-            if tok.is_range or is_closed_class_fixed(tok):
+            if isinstance(tok.id, tuple):  # a range
+                continue
+            misc = tok.misc
+            # misc without the key's text cannot mark the token fixed
+            if misc and CLOSED_CLASS_MISC in misc and is_closed_class_fixed(tok):
                 continue
             form = tok.form
-            if closed_table is not None and form in closed_table:
+            if form in closed:
                 tokens[i] = closed_class_assign(tok, closed_table)
                 continue
             triple = decided.get(form)

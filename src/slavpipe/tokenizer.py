@@ -13,6 +13,12 @@ Abbreviation lists, emoticon inventories and the closed-class table for
 punctuation and symbols live in per-language rule files (see
 :func:`load_rules` for the format); the files shipped with the package are
 available through :func:`default_rules`.
+
+:func:`tokenize` makes one pass over the chunks ``text.split()`` yields.
+``_scan`` returns the forms of the whole text and a parallel list of flags,
+true where whitespace (or the end of the text) follows a form; each chunk's
+split is memoised on the rules.  ``_segment`` returns the end index of each
+sentence in those lists, and ``tokenize`` builds each token once from them.
 """
 
 from __future__ import annotations
@@ -93,6 +99,9 @@ class TokenizerRules:
         # match whole chunks only; peeling them would cut into ordinary words.
         peel = [emo for emo in self.emoticons if _is_punct_or_sym(emo[0])]
         self.peelable_emoticons = tuple(sorted(peel, key=lambda emo: (-len(emo), emo)))
+        # longer pieces of a chunk are not looked up in the inventories
+        self.longest_emoticon = max(map(len, self.emoticons), default=0)
+        self.longest_abbreviation = max(map(len, self.abbreviations), default=0)
 
 
 _SECTIONS = ("ABBREV", "EMOTICON", "CLOSED_PUNCT", "CLOSED_SYM")
@@ -172,12 +181,18 @@ def is_closed_class_fixed(token: Token) -> bool:
 
 
 # --- chunk splitting -------------------------------------------------------
+# A chunk is split by index, each scan starting where the last one stopped,
+# so a whitespace-free line of any length splits in time linear in its
+# length.
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
-_EMAIL_RE = re.compile(r"[A-Za-z0-9_.+-]+@[A-Za-z0-9-]+\.[A-Za-z0-9.-]*[A-Za-z0-9]")
+_EMAIL_LOCAL_CLASS = "[A-Za-z0-9_.+-]"
+_EMAIL_RE = re.compile(_EMAIL_LOCAL_CLASS + r"+@[A-Za-z0-9-]+\.[A-Za-z0-9.-]*[A-Za-z0-9]")
+_EMAIL_LOCAL = frozenset(ch for ch in map(chr, range(128)) if re.fullmatch(_EMAIL_LOCAL_CLASS, ch))
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
 _SPECIAL_RES = (_URL_RE, _EMAIL_RE, _MENTION_RE, _HASHTAG_RE)
+_SEPARATOR_RE = re.compile("[,;]")
 
 # Trailing characters a URL match should not swallow.
 _SPECIAL_TRIM = frozenset(".,;:!?…\"'”“„»«’)]}")
@@ -193,119 +208,185 @@ def _is_terminal_form(form: str) -> bool:
     return bool(form) and not form.strip(".!?…")  # ".!?…" is TERMINAL_CHARS
 
 
-def _match_special(chunk: str) -> str | None:
-    # An e-mail or mention needs an "@", a hashtag a leading "#" and a URL
-    # "http" or "www." in any case: under IGNORECASE only the ASCII pair of
-    # each letter matches h, t, p or w.
-    if not ("@" in chunk or chunk.startswith("#") or chunk[:4].lower() in ("http", "www.")):
-        return None
-    for pattern in _SPECIAL_RES:
-        m = pattern.match(chunk)
-        if m:
-            token = m.group(0)
-            while token and token[-1] in _SPECIAL_TRIM:
-                token = token[:-1]
-            if token:
-                return token
-    return None
+def _may_hold_special(chunk: str) -> bool:
+    """A cheap test that passes every chunk :class:`_Specials` can find one in."""
+    if "@" in chunk or "#" in chunk:
+        return True
+    # str.lower maps only H, T, P and W onto h, t, p and w, and keeps "."
+    low = chunk.lower()
+    return "http" in low or "www." in low
 
 
-def _take_leading_run(chunk: str) -> tuple[str, str]:
-    first = chunk[0]
-    i = 1
+class _Specials:
+    """The URL, e-mail, mention or hashtag starting at each head position of
+    one chunk, asked for at increasing positions.
+
+    The next ``@`` is found once, and the e-mail through it is matched once:
+    its local part must run unbroken from the start up to the ``@``, so every
+    start inside that run gives the same end.
+    """
+
+    def __init__(self, chunk: str) -> None:
+        self.chunk = chunk
+        self.at = -1  # the next "@" at or after the last position, or len(chunk)
+        self.email = (0, -1)  # (first start, end) of the e-mail through self.at
+        self.punct_tail: int | None = None
+
+    def end(self, pos: int) -> int:
+        """The end of the trimmed special starting at ``pos``, or -1."""
+        chunk = self.chunk
+        # A URL needs "http" or "www." in any case: under IGNORECASE only the
+        # ASCII pair of each letter matches h, t, p or w.  An e-mail needs an
+        # "@" ahead, a mention one here and a hashtag a "#" here.
+        if chunk[pos:pos + 4].lower() in ("http", "www."):
+            m = _URL_RE.match(chunk, pos)
+            if m:  # it starts with letters, so trimming leaves it non-empty
+                end = m.end()
+                while chunk[end - 1] in _SPECIAL_TRIM:
+                    end -= 1
+                return end
+        if pos > self.at:
+            self._find_at(pos)
+        if pos < self.at < len(chunk):
+            start, end = self.email
+            if start <= pos and end != -1:
+                return end  # ends in a letter or digit, so trimming keeps it
+        first = chunk[pos]
+        if first == "@" or first == "#":
+            m = (_MENTION_RE if first == "@" else _HASHTAG_RE).match(chunk, pos)
+            if m:
+                return m.end()  # \w holds no trimmed character
+        return -1
+
+    def _find_at(self, pos: int) -> None:
+        chunk = self.chunk
+        at = chunk.find("@", pos)
+        if at == -1:
+            self.at = len(chunk)
+            return
+        self.at = at
+        start = at
+        while start > 0 and chunk[start - 1] in _EMAIL_LOCAL:
+            start -= 1
+        m = _EMAIL_RE.match(chunk, start) if start < at else None
+        self.email = (start, m.end() if m else -1)
+
+    def only_punct_from(self, pos: int) -> bool:
+        """Whether ``chunk[pos:]`` holds only punctuation and symbols."""
+        if self.punct_tail is None:
+            chunk = self.chunk
+            i = len(chunk)
+            while i > 0 and _is_punct_or_sym(chunk[i - 1]):
+                i -= 1
+            self.punct_tail = i
+        return pos >= self.punct_tail
+
+
+def _leading_run_end(chunk: str, pos: int) -> int:
+    first = chunk[pos]
+    i = pos + 1
+    n = len(chunk)
     if first in TERMINAL_CHARS:
-        while i < len(chunk) and chunk[i] in TERMINAL_CHARS:
+        while i < n and chunk[i] in TERMINAL_CHARS:
             i += 1
     else:
-        while i < len(chunk) and chunk[i] == first:
+        while i < n and chunk[i] == first:
             i += 1
-    return chunk[:i], chunk[i:]
+    return i
 
 
-def _take_trailing_run(chunk: str) -> tuple[str, str]:
-    last = chunk[-1]
-    i = len(chunk) - 1
+def _trailing_run_start(chunk: str, pos: int, end: int) -> int:
+    last = chunk[end - 1]
+    i = end - 1
     if last in TERMINAL_CHARS:
-        while i > 0 and chunk[i - 1] in TERMINAL_CHARS:
+        while i > pos and chunk[i - 1] in TERMINAL_CHARS:
             i -= 1
     else:
-        while i > 0 and chunk[i - 1] == last:
+        while i > pos and chunk[i - 1] == last:
             i -= 1
-    return chunk[:i], chunk[i:]
+    return i
 
 
-def _emoticon_suffix(chunk: str, rules: TokenizerRules) -> str | None:
-    if not chunk.endswith(rules.peelable_emoticons):
+def _emoticon_suffix(chunk: str, pos: int, end: int, rules: TokenizerRules) -> str | None:
+    if not chunk.endswith(rules.peelable_emoticons, pos, end):
         return None
     for emo in rules.peelable_emoticons:
-        if chunk.endswith(emo):
+        if chunk.endswith(emo, pos, end):
             return emo
     return None
 
 
-def _emoticon_prefix(chunk: str, rules: TokenizerRules) -> str | None:
-    if not chunk.startswith(rules.peelable_emoticons):
+def _emoticon_prefix(chunk: str, pos: int, rules: TokenizerRules) -> str | None:
+    if not chunk.startswith(rules.peelable_emoticons, pos):
         return None
     for emo in rules.peelable_emoticons:
-        if chunk.startswith(emo):
-            rest = chunk[len(emo):]
-            if not rest or not rest[0].isalnum():
+        if chunk.startswith(emo, pos):
+            after = pos + len(emo)
+            if after == len(chunk) or not chunk[after].isalnum():
                 return emo
     return None
-
-
-def _keeps_final_period(core: str, rules: TokenizerRules) -> bool:
-    if not core.endswith(".") or len(core) < 2:
-        return False
-    if _ORDINAL_RE.fullmatch(core):
-        return True
-    return core.lower() in rules.abbreviations
 
 
 def _split_chunk(chunk: str, mode: TokenizerMode, rules: TokenizerRules) -> list[str]:
     nonstandard = mode is TokenizerMode.NONSTANDARD
     out: list[str] = []
-    # head pieces, in order: a whole emoticon, an emoticon prefix, a special
-    # followed only by punctuation, a leading punctuation run
-    while chunk:
+    n = len(chunk)
+    pos = 0
+    specials = _Specials(chunk) if nonstandard and _may_hold_special(chunk) else None
+    # head pieces of chunk[pos:], in order: a whole emoticon, an emoticon
+    # prefix, a special followed only by punctuation, a leading punctuation run
+    while pos < n:
         if nonstandard:
-            if chunk in rules.emoticons:
-                out.append(chunk)
+            if n - pos <= rules.longest_emoticon and chunk[pos:] in rules.emoticons:
+                out.append(chunk[pos:])
                 return out
-            emo = _emoticon_prefix(chunk, rules)
+            emo = _emoticon_prefix(chunk, pos, rules)
             if emo is not None:
                 out.append(emo)
-                chunk = chunk[len(emo):]
+                pos += len(emo)
                 continue
-            special = _match_special(chunk)
-            if special is not None:
-                rest = chunk[len(special):]
-                if all(_is_punct_or_sym(ch) for ch in rest):
-                    out.append(special)
-                    chunk = rest
-                    continue
-        if not _is_punct_or_sym(chunk[0]):
+            end = specials.end(pos) if specials is not None else -1
+            if end != -1 and specials.only_punct_from(end):
+                out.append(chunk[pos:end])
+                pos = end
+                continue
+        if not _is_punct_or_sym(chunk[pos]):
             break
-        head, chunk = _take_leading_run(chunk)
-        out.append(head)
+        end = _leading_run_end(chunk, pos)
+        out.append(chunk[pos:end])
+        pos = end
 
+    # tail pieces, peeled off the end of the core chunk[pos:end]
     tail: list[str] = []
-    core = chunk
-    while core:
+    end = n
+    ordinal_end = None  # where "\d+\." matched from pos ends, -1 if it did not
+    while pos < end:
         if nonstandard:
-            emo = _emoticon_suffix(core, rules)
+            emo = _emoticon_suffix(chunk, pos, end, rules)
             if emo is not None:
                 tail.append(emo)
-                core = core[: len(core) - len(emo)]
+                end -= len(emo)
                 continue
-        if not _is_punct_or_sym(core[-1]):
+        if not _is_punct_or_sym(chunk[end - 1]):
             break
-        if mode is TokenizerMode.STANDARD and _keeps_final_period(core, rules):
-            break
-        core, run = _take_trailing_run(core)
-        tail.append(run)
-    if core:
-        out.extend(_split_internal(core))
+        if not nonstandard and chunk[end - 1] == "." and end - pos >= 2:
+            # the core keeps its final period as an ordinal or abbreviation
+            if ordinal_end is None:
+                m = _ORDINAL_RE.match(chunk, pos)
+                ordinal_end = m.end() if m else -1
+            if end == ordinal_end:
+                break
+            # str.lower never shortens a string, so a longer core is no entry
+            if (
+                end - pos <= rules.longest_abbreviation
+                and chunk[pos:end].lower() in rules.abbreviations
+            ):
+                break
+        start = _trailing_run_start(chunk, pos, end)
+        tail.append(chunk[start:end])
+        end = start
+    if pos < end:
+        out.extend(_split_internal(chunk[pos:end]))
     out.extend(reversed(tail))
     return out
 
@@ -318,80 +399,79 @@ def _split_internal(core: str) -> list[str]:
     if "," not in core and ";" not in core:
         return [core]
     out: list[str] = []
-    current = ""
-    for i, ch in enumerate(core):
-        if ch in ",;" and not (
-            0 < i < len(core) - 1 and core[i - 1].isdigit() and core[i + 1].isdigit()
-        ):
-            if current:
-                out.append(current)
-                current = ""
-            out.append(ch)
-        else:
-            current += ch
-    if current:
-        out.append(current)
+    start = 0
+    last = len(core) - 1
+    for m in _SEPARATOR_RE.finditer(core):
+        i = m.start()
+        if 0 < i < last and core[i - 1].isdigit() and core[i + 1].isdigit():
+            continue
+        if start < i:
+            out.append(core[start:i])
+        out.append(core[i])
+        start = i + 1
+    if start <= last:
+        out.append(core[start:])
     return out
 
 
 # --- tokenization ----------------------------------------------------------
 
-
-@dataclass
-class _RawToken:
-    form: str
-    space_after: bool
+_SPACE_AFTER_NO = "SpaceAfter=No"
+_FIXED = f"{CLOSED_CLASS_MISC}=Yes"
+_FIXED_NO_SPACE = f"{_SPACE_AFTER_NO}|{_FIXED}"  # misc_set(_SPACE_AFTER_NO, ...)
 
 
-def _scan(text: str, mode: TokenizerMode, rules: TokenizerRules) -> list[_RawToken]:
+def _scan(
+    text: str, mode: TokenizerMode, rules: TokenizerRules
+) -> tuple[list[str], list[bool]]:
+    """The forms of ``text`` and, for each, whether whitespace follows it.
+
+    Chunks are the runs ``str.split()`` yields, split by :func:`_split_chunk`
+    and memoised per chunk; the last form of a chunk is followed by
+    whitespace or by the end of the document, which counts as whitespace.
+    """
     splits = memo_table(rules, (mode,))
-    raw: list[_RawToken] = []
-    for m in re.finditer(r"\S+", text):
-        chunk = m.group(0)
-        forms = splits.get(chunk)
-        if forms is None:
-            forms = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
-        followed_by_space = m.end() < len(text)
-        for i, form in enumerate(forms):
-            last_in_chunk = i == len(forms) - 1
-            raw.append(_RawToken(form, followed_by_space if last_in_chunk else False))
-    if raw:
-        raw[-1].space_after = True  # nothing follows the document
-    return raw
+    forms: list[str] = []
+    spaced: list[bool] = []
+    for chunk in text.split():
+        pieces = splits.get(chunk)
+        if pieces is None:
+            pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
+        forms += pieces
+        if len(pieces) > 1:
+            spaced += [False] * (len(pieces) - 1)
+        spaced.append(True)
+    return forms, spaced
 
 
-def _segment(raw: list[_RawToken], mode: TokenizerMode) -> list[list[_RawToken]]:
-    sentences: list[list[_RawToken]] = []
-    current: list[_RawToken] = []
-    i = 0
-    while i < len(raw):
-        current.append(raw[i])
-        if _is_terminal_form(raw[i].form):
-            if mode is TokenizerMode.NONSTANDARD:
-                sentences.append(current)
-                current = []
-            else:
-                j = i
-                while (
-                    j + 1 < len(raw)
-                    and not raw[j].space_after
-                    and all(ch in CLOSING_CHARS for ch in raw[j + 1].form)
-                ):
-                    j += 1
-                    current.append(raw[j])
-                nxt = raw[j + 1] if j + 1 < len(raw) else None
-                if (
-                    nxt is not None
-                    and raw[j].space_after
-                    and (nxt.form[0].isupper() or nxt.form[0].isdigit())
-                ):
-                    sentences.append(current)
-                    current = []
-                i = j
-        i += 1
-    if current:
-        sentences.append(current)
-    return sentences
+def _segment(forms: list[str], spaced: list[bool], mode: TokenizerMode) -> list[int]:
+    """The end index of each sentence in ``forms``, in order."""
+    n = len(forms)
+    terminals = [i for i, form in enumerate(forms) if _is_terminal_form(form)]
+    if mode is TokenizerMode.NONSTANDARD:
+        ends = [i + 1 for i in terminals]
+    else:
+        ends = []
+        j = -1
+        for i in terminals:
+            if i <= j:  # already pulled into the sentence before
+                continue
+            j = i
+            # closing quotes and brackets that hug the mark close the sentence too
+            while (
+                j + 1 < n
+                and not spaced[j]
+                and all(ch in CLOSING_CHARS for ch in forms[j + 1])
+            ):
+                j += 1
+            # a new sentence needs whitespace and then a capital or a digit
+            if j + 1 < n and spaced[j]:
+                first = forms[j + 1][0]
+                if first.isupper() or first.isdigit():
+                    ends.append(j + 1)
+    if n and (not ends or ends[-1] != n):
+        ends.append(n)
+    return ends
 
 
 def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
@@ -400,31 +480,34 @@ def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
     Sentences receive ``sent_id`` and ``text`` comments; tokens that were not
     followed by whitespace in the source carry ``SpaceAfter=No``.  Forms
     listed in the closed-class table come out already tagged and marked as
-    fixed.  Empty or whitespace-only input yields a document with zero
-    sentences.
+    fixed, as :func:`closed_class_assign` would mark them.  Empty or
+    whitespace-only input yields a document with zero sentences.
     """
-    raw = _scan(text, mode, rules)
+    forms, spaced = _scan(text, mode, rules)
     closed = rules.closed_class.entries
     doc = Document()
-    for si, sent_tokens in enumerate(_segment(raw, mode), start=1):
+    start = 0
+    for si, end in enumerate(_segment(forms, spaced, mode), start=1):
         tokens = []
-        surface = []  # form, separator, form, ...: the sentence_text of the tokens
-        for ti, rt in enumerate(sent_tokens, start=1):
-            form = rt.form
-            misc = None if rt.space_after else "SpaceAfter=No"
-            surface += (form, " " if rt.space_after else "")
+        surface = []  # each form with the space after it: the sentence_text
+        for ti, (form, space) in enumerate(zip(forms[start:end], spaced[start:end]), 1):
+            if space:
+                surface.append(form + " ")
+                misc = None
+            else:
+                surface.append(form)
+                misc = _SPACE_AFTER_NO
             entry = closed.get(form)
             if entry is None:
-                tokens.append(Token(ti, form, misc=misc))
-            else:  # what closed_class_assign sets, built at once
+                tokens.append(Token(ti, form, None, None, None, None, None, None, None, misc))
+            else:
                 tokens.append(Token(
-                    ti, form, entry.lemma, entry.upos, entry.xpos,
-                    misc=misc_set(misc, CLOSED_CLASS_MISC, "Yes"),
+                    ti, form, entry.lemma, entry.upos, entry.xpos, None, None, None, None,
+                    _FIXED if misc is None else _FIXED_NO_SPACE,
                 ))
-        comments = [f"# sent_id = {si}", f"# text = {''.join(surface[:-1])}"]
-        doc.sentences.append(Sentence(comments, tokens))
-    if doc.sentences:
-        last = doc.sentences[-1].tokens[-1]
-        # the document never ends in a space, so the final token stays unmarked
-        assert last.space_after
+        text_line = "".join(surface)
+        if spaced[end - 1]:
+            text_line = text_line[:-1]
+        doc.sentences.append(Sentence([f"# sent_id = {si}", f"# text = {text_line}"], tokens))
+        start = end
     return doc

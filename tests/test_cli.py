@@ -51,6 +51,28 @@ def test_tokenize_to_stdout(tmp_path, capsys):
     assert [t.form for t in doc.sentences[0].tokens] == ["Ena", "."]
 
 
+@pytest.mark.parametrize("command", ["tokenize", "annotate", "train"])
+def test_empty_rules_flag_means_the_bundled_rules(
+    tmp_path, model_dir, train_doc, dev_doc, command
+):
+    src = write(tmp_path, "in.txt", "Pes teče. Mačka spi!")
+    train = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    dev = write(tmp_path, "dev.conllu", serialize_document(dev_doc))
+    written = []
+    for extra in ([], ["--rules="]):
+        out = tmp_path / f"out{len(written)}"
+        argv = {
+            "tokenize": ["tokenize", "--lang", "sl", "--in", str(src), "--out", str(out)],
+            "annotate": ["annotate", "--lang", "sl", "--model-dir", str(model_dir),
+                         "--in", str(src), "--out", str(out)],
+            "train": ["train", "tagger", "--lang", "sl", "--train", str(train),
+                      "--dev", str(dev), "--model-out", str(out)],
+        }[command]
+        assert main(argv + extra) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_tokenize_requires_lang(tmp_path, capsys):
     src = write(tmp_path, "in.txt", "x")
     assert main(["tokenize", "--in", str(src)]) == 1

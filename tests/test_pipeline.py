@@ -14,6 +14,7 @@ from slavpipe.conllu import (
 from slavpipe.errors import ConfigurationError, ModelError
 from slavpipe.lexicon import Lexicon
 from slavpipe.pipeline import (
+    _AVAILABLE,
     LANGUAGES,
     PIPELINE_TASKS,
     PROCESSING_TYPES,
@@ -94,6 +95,24 @@ def test_available_tasks_follow_routing():
     assert available("sl", "nonstandard") == PIPELINE_TASKS
     assert available("hr", "web") == PIPELINE_TASKS
     assert available("mk", "standard") == ("tokenize", "morph", "lemma")
+
+
+def test_every_language_and_type_has_a_default_task_list():
+    # why resolve_components needs no "no tasks are available" error: every
+    # non-empty row holds tokenize, and every language has a non-empty
+    # standard row, which serves tokenize for the standard and web types
+    for (language, variety), row in _AVAILABLE.items():
+        assert not row or "tokenize" in row, (language, variety)
+    for language in LANGUAGES:
+        assert _AVAILABLE[(language, "standard")]
+    for language in LANGUAGES:
+        for ptype in PROCESSING_TYPES:
+            try:
+                tasks = available(language, ptype)
+            except ConfigurationError as exc:
+                assert "no nonstandard processing" in str(exc)
+            else:
+                assert tasks[0] == "tokenize"
 
 
 def test_languages_without_nonstandard_models_refuse_those_types():

@@ -1,15 +1,22 @@
+import re
+import sys
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from slavpipe.cli import main
-from slavpipe.conllu import document_text, parse_document, validate_document
+from slavpipe.conllu import document_text, parse_document, sentence_text, validate_document
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
     _SPECIAL_RES,
+    _SPECIAL_TRIM,
     TERMINAL_CHARS,
     TokenizerMode,
     _is_terminal_form,
-    _match_special,
+    _may_hold_special,
+    _Specials,
+    _split_chunk,
     closed_class_assign,
     default_rules,
     is_closed_class_fixed,
@@ -168,17 +175,30 @@ def test_every_shipped_language_has_rules():
 
 _SL_EMOTICONS = default_rules("sl").peelable_emoticons
 _CHUNK_PIECES = [
-    *"HTPWſKhtpwsk", *"aeiouxzAZčš", *"0123456789", *",;.:/@#()-", "http", "HtTp",
+    *"HTPWſKhtpwsk", *"aeiouxzAZčš", *"0123456789", *",;.:/@#()-_+", "http", "HtTp",
     "www.", "WwW.", "://", *_SL_EMOTICONS,
 ]
 
 
+def _first_special_end(chunk, pos):
+    # the first pattern that matches at pos and keeps a nonempty trimmed token
+    for pattern in _SPECIAL_RES:
+        m = pattern.match(chunk, pos)
+        if m:
+            token = m.group(0).rstrip("".join(_SPECIAL_TRIM))
+            if token:
+                return pos + len(token)
+    return -1
+
+
 @given(st.lists(st.sampled_from(_CHUNK_PIECES), min_size=1, max_size=12).map("".join))
 def test_special_prefilter_passes_every_chunk_a_pattern_matches(chunk):
-    # every match keeps a nonempty token after trimming, so a match the
-    # prefilter let through is never None
-    if any(pattern.match(chunk) for pattern in _SPECIAL_RES):
-        assert _match_special(chunk) is not None
+    # asked at increasing positions, as the chunk splitter asks
+    specials = _Specials(chunk)
+    ends = [specials.end(pos) for pos in range(len(chunk))]
+    assert ends == [_first_special_end(chunk, pos) for pos in range(len(chunk))]
+    if any(end != -1 for end in ends):
+        assert _may_hold_special(chunk)
 
 
 @given(st.text(alphabet=[*sorted(TERMINAL_CHARS), "a", ",", ":"]))
@@ -228,6 +248,17 @@ def test_long_chunks_split_without_recursion(sl_rules, mode, chunk):
     assert validate_document(doc) == []
 
 
+@pytest.mark.parametrize("mode", list(TokenizerMode))
+def test_a_long_chunk_splits_in_linear_time(sl_rules, mode):
+    # under a second when linear; slicing the rest of the chunk for each
+    # piece made the nonstandard split take over half a minute (2 shared CPUs)
+    chunk = "-=" * 200_000
+    start = time.perf_counter()
+    pieces = _split_chunk(chunk, mode, sl_rules)
+    assert time.perf_counter() - start < 10
+    assert pieces == list(chunk)
+
+
 def test_cli_tokenizes_a_long_chunk(tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("Danes " + "-=" * 5000 + " jutri.", encoding="utf-8")
@@ -252,3 +283,42 @@ def test_any_chunk_splits_back_into_itself(sl_rules, unit, repeats, tail):
     for mode in TokenizerMode:
         doc = tokenize(chunk, mode, sl_rules)
         assert "".join(form for sent in forms(doc) for form in sent) == chunk
+
+
+# --- whitespace chunks ------------------------------------------------------
+
+
+def test_str_split_chunks_are_the_non_whitespace_runs():
+    # every code point, each between two letters: str.split() and \S+ agree
+    # on which of them separate chunks
+    text = "x".join(map(chr, range(sys.maxunicode + 1)))
+    assert text.split() == re.findall(r"\S+", text)
+
+
+def test_lowercasing_keeps_the_fast_rejects_exact():
+    # _split_chunk compares lengths before lowercasing a piece, and
+    # _may_hold_special looks for "http" and "www." in a lowercased chunk
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    assert all(ch.lower() for ch in chars)
+    assert {ch for ch in chars if ch.lower() in ("h", "t", "p", "w", ".")} == set("hHtTpPwW.")
+
+
+_TEXT_ALPHABET = [
+    " ", "\n", "\x1c", "\x85", "\u2028", "\u3000",  # whitespace to str.isspace
+    "\u200b",  # not whitespace
+    *".!?…", *"\"”»)", *"AČ1", *"ažx", *":-,@#",
+]
+
+
+@given(st.text(alphabet=_TEXT_ALPHABET, max_size=40))
+def test_tokens_are_the_split_whitespace_chunks(sl_rules, text):
+    for mode in TokenizerMode:
+        chunks = [_split_chunk(chunk, mode, sl_rules) for chunk in text.split()]
+        doc = tokenize(text, mode, sl_rules)
+        tokens = [tok for sent in doc.sentences for tok in sent.tokens]
+        assert [tok.form for tok in tokens] == [form for pieces in chunks for form in pieces]
+        # SpaceAfter=No marks exactly the pieces that end inside a chunk
+        last_in_chunk = [i == len(pieces) - 1 for pieces in chunks for i in range(len(pieces))]
+        assert [tok.space_after for tok in tokens] == last_in_chunk
+        for sent in doc.sentences:
+            assert sent.text == sentence_text(sent)
