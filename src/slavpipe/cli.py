@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Commands: ``tokenize``, ``annotate``, ``train <stage>``, ``evaluate``,
-``prep <recipe>``, ``lexicon <load|query>``.  Input and output default to
-the standard streams; ``--in``/``--out`` accept file paths or ``-``.
+``prep <recipe>``, ``lexicon <load|query>``.  ``tokenize``, ``annotate`` and
+``evaluate`` read ``--in``, and these three and ``prep`` write ``--out``; both
+default to the standard streams and accept file paths or ``-``.  Each command
+takes only the flags its handler reads.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 model error,
 4 internal error (any other exception, reported on one line).  When the
@@ -274,39 +276,46 @@ def _cmd_lexicon(args: argparse.Namespace) -> int:
 # --- parser wiring ----------------------------------------------------------
 
 
+# The flags several commands share; each command takes only those its handler reads.
+_SHARED_FLAGS = {
+    "config": dict(help="key = value file filling unset flags"),
+    "in": dict(dest="infile", default="-", help="input path or -"),
+    "out": dict(dest="outfile", default="-", help="output path or -"),
+    "lang": dict(default=None),
+    "type": dict(choices=["standard", "nonstandard", "web"], default="standard"),
+    "rules": dict(default=None, help="tokenizer rules file"),
+}
+
+
+def _add_command(sub, name: str, shared: str, summary: str) -> argparse.ArgumentParser:
+    """Subcommand ``name`` with ``--config`` and the shared flags named in ``shared``."""
+    p = sub.add_parser(name, help=summary)
+    for flag in ("config", *shared.split()):
+        p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="slavpipe", description=__doc__.splitlines()[0])
-
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="key = value file filling unset flags")
-    common.add_argument("--in", dest="infile", default="-", help="input path or -")
-    common.add_argument("--out", dest="outfile", default="-", help="output path or -")
-
-    lang_opts = _Parser(add_help=False)
-    lang_opts.add_argument("--lang", default=None)
-    lang_opts.add_argument("--type", choices=["standard", "nonstandard", "web"], default="standard")
-    lang_opts.add_argument("--rules", default=None, help="tokenizer rules file")
-
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    p = sub.add_parser("tokenize", parents=[common, lang_opts],
-                       help="split raw text into sentences and tokens")
+    p = _add_command(sub, "tokenize", "in out lang type rules",
+                     summary="split raw text into sentences and tokens")
     # annotate with the tokenize task alone: annotate's other settings are
     # fixed here, and are no flags or config keys of tokenize
     p.set_defaults(func=_cmd_annotate, tasks="tokenize", model_dir=None,
                    lexicon=None, lexicon_constraint=None)
 
-    p = sub.add_parser("annotate", parents=[common, lang_opts],
-                       help="run the annotation pipeline")
+    p = _add_command(sub, "annotate", "in out lang type rules",
+                     summary="run the annotation pipeline")
     p.add_argument("--tasks", default=None, help="comma-separated task subset")
     p.add_argument("--model-dir", default=None)
     p.add_argument("--lexicon", default=None)
     p.add_argument("--lexicon-constraint", choices=["on", "off"], default=None)
     p.set_defaults(func=_cmd_annotate)
 
-    p = sub.add_parser("train", parents=[common, lang_opts],
-                       help="train one stage and fill the dev split")
+    p = _add_command(sub, "train", "lang rules", summary="train one stage and fill the dev split")
     p.add_argument("stage", choices=["tagger", "lemmatizer", "parser"])
     p.add_argument("--train", default=None, help="training data (CoNLL-U)")
     p.add_argument("--dev", default=None, help="dev data (CoNLL-U)")
@@ -320,23 +329,20 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=8)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score a system output against gold")
+    p = _add_command(sub, "evaluate", "in out", summary="score a system output against gold")
     p.add_argument("--gold", default=None, help="gold data (CoNLL-U)")
     p.add_argument("--fields", default=None, help="comma-separated metric fields")
     p.add_argument("--report", choices=["table", "kv"], default="table")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("prep", parents=[common, lang_opts],
-                       help="build a training set from a recipe")
+    p = _add_command(sub, "prep", "lang out", summary="build a training set from a recipe")
     p.add_argument("recipe", help="recipe file")
     p.add_argument("--corpus", action="append", default=[], metavar="ID=PATH")
     p.add_argument("--diacritics", default=None, help="diacritic replacement map")
     p.add_argument("--seed", type=int, default=None, help="shuffle seed for sampling")
     p.set_defaults(func=_cmd_prep)
 
-    p = sub.add_parser("lexicon", parents=[common],
-                       help="inspect an inflectional lexicon")
+    p = _add_command(sub, "lexicon", "", summary="inspect an inflectional lexicon")
     p.add_argument("action", choices=["load", "query"])
     p.add_argument("--lexicon", default=None)
     p.add_argument("--form", default=None)

@@ -127,6 +127,9 @@ class ParserModel:
         for labels in (self.dep_labels, self.root_labels):
             if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
                 raise TypeError("labels must be a list of strings")
+            if not labels:
+                # without both kinds of arc the decoder can be left with no move
+                raise ValueError("dep_labels and root_labels must not be empty")
         self._actions = _Actions(self.dep_labels, self.root_labels, self.schema)
         if not isinstance(self.weights, dict):
             raise TypeError("weights must map features to rows")
@@ -328,7 +331,9 @@ def train_parser(
     """Train an averaged perceptron with a static oracle over gold trees.
 
     Every training sentence must validate under ``schema``; the first one
-    that does not aborts training with an error naming the sentence.
+    that does not aborts training with an error naming the sentence.  Data
+    without an arc between two tokens, or without one onto the root, is
+    refused too: a model without either label set cannot parse every sentence.
     """
     sentences = [s for s in train.sentences if s.single_tokens()]
     if not sentences:
@@ -348,6 +353,11 @@ def train_parser(
     dep_labels = sorted(
         {t.deprel for s in sentences for t in s.single_tokens() if t.head != ROOT}
     )
+    if not dep_labels or not root_labels:
+        raise TrainingError(
+            "parser training data needs both an arc between two tokens and an arc "
+            "onto the root"
+        )
     actions = _Actions(dep_labels, root_labels, schema)
 
     perceptron = _AveragedPerceptron()
@@ -512,9 +522,6 @@ def parse_in_place(doc: Document, model: ParserModel, language: str | None = Non
     have run); the output of every sentence validates under the model schema.
     """
     modelio.check_language("parser", model.metadata.language, language)
-    if not model.root_labels:
-        raise ModelError("parser model has no root labels; cannot attach trees")
-
     for si, sent in enumerate(doc.sentences):
         tokens = sent.single_tokens()
         for tok in tokens:

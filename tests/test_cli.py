@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import shutil
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slavpipe
-from slavpipe.cli import EXIT_BROKEN_PIPE, main
+from slavpipe.cli import EXIT_BROKEN_PIPE, build_parser, main
 from slavpipe.conllu import parse_document, serialize_document
 from slavpipe.pipeline import model_filename
 
@@ -363,36 +364,41 @@ def test_any_config_file_ends_in_a_documented_status(tmp_path, capsys, data):
     conllu = write(tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
     recipe = write(tmp_path, "mix.recipe", "component id=c reps=2 dedia=1\n")
     paths = [str(text), str(conllu), str(tmp_path / "absent"), str(tmp_path)]
+    out = ["--out", str(tmp_path / "out")]
     command = data.draw(st.sampled_from([
-        ["tokenize", "--in", str(text)],
-        ["tokenize", "--lang", "sl", "--in", str(text)],
-        ["evaluate", "--in", str(conllu)],
-        ["evaluate", "--gold", str(conllu), "--in", str(conllu)],
-        ["prep", str(recipe), "--in", str(conllu)],
-        ["prep", str(recipe), "--corpus", f"c={conllu}", "--in", str(conllu)],
-        ["train", "tagger", "--in", str(text)],
-        ["lexicon", "load", "--in", str(text)],
+        ["tokenize", "--in", str(text), *out],
+        ["tokenize", "--lang", "sl", "--in", str(text), *out],
+        ["evaluate", "--in", str(conllu), *out],
+        ["evaluate", "--gold", str(conllu), "--in", str(conllu), *out],
+        ["prep", str(recipe), *out],
+        ["prep", str(recipe), "--corpus", f"c={conllu}", *out],
+        ["train", "tagger"],
+        ["lexicon", "load"],
     ]))
     lines = data.draw(st.lists(_config_lines(paths), max_size=4))
     config = write(tmp_path, "pipe.conf", "\n".join(lines) + "\n")
     capsys.readouterr()
-    code = main([*command, "--out", str(tmp_path / "out"), "--config", str(config)])
+    code = main([*command, "--config", str(config)])
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
     if code:
         assert err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("kind, tasks", [("tagger", "morph"), ("lemmatizer", "morph,lemma")])
+@pytest.mark.parametrize(
+    "kind, tasks",
+    [("tagger", "morph"), ("lemmatizer", "morph,lemma"), ("parser", "morph,lemma,depparse")],
+)
 def test_malformed_model_is_one_line_model_error(tmp_path, model_dir, capsys, kind, tasks):
     from slavpipe.modelio import write_archive
 
     models = tmp_path / "models"
     shutil.copytree(model_dir, models)
-    write_archive(models / model_filename("sl", "standard", kind), kind, {}, {
+    write_archive(models / model_filename("sl", "standard", kind), kind, {"schema": "ud"}, {
         "tagger": {"form_probs": {}, "suffix_counts": {}, "xpos_best": {},
                    "triples": [], "default_triple": ["X"]},
         "lemmatizer": {"lookup": [], "rules": [["a", "N", "e", "high"]]},
+        "parser": {"weights": {}, "dep_labels": ["a"], "root_labels": []},
     }[kind])
     src = write(tmp_path, "in.txt", "besedilo.")
     code = main([
@@ -571,6 +577,20 @@ def test_train_empty_data_is_model_error(tmp_path, capsys):
     assert "no annotated tokens" in capsys.readouterr().err
 
 
+def test_train_parser_without_an_arc_between_tokens_is_model_error(tmp_path, dev_doc, capsys):
+    train_f = write(tmp_path, "train.conllu", "1\tx\tx\tX\tX\t_\t0\troot\t_\t_\n\n" * 3)
+    dev_f = write(tmp_path, "dev.conllu", serialize_document(dev_doc))
+    code = main([
+        "train", "parser", "--lang", "sl", "--train", str(train_f), "--dev", str(dev_f),
+        "--model-out", str(tmp_path / "m.slm"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error: parser training data needs both an arc between")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.conllu", "train.conllu"]
+
+
 # --- evaluate ---------------------------------------------------------------
 
 
@@ -746,6 +766,85 @@ def test_abbreviated_flag_is_configuration_error(tmp_path, capsys):
     assert main(["tokenize", "--la", "sl", "--in", str(src)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "--la" in err
+
+
+def _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file):
+    """Working command lines that together give every flag of every command."""
+    text = write(tmp_path, "in.txt", "Ena poved.")
+    train = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    dev = write(tmp_path, "dev.conllu", serialize_document(dev_doc))
+    recipe = write(tmp_path, "mix.recipe", "component id=c reps=2 dedia=1\n")
+    out = str(tmp_path / "out")
+    lexicon = ["--lexicon", str(lexicon_file)]
+    trained = ["--lang", "sl", "--train", str(train), "--dev", str(dev), *lexicon,
+               "--model-dir", str(tmp_path / "models"), "--epochs", "1"]
+    return [
+        ["tokenize", "--lang", "sl", "--in", str(text), "--out", out],
+        ["annotate", "--lang", "sl", "--model-dir", str(model_dir), *lexicon,
+         "--in", str(text), "--out", out],
+        *(["train", stage, *trained] for stage in ("tagger", "lemmatizer", "parser")),
+        ["evaluate", "--gold", str(dev), "--in", str(dev), "--out", out],
+        ["prep", str(recipe), "--lang", "sl", "--corpus", f"c={dev}", "--out", out],
+        ["lexicon", "load", *lexicon],
+        ["lexicon", "query", *lexicon, "--form", "naj"],
+    ]
+
+
+# What each command's handler does not read: every one is an unknown flag
+# and an unknown config key of that command.
+_UNREAD_FLAGS = [
+    ("prep", "in"), ("prep", "type"), ("prep", "rules"),
+    ("train", "in"), ("train", "out"), ("train", "type"),
+    ("lexicon", "in"), ("lexicon", "out"),
+]
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("command, flag", _UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_refused(
+    tmp_path, capsys, train_doc, dev_doc, model_dir, lexicon_file, command, flag, given
+):
+    lines = _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file)
+    argv = next(line for line in lines if line[0] == command)
+    value = "web" if flag == "type" else str(tmp_path / "given")
+    if given == "flag":
+        extra = [f"--{flag}", value]
+    else:
+        extra = ["--config", str(write(tmp_path, "pipe.conf", f"{flag} = {value}\n"))]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    assert main(argv) == 0
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_flag_of_every_command_is_read_by_its_handler(
+    tmp_path, capsys, train_doc, dev_doc, model_dir, lexicon_file
+):
+    parser = build_parser()
+    reads = {name: set() for name in parser.commands}
+    for argv in _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file):
+        args = parser.parse_args(argv, namespace=_ReadRecorder())
+        args._reads.clear()  # parsing reads too
+        assert args.func(args) == 0, argv
+        reads[argv[0]] |= args._reads
+    for name, command in parser.commands.items():
+        flags = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
+        assert flags - reads[name] == set(), name
 
 
 # --- last resort and closed pipes -------------------------------------------

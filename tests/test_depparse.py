@@ -197,6 +197,15 @@ def test_training_rejects_empty():
         train_parser(Document(), TreeSchema.UD)
 
 
+@pytest.mark.parametrize("schema", list(TreeSchema))
+def test_training_rejects_data_without_an_arc_between_tokens(schema):
+    # one-token sentences give root labels only; such a model had no move
+    # left on a two-token stack with an empty buffer
+    one_token = Document(sentences=[sentence([(0, "root")]) for _ in range(3)])
+    with pytest.raises(TrainingError, match="an arc between two tokens"):
+        train_parser(one_token, schema, epochs=1)
+
+
 def test_training_is_deterministic(train_doc, trained):
     other = train_parser(train_doc, TreeSchema.UD, language="sl", seed=13, epochs=6)
     assert other.weights == trained.weights
@@ -262,8 +271,10 @@ def test_save_load_parses_identically(tmp_path, trained, dev_doc):
         assert parsed_arcs(again, sent) == parsed_arcs(trained, sent)
 
 
+# Its weights name no labelled action, so emptying either label list leaves
+# them valid, and only the empty list itself can refuse the archive.
 MINIMAL_SECTIONS = {
-    "weights": {"bias": {"shift": 1.0, "left=a": -0.5}},
+    "weights": {"bias": {"shift": 1.0}},
     "dep_labels": ["a"],
     "root_labels": ["root"],
 }
@@ -282,6 +293,8 @@ MINIMAL_SECTIONS = {
         pytest.param("weights", {"bias": {"reduce": 1.0}}, id="unknown-action"),
         pytest.param("dep_labels", "a", id="labels-string"),
         pytest.param("root_labels", ["root", 1], id="label-number"),
+        pytest.param("dep_labels", [], id="no-dep-labels"),
+        pytest.param("root_labels", [], id="no-root-labels"),
     ],
 )
 def test_malformed_archive_refused_at_load(tmp_path, section, value):
