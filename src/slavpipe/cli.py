@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Commands: ``tokenize``, ``annotate``, ``train <stage>``, ``evaluate``,
-``prep <recipe>``, ``lexicon <load|query>``.  ``tokenize``, ``annotate`` and
-``evaluate`` read ``--in``, and these three and ``prep`` write ``--out``; both
-default to the standard streams and accept file paths or ``-``.  Each command
-takes only the flags its handler reads.
+Commands: ``tokenize``, ``annotate``, ``train <tagger|lemmatizer|parser>``,
+``evaluate``, ``prep <recipe>``, ``lexicon <load|query>``.  ``tokenize``,
+``annotate`` and ``evaluate`` read ``--in``, these three and ``prep`` write
+``--out`` (a path, or ``-``: standard stream, the default).  A command, train
+stage or lexicon action takes only the flags it reads, after its words.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 model error,
 4 internal error (any other exception, reported on one line).  When the
@@ -62,8 +62,6 @@ EXIT_BROKEN_PIPE = 128 + 13  # what a shell reports for a process killed by SIGP
 class _Parser(argparse.ArgumentParser):
     """A parser that takes flags by their full names only, like config keys."""
 
-    commands: dict[str, argparse.ArgumentParser]  # the subparsers, by command name
-
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
@@ -115,14 +113,16 @@ def _config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
 
 
 def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
-    """Parse the command line, then again behind the config file's settings."""
+    """Parse the command line, then again with the config file's settings after
+    the command's words, which lead ``argv``: no parser above a command takes a flag."""
     args = parser.parse_args(argv)
     path = args.config
     if path is None:
         return args
-    settings = _config_args(path, parser.commands[args.command])
+    words = next(words for words in parser.commands if tuple(argv[: len(words)]) == words)
+    settings = _config_args(path, parser.commands[words])
     try:
-        return parser.parse_args([argv[0], *settings, *argv[1:]])
+        return parser.parse_args([*argv[: len(words)], *settings, *argv[len(words):]])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
 
@@ -158,57 +158,50 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     lang = _require(args, "lang", "--lang")
-    variety = args.variety
+    if (args.model_out is None) == (args.model_dir is None):
+        raise ConfigurationError("exactly one of --model-out or --model-dir is required")
+    if args.dev_out and not args.dev:
+        raise ConfigurationError("--dev-out needs --dev")
     train_doc = _read_document(_require(args, "train", "--train"))
     dev_doc = _read_document(args.dev) if args.dev else Document()
-    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-
-    if args.stage == "tagger":
-        closed = None
-        if args.rules:
-            closed = load_rules(args.rules).closed_class
-        elif lang in KNOWN_LANGUAGES:
-            closed = default_rules(lang).closed_class
-        model, filled, score = train_stage_tagger(
-            train_doc, dev_doc, lang, variety, lexicon=lexicon, closed_table=closed
-        )
-        save = save_tagger
-        score_name = "dev accuracy"
-    elif args.stage == "lemmatizer":
-        model, filled, score = train_stage_lemmatizer(
-            train_doc, dev_doc, lang, variety, lexicon=lexicon
-        )
-        save = save_lemmatizer
-        score_name = "dev accuracy"
-    else:
-        model, filled, score = train_stage_parser(
-            train_doc,
-            dev_doc,
-            lang,
-            variety,
-            schema=TreeSchema(args.schema),
-            seed=args.seed,
-            epochs=args.epochs,
-        )
-        save = save_parser
-        score_name = "dev las"
-
+    (model, filled, score), save, score_name = args.trainer(args, train_doc, dev_doc)
     model_out = args.model_out
     if model_out is None:
-        if args.model_dir is None:
-            raise ConfigurationError("--model-out or --model-dir is required")
         Path(args.model_dir).mkdir(parents=True, exist_ok=True)
-        model_out = str(Path(args.model_dir) / model_filename(lang, variety, args.stage))
+        model_out = str(Path(args.model_dir) / model_filename(lang, args.variety, args.stage))
     try:
         save(model, model_out)
     except OSError as exc:
         raise DataError(f"cannot write {model_out}: {exc}") from exc
     if args.dev:
-        dev_out = args.dev_out or f"{model_out}.dev.conllu"
-        _write_text(dev_out, serialize_document(filled))
+        _write_text(args.dev_out or f"{model_out}.dev.conllu", serialize_document(filled))
     shown = "n/a" if score is None else f"{score:.4f}"
     print(f"{score_name}: {shown}", file=sys.stderr)
     return 0
+
+
+def _train_tagger(args: argparse.Namespace, train_doc: Document, dev_doc: Document):
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
+    closed = None
+    if args.rules:
+        closed = load_rules(args.rules).closed_class
+    elif args.lang in KNOWN_LANGUAGES:
+        closed = default_rules(args.lang).closed_class
+    trained = train_stage_tagger(train_doc, dev_doc, args.lang, args.variety, lexicon=lexicon,
+                                 closed_table=closed)
+    return trained, save_tagger, "dev accuracy"
+
+
+def _train_lemmatizer(args: argparse.Namespace, train_doc: Document, dev_doc: Document):
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
+    trained = train_stage_lemmatizer(train_doc, dev_doc, args.lang, args.variety, lexicon=lexicon)
+    return trained, save_lemmatizer, "dev accuracy"
+
+
+def _train_parser(args: argparse.Namespace, train_doc: Document, dev_doc: Document):
+    trained = train_stage_parser(train_doc, dev_doc, args.lang, args.variety, seed=args.seed,
+                                 epochs=args.epochs, schema=TreeSchema(args.schema))
+    return trained, save_parser, "dev las"
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -248,14 +241,17 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lexicon(args: argparse.Namespace) -> int:
+def _cmd_lexicon_load(args: argparse.Namespace) -> int:
     lex = load_lexicon(_require(args, "lexicon", "--lexicon"))
-    if args.action == "load":
-        print(f"forms: {lex.form_count}")
-        print(f"entries: {len(lex)}")
-        for category in sorted(lex.prefix_table):
-            print(f"closed class {category}: {len(lex.closed_class_forms(category))}")
-        return 0
+    print(f"forms: {lex.form_count}")
+    print(f"entries: {len(lex)}")
+    for category in sorted(lex.prefix_table):
+        print(f"closed class {category}: {len(lex.closed_class_forms(category))}")
+    return 0
+
+
+def _cmd_lexicon_query(args: argparse.Namespace) -> int:
+    lex = load_lexicon(_require(args, "lexicon", "--lexicon"))
     form = _require(args, "form", "--form")
     if args.xpos:
         lemma = lex.lookup_lemma(form, args.xpos)
@@ -284,70 +280,73 @@ _SHARED_FLAGS = {
     "lang": dict(default=None),
     "type": dict(choices=["standard", "nonstandard", "web"], default="standard"),
     "rules": dict(default=None, help="tokenizer rules file"),
+    "lexicon": dict(default=None, help="inflectional lexicon (TSV)"),
+    "model-dir": dict(default=None),
+    "train": dict(default=None, help="training data (CoNLL-U)"),
+    "dev": dict(default=None, help="dev data (CoNLL-U)"),
+    "variety": dict(choices=["standard", "nonstandard"], default="standard"),
+    "model-out": dict(default=None),
+    "dev-out": dict(default=None, help="where to write the filled dev split"),
 }
+_TRAIN_FLAGS = "lang train dev variety model-dir model-out dev-out"  # of every train stage
 
 
-def _add_command(sub, name: str, shared: str, summary: str) -> argparse.ArgumentParser:
-    """Subcommand ``name`` with ``--config`` and the shared flags named in ``shared``."""
-    p = sub.add_parser(name, help=summary)
+def _add_command(parser: _Parser, sub, words: str, shared: str, summary=None, **defaults):
+    """Command ``words`` with ``--config``, the shared flags in ``shared`` and ``defaults``."""
+    p = sub.add_parser(words.split()[-1], help=summary)
     for flag in ("config", *shared.split()):
         p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+    p.set_defaults(**defaults)
+    parser.commands[tuple(words.split())] = p
     return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="slavpipe", description=__doc__.splitlines()[0])
+    parser.commands = {}  # each command's parser by its words, such as ("train", "parser")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices
 
-    p = _add_command(sub, "tokenize", "in out lang type rules",
-                     summary="split raw text into sentences and tokens")
-    # annotate with the tokenize task alone: annotate's other settings are
-    # fixed here, and are no flags or config keys of tokenize
-    p.set_defaults(func=_cmd_annotate, tasks="tokenize", model_dir=None,
-                   lexicon=None, lexicon_constraint=None)
+    # tokenize is annotate with the tokenize task alone: annotate's other
+    # settings are fixed here, and are no flags or config keys of tokenize
+    _add_command(parser, sub, "tokenize", "in out lang type rules",
+                 "split raw text into sentences and tokens", func=_cmd_annotate,
+                 tasks="tokenize", model_dir=None, lexicon=None, lexicon_constraint=None)
 
-    p = _add_command(sub, "annotate", "in out lang type rules",
-                     summary="run the annotation pipeline")
+    p = _add_command(parser, sub, "annotate", "in out lang type rules lexicon model-dir",
+                     "run the annotation pipeline", func=_cmd_annotate)
     p.add_argument("--tasks", default=None, help="comma-separated task subset")
-    p.add_argument("--model-dir", default=None)
-    p.add_argument("--lexicon", default=None)
     p.add_argument("--lexicon-constraint", choices=["on", "off"], default=None)
-    p.set_defaults(func=_cmd_annotate)
 
-    p = _add_command(sub, "train", "lang rules", summary="train one stage and fill the dev split")
-    p.add_argument("stage", choices=["tagger", "lemmatizer", "parser"])
-    p.add_argument("--train", default=None, help="training data (CoNLL-U)")
-    p.add_argument("--dev", default=None, help="dev data (CoNLL-U)")
-    p.add_argument("--variety", choices=["standard", "nonstandard"], default="standard")
-    p.add_argument("--lexicon", default=None)
-    p.add_argument("--model-dir", default=None)
-    p.add_argument("--model-out", default=None)
-    p.add_argument("--dev-out", default=None, help="where to write the filled dev split")
-    p.add_argument("--schema", choices=["ud", "jos"], default="ud")
+    train = sub.add_parser("train", help="train one stage and fill the dev split")
+    stages = train.add_subparsers(dest="stage", required=True)
+    for stage, shared, trainer in (("tagger", "rules lexicon", _train_tagger),
+                                   ("lemmatizer", "lexicon", _train_lemmatizer),
+                                   ("parser", "", _train_parser)):
+        p = _add_command(parser, stages, f"train {stage}", f"{_TRAIN_FLAGS} {shared}",
+                         func=_cmd_train, trainer=trainer)
+    p.add_argument("--schema", choices=["ud", "jos"], default="ud")  # p: the parser stage
     p.add_argument("--seed", type=int, default=13)
     p.add_argument("--epochs", type=int, default=8)
-    p.set_defaults(func=_cmd_train)
 
-    p = _add_command(sub, "evaluate", "in out", summary="score a system output against gold")
+    p = _add_command(parser, sub, "evaluate", "in out", "score a system output against gold",
+                     func=_cmd_evaluate)
     p.add_argument("--gold", default=None, help="gold data (CoNLL-U)")
     p.add_argument("--fields", default=None, help="comma-separated metric fields")
     p.add_argument("--report", choices=["table", "kv"], default="table")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = _add_command(sub, "prep", "lang out", summary="build a training set from a recipe")
+    p = _add_command(parser, sub, "prep", "lang out", "build a training set from a recipe",
+                     func=_cmd_prep)
     p.add_argument("recipe", help="recipe file")
     p.add_argument("--corpus", action="append", default=[], metavar="ID=PATH")
     p.add_argument("--diacritics", default=None, help="diacritic replacement map")
     p.add_argument("--seed", type=int, default=None, help="shuffle seed for sampling")
-    p.set_defaults(func=_cmd_prep)
 
-    p = _add_command(sub, "lexicon", "", summary="inspect an inflectional lexicon")
-    p.add_argument("action", choices=["load", "query"])
-    p.add_argument("--lexicon", default=None)
+    lexicon = sub.add_parser("lexicon", help="inspect an inflectional lexicon")
+    actions = lexicon.add_subparsers(dest="action", required=True)
+    _add_command(parser, actions, "lexicon load", "lexicon", func=_cmd_lexicon_load)
+    p = _add_command(parser, actions, "lexicon query", "lexicon", func=_cmd_lexicon_query)
     p.add_argument("--form", default=None)
     p.add_argument("--xpos", default=None)
-    p.set_defaults(func=_cmd_lexicon)
 
     return parser
 

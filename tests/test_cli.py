@@ -295,6 +295,29 @@ def test_config_values_are_parsed_as_flags(tmp_path, capsys, model_dir, train_do
         assert (tmp_path / "out").exists()
 
 
+def test_config_schema_is_a_setting_of_the_parser_stage_only(tmp_path, capsys, train_doc):
+    from slavpipe.modelio import read_archive
+
+    train = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    config = write(tmp_path, "pipe.conf", "schema = jos\n")
+    out = tmp_path / "model.slm"
+    common = ["--lang", "sl", "--train", str(train), "--model-out", str(out),
+              "--config", str(config)]
+    assert main(["train", "tagger", *common]) == 1
+    assert "line 1: unknown setting 'schema'" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["train", "parser", *common, "--epochs", "1"]) == 0
+    meta, _ = read_archive(out, "parser")
+    assert meta["schema"] == "jos"
+
+
+def test_config_form_is_a_setting_of_lexicon_query(tmp_path, capsys):
+    lexicon = write(tmp_path, "lexicon.tsv", "pes\tpes\tNcmsn\t3\npsa\tpes\tNcmsg\t2\n")
+    config = write(tmp_path, "pipe.conf", "form = pes\n")
+    assert main(["lexicon", "query", "--lexicon", str(lexicon), "--config", str(config)]) == 0
+    assert capsys.readouterr().out == "Ncmsn\tpes\t3\n"
+
+
 def test_config_corpus_entries_come_before_command_line_ones(tmp_path):
     first = write(tmp_path, "a.conllu", "1\tprvi\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
     second = write(tmp_path, "b.conllu", "1\tdrugi\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
@@ -373,7 +396,10 @@ def test_any_config_file_ends_in_a_documented_status(tmp_path, capsys, data):
         ["prep", str(recipe), *out],
         ["prep", str(recipe), "--corpus", f"c={conllu}", *out],
         ["train", "tagger"],
+        ["train", "lemmatizer"],
+        ["train", "parser"],
         ["lexicon", "load"],
+        ["lexicon", "query"],
     ]))
     lines = data.draw(st.lists(_config_lines(paths), max_size=4))
     config = write(tmp_path, "pipe.conf", "\n".join(lines) + "\n")
@@ -776,13 +802,15 @@ def _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file):
     recipe = write(tmp_path, "mix.recipe", "component id=c reps=2 dedia=1\n")
     out = str(tmp_path / "out")
     lexicon = ["--lexicon", str(lexicon_file)]
-    trained = ["--lang", "sl", "--train", str(train), "--dev", str(dev), *lexicon,
-               "--model-dir", str(tmp_path / "models"), "--epochs", "1"]
+    trained = ["--lang", "sl", "--train", str(train), "--dev", str(dev),
+               "--model-dir", str(tmp_path / "models")]
     return [
         ["tokenize", "--lang", "sl", "--in", str(text), "--out", out],
         ["annotate", "--lang", "sl", "--model-dir", str(model_dir), *lexicon,
          "--in", str(text), "--out", out],
-        *(["train", stage, *trained] for stage in ("tagger", "lemmatizer", "parser")),
+        ["train", "tagger", *trained, *lexicon],
+        ["train", "lemmatizer", *trained, *lexicon],
+        ["train", "parser", *trained, "--epochs", "1"],
         ["evaluate", "--gold", str(dev), "--in", str(dev), "--out", out],
         ["prep", str(recipe), "--lang", "sl", "--corpus", f"c={dev}", "--out", out],
         ["lexicon", "load", *lexicon],
@@ -790,12 +818,39 @@ def _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file):
     ]
 
 
+def _command_line(lines, command: str) -> list[str]:
+    """The first of ``lines`` that starts with the words of ``command``."""
+    words = command.split()
+    return next(line for line in lines if line[: len(words)] == words)
+
+
+def _given(tmp_path, flag: str, value: str, given: str) -> list[str]:
+    """``--flag value`` as a flag, or as a config file holding ``flag = value``."""
+    if given == "flag":
+        return [f"--{flag}", value]
+    return ["--config", str(write(tmp_path, "pipe.conf", f"{flag} = {value}\n"))]
+
+
+def _assert_refused_writing_nothing(tmp_path, capsys, argv) -> None:
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # What each command's handler does not read: every one is an unknown flag
-# and an unknown config key of that command.
+# and an unknown config key of that command (a command without its stage or
+# action word means the first of _command_lines: train tagger, lexicon load).
 _UNREAD_FLAGS = [
     ("prep", "in"), ("prep", "type"), ("prep", "rules"),
     ("train", "in"), ("train", "out"), ("train", "type"),
     ("lexicon", "in"), ("lexicon", "out"),
+    ("train tagger", "schema"), ("train tagger", "seed"), ("train tagger", "epochs"),
+    ("train lemmatizer", "rules"), ("train lemmatizer", "schema"),
+    ("train lemmatizer", "seed"), ("train lemmatizer", "epochs"),
+    ("train parser", "rules"), ("train parser", "lexicon"),
+    ("lexicon load", "form"), ("lexicon load", "xpos"),
 ]
 
 
@@ -805,18 +860,42 @@ def test_a_flag_the_command_does_not_read_is_refused(
     tmp_path, capsys, train_doc, dev_doc, model_dir, lexicon_file, command, flag, given
 ):
     lines = _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file)
-    argv = next(line for line in lines if line[0] == command)
-    value = "web" if flag == "type" else str(tmp_path / "given")
-    if given == "flag":
-        extra = [f"--{flag}", value]
-    else:
-        extra = ["--config", str(write(tmp_path, "pipe.conf", f"{flag} = {value}\n"))]
-    before = sorted(tmp_path.rglob("*"))
-    assert main([*argv, *extra]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and err.count("\n") == 1
-    assert sorted(tmp_path.rglob("*")) == before
+    argv = _command_line(lines, command)
+    value = {"type": "web", "schema": "jos", "seed": "5", "epochs": "1"}.get(
+        flag, str(tmp_path / "given")
+    )
+    extra = _given(tmp_path, flag, value, given)
+    _assert_refused_writing_nothing(tmp_path, capsys, [*argv, *extra])
     assert main(argv) == 0
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("pair", ["model-out with model-dir", "dev-out without dev"])
+@pytest.mark.parametrize("stage", ["tagger", "lemmatizer", "parser"])
+def test_a_train_flag_that_another_flag_leaves_unread_is_refused(
+    tmp_path, capsys, train_doc, dev_doc, model_dir, lexicon_file, stage, pair, given
+):
+    lines = _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file)
+    argv = _command_line(lines, f"train {stage}")
+    if pair == "dev-out without dev":
+        at = argv.index("--dev")
+        argv = argv[:at] + argv[at + 2:]
+    flag = pair.split()[0]
+    _assert_refused_writing_nothing(
+        tmp_path, capsys, [*argv, *_given(tmp_path, flag, str(tmp_path / "given"), given)]
+    )
+    assert main(argv) == 0
+
+
+@pytest.mark.parametrize("flag", ["lang", "config"])
+def test_a_flag_before_the_stage_word_is_refused(
+    tmp_path, capsys, train_doc, dev_doc, model_dir, lexicon_file, flag
+):
+    lines = _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file)
+    config = write(tmp_path, "pipe.conf", "lang = sl\n")
+    value = "sl" if flag == "lang" else str(config)
+    argv = _command_line(lines, "train tagger")
+    _assert_refused_writing_nothing(tmp_path, capsys, ["train", f"--{flag}", value, *argv[1:]])
 
 
 class _ReadRecorder(argparse.Namespace):
@@ -836,15 +915,15 @@ def test_every_flag_of_every_command_is_read_by_its_handler(
     tmp_path, capsys, train_doc, dev_doc, model_dir, lexicon_file
 ):
     parser = build_parser()
-    reads = {name: set() for name in parser.commands}
+    reads = {words: set() for words in parser.commands}
     for argv in _command_lines(tmp_path, train_doc, dev_doc, model_dir, lexicon_file):
         args = parser.parse_args(argv, namespace=_ReadRecorder())
         args._reads.clear()  # parsing reads too
         assert args.func(args) == 0, argv
-        reads[argv[0]] |= args._reads
-    for name, command in parser.commands.items():
+        reads[next(words for words in reads if tuple(argv[: len(words)]) == words)] |= args._reads
+    for words, command in parser.commands.items():
         flags = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
-        assert flags - reads[name] == set(), name
+        assert flags - reads[words] == set(), words
 
 
 # --- last resort and closed pipes -------------------------------------------
