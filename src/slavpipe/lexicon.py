@@ -204,13 +204,14 @@ def _checked_row(row) -> tuple[str, str, str, int | float]:
     return form, lemma, xpos, freq
 
 
-def load_lexicon(source: str | Path, prefix_table: dict[str, str] | None = None) -> Lexicon:
+def load_lexicon(source: str | Path) -> Lexicon:
     """Load a lexicon from a TSV file (``form<TAB>lemma<TAB>xpos[<TAB>freq]``).
 
     Gzip-compressed files are detected by their magic bytes.  A truncated or
     corrupt gzip file, rows with fewer than three columns and an unreadable
     frequency raise :class:`~slavpipe.errors.LexiconError`; a bad row is
-    named by its line.
+    named by its line.  The lexicon gets the default closed-class prefixes;
+    :func:`read_lexicon` takes another table.
     """
     path = Path(source)
     try:
@@ -226,7 +227,7 @@ def load_lexicon(source: str | Path, prefix_table: dict[str, str] | None = None)
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"{path}: not valid UTF-8: {exc}") from exc
-    return read_lexicon(io.StringIO(text), name=str(path), prefix_table=prefix_table)
+    return read_lexicon(io.StringIO(text), name=str(path))
 
 
 def read_lexicon(

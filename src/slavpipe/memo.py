@@ -6,16 +6,18 @@ depends only on a few objects: the model or rules, and the lexicon or closed
 table it consults.
 The memo lives on the model or rules as a private attribute, so it is freed
 with them.  An owner keeps one memo, filled under one *scope*: the tuple of
-the other objects the decision reads.  Scope objects that can change (a
-lexicon, a closed table) carry a ``_version`` counter their mutators bump.
-A call with other scope objects, or after a version has moved, replaces the
-memo with an empty one, so an owner never holds more than one memo and
-never keeps a replaced lexicon alive.  A memo that reaches :data:`CAP`
-entries is cleared, which bounds its memory: a few megabytes for the
-tokenizer and the tagger, about 30 MB for the parser (about 0.9 KB an
-entry).  Values should be tuples of atoms and tuples, which the collector
-stops tracking: a full memo of lists makes every full collection walk each
-of them.
+the other objects the decision reads.  A scope object whose changes alter
+memoised decisions (a lexicon) carries a ``_version`` counter its mutators
+bump.  A closed table has none: the tagger fixes its listed forms before it
+looks at the memo, and decides every other form the same whatever the
+table lists, so adding to a table drops no memo.  A call with other scope
+objects, or after a version has moved, replaces the memo with an empty one,
+so an owner never holds more than one memo and never keeps a replaced
+lexicon alive.  A memo that reaches :data:`CAP` entries is cleared, which
+bounds its memory: a few megabytes for the tokenizer and the tagger, about
+30 MB for the parser (about 0.9 KB an entry).  Values should be tuples of
+atoms and tuples, which the collector stops tracking: a full memo of lists
+makes every full collection walk each of them.
 """
 
 from __future__ import annotations

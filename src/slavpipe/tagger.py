@@ -24,12 +24,7 @@ from .errors import ModelError, TrainingError
 from .evaluate import dev_accuracy
 from .lexicon import Lexicon
 from .memo import memo_table, remember
-from .tokenizer import (
-    CLOSED_CLASS_MISC,
-    ClosedClassTable,
-    closed_class_assign,
-    is_closed_class_fixed,
-)
+from .tokenizer import CLOSED_CLASS_MISC, ClosedClassTable, is_closed_class_fixed
 
 Triple = tuple[str, str, str | None]
 
@@ -169,7 +164,9 @@ def _closed_ok(
     closed_table: ClosedClassTable | None,
 ) -> bool:
     upos, xpos, _ = triple
-    if closed_table is not None and upos in ("PUNCT", "SYM") and form not in closed_table:
+    # tag_in_place fixes every form the table lists before it decides one, so
+    # a decided form is never listed and a table alone refuses PUNCT and SYM
+    if closed_table is not None and upos in ("PUNCT", "SYM"):
         return False
     return lexicon is None or lexicon.closed_class_allows(form, xpos)
 
@@ -225,16 +222,19 @@ def tag_in_place(
 ) -> None:
     """Assign upos/xpos/feats to every single token of ``doc`` itself.
 
-    Closed-class-fixed tokens keep their tags.  When ``language`` is given it
-    must match the language recorded in the model metadata.  The triple of
-    each form is memoised on the model per lexicon and closed table.
+    Closed-class-fixed tokens keep their tags.  A token whose form the
+    closed table lists is fixed by :meth:`ClosedClassEntry.fix`, on the token
+    the document holds.  When ``language`` is given it must match the
+    language recorded in the model metadata.  The triple of each other form
+    is memoised on the model per lexicon and closed table; since listed
+    forms never reach the memo, a form added to the table takes effect at
+    once and drops no memo.
     """
     modelio.check_language("tagger", model.metadata.language, language)
     decided = memo_table(model, (lexicon, closed_table))
     closed = closed_table.entries if closed_table is not None else {}
     for sent in doc.sentences:
-        tokens = sent.tokens
-        for i, tok in enumerate(tokens):
+        for tok in sent.tokens:
             if isinstance(tok.id, tuple):  # a range
                 continue
             misc = tok.misc
@@ -243,7 +243,7 @@ def tag_in_place(
                 continue
             form = tok.form
             if form in closed:
-                tokens[i] = closed_class_assign(tok, closed_table)
+                closed[form].fix(tok)
                 continue
             triple = decided.get(form)
             if triple is None:

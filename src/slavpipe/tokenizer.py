@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .conllu import Document, Sentence, Token, copy_token, misc_set, misc_value
+from .conllu import Document, Sentence, Token, misc_set, misc_value
 from .errors import ConfigurationError, DataError, read_text
 from .memo import memo_table, remember
 
@@ -56,26 +56,28 @@ class ClosedClassEntry:
     lemma: str
     category: str  # "punctuation" or "symbol"
 
+    def fix(self, token: Token) -> None:
+        """Give ``token`` this entry's tags and lemma and mark it fixed in misc,
+        so later stages know not to overwrite them."""
+        token.upos = self.upos
+        token.xpos = self.xpos
+        token.lemma = self.lemma
+        token.misc = misc_set(token.misc, CLOSED_CLASS_MISC, "Yes")
+
 
 class ClosedClassTable:
     """Exact surface forms with fixed tag and lemma assignments."""
 
     def __init__(self, entries: dict[str, ClosedClassEntry] | None = None):
         self.entries = dict(entries or {})
-        self._version = 0  # bumped by every add; see slavpipe.memo
 
     def __contains__(self, form: str) -> bool:
         return form in self.entries
 
-    def get(self, form: str) -> ClosedClassEntry | None:
-        return self.entries.get(form)
-
     def add_punctuation(self, form: str) -> None:
-        self._version += 1
         self.entries[form] = ClosedClassEntry("PUNCT", "Z", form, "punctuation")
 
     def add_symbol(self, form: str) -> None:
-        self._version += 1
         self.entries[form] = ClosedClassEntry("SYM", "X", form, "symbol")
 
 
@@ -157,23 +159,6 @@ def default_rules(language: str) -> TokenizerRules:
         .read_text(encoding="utf-8")
     )
     return parse_rules(text, name=f"{language}.rules")
-
-
-def closed_class_assign(token: Token, table: ClosedClassTable) -> Token:
-    """Fix tag and lemma of a token listed in the closed-class table.
-
-    Fixed tokens are marked in misc so later stages know not to overwrite
-    them; tokens without a table entry come back unchanged.
-    """
-    entry = table.get(token.form)
-    if entry is None:
-        return token
-    fixed = copy_token(token)
-    fixed.upos = entry.upos
-    fixed.xpos = entry.xpos
-    fixed.lemma = entry.lemma
-    fixed.misc = misc_set(token.misc, CLOSED_CLASS_MISC, "Yes")
-    return fixed
 
 
 def is_closed_class_fixed(token: Token) -> bool:
@@ -417,8 +402,6 @@ def _split_internal(core: str) -> list[str]:
 # --- tokenization ----------------------------------------------------------
 
 _SPACE_AFTER_NO = "SpaceAfter=No"
-_FIXED = f"{CLOSED_CLASS_MISC}=Yes"
-_FIXED_NO_SPACE = f"{_SPACE_AFTER_NO}|{_FIXED}"  # misc_set(_SPACE_AFTER_NO, ...)
 
 
 def _scan(
@@ -479,9 +462,10 @@ def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
 
     Sentences receive ``sent_id`` and ``text`` comments; tokens that were not
     followed by whitespace in the source carry ``SpaceAfter=No``.  Forms
-    listed in the closed-class table come out already tagged and marked as
-    fixed, as :func:`closed_class_assign` would mark them.  Empty or
-    whitespace-only input yields a document with zero sentences.
+    listed in the closed-class table come out already tagged and marked
+    ``ClosedClass=Yes`` (after ``SpaceAfter=No`` when both apply) by
+    :meth:`ClosedClassEntry.fix`.  Empty or whitespace-only input yields a
+    document with zero sentences.
     """
     forms, spaced = _scan(text, mode, rules)
     closed = rules.closed_class.entries
@@ -497,14 +481,11 @@ def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
             else:
                 surface.append(form)
                 misc = _SPACE_AFTER_NO
+            tok = Token(ti, form, None, None, None, None, None, None, None, misc)
             entry = closed.get(form)
-            if entry is None:
-                tokens.append(Token(ti, form, None, None, None, None, None, None, None, misc))
-            else:
-                tokens.append(Token(
-                    ti, form, entry.lemma, entry.upos, entry.xpos, None, None, None, None,
-                    _FIXED if misc is None else _FIXED_NO_SPACE,
-                ))
+            if entry is not None:
+                entry.fix(tok)
+            tokens.append(tok)
         text_line = "".join(surface)
         if spaced[end - 1]:
             text_line = text_line[:-1]

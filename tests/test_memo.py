@@ -5,6 +5,7 @@ fresh pipeline, after a mutation of the lexicon or closed table it depends
 on, and with the memo capped at a few entries.
 """
 
+import dataclasses
 import gc
 import platform
 import random
@@ -143,7 +144,7 @@ def test_lexicon_add_admits_a_closed_class_tag(tagger_model):
     assert _tags(after)[:2] == ("ADP", "Sl")
 
 
-def test_closed_table_add_drops_the_tagger_memo(tagger_model):
+def test_closed_table_add_takes_effect_at_once(tagger_model):
     table = ClosedClassTable()
     table.add_punctuation(".")
     before = tag_document(_one_token("ŋŋŋ"), tagger_model, closed_table=table)
@@ -151,6 +152,46 @@ def test_closed_table_add_drops_the_tagger_memo(tagger_model):
     table.add_punctuation("ŋŋŋ")
     after = tag_document(_one_token("ŋŋŋ"), tagger_model, closed_table=table)
     assert _tags(after)[:2] == ("PUNCT", "Z")
+
+
+# forms the training corpus tags as words, the one it tags PUNCT, and unseen
+# forms whose suffix backoff or default triple (PUNCT here) decides them
+CLOSED_CANDIDATES = ("na", "in", "naj", "tusesae", ".", ",", "€", "%", "-", "ŋŋŋ", "xyz")
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    sentences=st.lists(
+        st.lists(st.sampled_from(CLOSED_CANDIDATES), min_size=1, max_size=8),
+        min_size=1, max_size=3,
+    ),
+    listed=st.sets(st.sampled_from(CLOSED_CANDIDATES)),
+    added=st.lists(st.tuples(st.sampled_from(CLOSED_CANDIDATES), st.booleans()), min_size=1),
+    with_lexicon=st.booleans(),
+)
+def test_growing_a_closed_table_tags_as_a_cold_model_does(
+    tagger_model, synthetic_lexicon, sentences, listed, added, with_lexicon
+):
+    doc = Document(sentences=[
+        Sentence(comments=[], tokens=[Token(id=i, form=f) for i, f in enumerate(forms, 1)])
+        for forms in sentences
+    ])
+    lexicon = synthetic_lexicon if with_lexicon else None
+    table = ClosedClassTable()
+    for form in sorted(listed):
+        table.add_punctuation(form)
+    tag_document(doc, tagger_model, lexicon=lexicon, closed_table=table)  # warm
+    for form, symbol in added:  # forms decided above too
+        (table.add_symbol if symbol else table.add_punctuation)(form)
+    warm = tag_document(doc, tagger_model, lexicon=lexicon, closed_table=table)
+    cold_model = dataclasses.replace(tagger_model)  # the same sections, no memo
+    assert "_memo" not in vars(cold_model)
+    cold = tag_document(doc, cold_model, lexicon=lexicon, closed_table=table)
+    assert serialize_document(warm) == serialize_document(cold)
 
 
 def test_tagger_memo_is_kept_per_closed_table(tagger_model):

@@ -11,6 +11,7 @@ from slavpipe.tagger import (
     load_tagger,
     save_tagger,
     tag_document,
+    tag_in_place,
     train_tagger,
 )
 from slavpipe.tokenizer import ClosedClassTable
@@ -108,6 +109,20 @@ def test_closed_table_pins_punctuation(model):
     tagged = tag_document(one_token_doc("."), model, closed_table=table)
     tok = tagged.sentences[0].tokens[0]
     assert (tok.upos, tok.xpos, tok.lemma) == ("PUNCT", "Z", ".")
+
+
+def test_tag_in_place_fixes_the_tokens_the_document_holds(model):
+    table = ClosedClassTable()
+    table.add_punctuation(".")
+    doc = Document(sentences=[Sentence(
+        comments=[], tokens=[Token(id=1, form="ŋŋŋ", misc="SpaceAfter=No"), Token(id=2, form=".")]
+    )])
+    held = doc.single_tokens()
+    tag_in_place(doc, model, closed_table=table)
+    assert all(mine is its for mine, its in zip(held, doc.single_tokens(), strict=True))
+    word, dot = held
+    assert word.upos not in (None, "PUNCT", "SYM")
+    assert (dot.upos, dot.xpos, dot.lemma, dot.misc) == ("PUNCT", "Z", ".", "ClosedClass=Yes")
 
 
 def test_closed_table_blocks_punct_for_words(model):

@@ -6,18 +6,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slavpipe.cli import main
-from slavpipe.conllu import document_text, parse_document, sentence_text, validate_document
+from slavpipe.conllu import (
+    Token,
+    document_text,
+    parse_document,
+    sentence_text,
+    validate_document,
+)
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
     _SPECIAL_RES,
     _SPECIAL_TRIM,
     TERMINAL_CHARS,
+    ClosedClassEntry,
     TokenizerMode,
     _is_terminal_form,
     _may_hold_special,
     _Specials,
     _split_chunk,
-    closed_class_assign,
     default_rules,
     is_closed_class_fixed,
     parse_rules,
@@ -125,6 +131,15 @@ def test_closed_class_punctuation_tagged(sl_rules):
     assert is_closed_class_fixed(dot)
 
 
+def test_closed_class_mark_follows_space_after(sl_rules):
+    doc = tokenize("(Danes) dežuje.", TokenizerMode.STANDARD, sl_rules)
+    misc = [t.misc for t in doc.sentences[0].tokens]
+    assert misc == [
+        "SpaceAfter=No|ClosedClass=Yes", "SpaceAfter=No", "ClosedClass=Yes",
+        "SpaceAfter=No", "ClosedClass=Yes",
+    ]
+
+
 def test_closed_class_symbol_tagged(sl_rules):
     doc = tokenize("Cena je 10 €.", TokenizerMode.STANDARD, sl_rules)
     flat = {t.form: t for s in doc.sentences for t in s.tokens}
@@ -132,11 +147,17 @@ def test_closed_class_symbol_tagged(sl_rules):
     assert is_closed_class_fixed(flat["€"])
 
 
-def test_closed_class_assign_leaves_unknown_forms(sl_rules):
-    from slavpipe.conllu import Token
-
-    tok = Token(id=1, form="beseda")
-    assert closed_class_assign(tok, sl_rules.closed_class) is tok
+def test_closed_class_fix_marks_the_token_in_place():
+    tok = Token(id=3, form=".", feats="X=Y", head=2, deprel="punct", misc="SpaceAfter=No")
+    entry = ClosedClassEntry("PUNCT", "Z", ".", "punctuation")
+    entry.fix(tok)
+    want = Token(
+        id=3, form=".", lemma=".", upos="PUNCT", xpos="Z", feats="X=Y", head=2,
+        deprel="punct", misc="SpaceAfter=No|ClosedClass=Yes",
+    )
+    assert tok == want
+    entry.fix(tok)
+    assert tok == want
 
 
 def test_empty_input_gives_empty_document(sl_rules):
@@ -160,15 +181,15 @@ def test_rules_parser_sections():
     )
     assert "dr." in rules.abbreviations
     assert ":)" in rules.emoticons
-    assert rules.closed_class.get(".") is not None
-    assert rules.closed_class.get("€").upos == "SYM"
+    assert "." in rules.closed_class.entries
+    assert rules.closed_class.entries["€"].upos == "SYM"
 
 
 def test_every_shipped_language_has_rules():
     for lang in ("sl", "hr", "sr", "bg", "mk"):
         rules = default_rules(lang)
         assert rules.abbreviations
-        assert rules.closed_class.get(".") is not None
+        assert "." in rules.closed_class.entries
 
 
 # --- fast rejects -----------------------------------------------------------
