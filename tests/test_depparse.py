@@ -325,6 +325,15 @@ UD_ARCHIVE_SHA256 = "04a67f903bc07a4b08077f5b4e5cadcf6c5a7c5a30639a298ccc7bad951
 UD_PARSE_SHA256 = "29f1d14729a07a33c018aa6c482889a669a30ef6115a218a30c8e9fefa704bc8"
 JOS_ARCHIVE_SHA256 = "b8246a8b3bbf15de82f7acd8cf33983f2f8408c13d518e6be9cb77f138b2443a"
 JOS_PARSE_SHA256 = "5d89605af13d436148dbf8a3019e820bc84c8ff5d72aea9e5f9492600e418033"
+# the archives of the same runs at other epoch counts
+UD_ARCHIVE_SHA256_BY_EPOCHS = {
+    1: "0bc170bc41acb2adce94c4eb2032221f00a68a355f00796129131322e0b81c88",
+    8: "c8fa9c2dedd1a8d6c6f0c16ee7df09cf5e335da1dc3232aade990377aa322689",
+}
+JOS_ARCHIVE_SHA256_BY_EPOCHS = {
+    1: "b719b145c5bfb775aa76d5a358588288d06273b523df7dbb6ef8925ce99dc12e",
+    8: "2bf51ee2082fcbb031830214ad8c2d8273ccc9d2acf8146567dcd8f8e44e5ac3",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -354,6 +363,27 @@ def test_golden_archive_and_parse(
     for parser in (model, load_parser(path)):
         out = serialize_document(parse_dependency(dev, parser))
         assert _sha256(out.encode("utf-8")) == parse_sha
+
+
+@pytest.mark.parametrize(
+    "schema, epochs, archive_sha",
+    [
+        *((TreeSchema.UD, e, sha) for e, sha in UD_ARCHIVE_SHA256_BY_EPOCHS.items()),
+        *((TreeSchema.JOS, e, sha) for e, sha in JOS_ARCHIVE_SHA256_BY_EPOCHS.items()),
+    ],
+    ids=["ud-1", "ud-8", "jos-1", "jos-8"],
+)
+def test_golden_archive_at_other_epoch_counts(
+    tmp_path, train_doc, multi_root_doc, schema, epochs, archive_sha
+):
+    if schema is TreeSchema.UD:
+        train = train_doc
+    else:
+        train = Document(sentences=train_doc.sentences[:60] + multi_root_doc.sentences * 10)
+    model = train_parser(train, schema, language="sl", seed=13, epochs=epochs)
+    path = tmp_path / "parser.slm"
+    save_parser(model, path)
+    assert _sha256(path.read_bytes()) == archive_sha
 
 
 @pytest.mark.parametrize("cap", [memo.CAP, 4], ids=["cap", "cap4"])
