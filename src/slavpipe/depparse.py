@@ -18,22 +18,37 @@ its rows as s1, as first buffer token and as second.  Only the six pair
 features are looked up per transition.  Each score is still the same
 sequence of float additions in feature order, so a warm, cold or capped memo
 gives the same parses.
+
+Training builds each sentence's static-oracle transcript once and replays it
+every epoch: per configuration 16 interned feature ids, the kind of its valid
+action list and its gold action, 18 unsigned 32-bit items or 72 bytes.  Every
+training weight is a sum of ±1, so every score and lazy-averaging total
+(``w·T − Σ δ·t``) is a whole number, exact in any order of addition: each
+feature's row is one int with a 64-bit field per action, and a configuration's
+scores are one sum of ints.  Averaged weights are not whole numbers, so
+decoding keeps floats and their fixed order of additions.
 """
 
 from __future__ import annotations
 
 import enum
 import random
+import struct
 from dataclasses import asdict, dataclass, field
 
 from . import modelio
 from .conllu import Document, Sentence, Token, copy_document
-from .errors import ModelError, StageError, TrainingError
+from .errors import ConfigurationError, ModelError, StageError, TrainingError
 from .memo import memo_table, remember
 
 ROOT = 0
 _NONE = "<none>"
 _BIAS = ("bias",)
+_FEATURES = 16  # per configuration: bias, s0 ×3, s1 ×3, b0 ×2, b1u, 6 pairs
+_CONFIGURATION = struct.Struct(f"{_FEATURES + 2}I")  # then its valid kind and gold action
+# the width of a packed training weight; the codes of those wide enough for a score
+_FIELD_BITS = 64
+_FIELD_CODES = {16: "H", 32: "I", 64: "Q"}
 
 
 class TreeSchema(enum.Enum):
@@ -279,44 +294,49 @@ def _apply(
 
 
 class _AveragedPerceptron:
-    def __init__(self) -> None:
-        self.weights: dict[str, dict[int, float]] = {}
-        self._totals: dict[tuple[str, int], float] = {}
-        self._stamps: dict[tuple[str, int], int] = {}
+    """Training weights by feature id, each row one int holding a
+    ``_FIELD_BITS``-bit field per action (a negative one borrows from the
+    next); ``sums`` packs each field's Σ δ·step.  ``_base`` holds half the field range in every
+    field, so the bytes of ``row + _base`` hold each field plus that half."""
+
+    def __init__(self, features: int, actions: int) -> None:
+        self.rows = [0] * features
+        self.sums = [0] * features
         self.step = 0
+        self._unit = [1 << (a * _FIELD_BITS) for a in range(actions)]
+        self._half = 1 << (_FIELD_BITS - 1)
+        self._base = self._half * sum(self._unit)
+        self._fields = struct.Struct(f"<{actions}{_FIELD_CODES[_FIELD_BITS]}")
 
-    def _bump(self, feat: str, action: int, delta: float) -> None:
-        row = self.weights.setdefault(feat, {})
-        key = (feat, action)
-        current = row.get(action, 0.0)
-        self._totals[key] = self._totals.get(key, 0.0) + current * (
-            self.step - self._stamps.get(key, 0)
-        )
-        self._stamps[key] = self.step
-        row[action] = current + delta
+    def _unpack(self, packed: int) -> tuple[int, ...]:
+        return self._fields.unpack((packed + self._base).to_bytes(self._fields.size, "little"))
 
-    def update(self, feats: tuple[str, ...], gold: int, predicted: int) -> None:
+    def predict(self, feats, valid: list[int]) -> int:
+        """The best-scoring action of ``valid`` (ascending), the first on a tie."""
+        if len(valid) == 1:  # a forced move needs no scores
+            return valid[0]
+        scores = self._unpack(sum(map(self.rows.__getitem__, feats)))
+        return max(valid, key=scores.__getitem__)
+
+    def update(self, feats, gold: int, predicted: int) -> None:
         self.step += 1
-        if gold == predicted:
-            return
-        for feat in feats:
-            self._bump(feat, gold, 1.0)
-            self._bump(feat, predicted, -1.0)
+        if gold != predicted:
+            delta = self._unit[gold] - self._unit[predicted]
+            timed = delta * self.step
+            for feat in feats:
+                self.rows[feat] += delta
+                self.sums[feat] += timed
 
-    def averaged(self, names: list[str]) -> dict[str, dict[str, float]]:
-        """Averaged weights, with action indices mapped back to ``names``."""
-        if self.step == 0:
-            return {}
+    def averaged(self, features: list[str], names: list[str]) -> dict[str, dict[str, float]]:
+        """Averaged weights of ``features`` (by id), actions mapped back to ``names``."""
+        step, half = self.step, self._half
         out: dict[str, dict[str, float]] = {}
-        for feat, row in self.weights.items():
-            for action, weight in row.items():
-                key = (feat, action)
-                total = self._totals.get(key, 0.0) + weight * (
-                    self.step - self._stamps.get(key, 0)
-                )
-                avg = total / self.step
+        for feat, row, timed in zip(features, self.rows, self.sums):
+            if row or timed:
+                totals = self._unpack(row * step - timed)
+                avg = {names[a]: (t - half) / step for a, t in enumerate(totals) if t != half}
                 if avg:
-                    out.setdefault(feat, {})[names[action]] = avg
+                    out[feat] = avg
         return out
 
 
@@ -334,7 +354,10 @@ def train_parser(
     that does not aborts training with an error naming the sentence.  Data
     without an arc between two tokens, or without one onto the root, is
     refused too: a model without either label set cannot parse every sentence.
+    So is a run of fewer than one epoch, or one too long for the weight fields.
     """
+    if epochs < 1:
+        raise ConfigurationError(f"parser training needs at least one epoch, got {epochs}")
     sentences = [s for s in train.sentences if s.single_tokens()]
     if not sentences:
         raise TrainingError("parser training data contains no sentences")
@@ -359,17 +382,30 @@ def train_parser(
             "onto the root"
         )
     actions = _Actions(dep_labels, root_labels, schema)
+    transcripts, features, valid_sets = _transcripts(sentences, actions, dep_labels, root_labels)
+    stride = _FEATURES + 2
+    transitions = sum(map(len, transcripts)) // stride
+    # every field stays below half its range: a Σ δ·step below steps², a score below 16·steps
+    if (epochs * transitions) ** 2 >= 1 << (_FIELD_BITS - 1):
+        raise TrainingError(
+            f"{epochs} epochs of {transitions} transitions overflow the parser's "
+            f"{_FIELD_BITS}-bit weight fields"
+        )
 
-    perceptron = _AveragedPerceptron()
+    perceptron = _AveragedPerceptron(len(features), len(actions.names))
     rng = random.Random(seed)
     indices = list(range(len(sentences)))
     for _ in range(epochs):
         rng.shuffle(indices)
         for idx in indices:
-            _train_sentence(perceptron, sentences[idx], actions, dep_labels, root_labels)
+            transcript = transcripts[idx]
+            for at in range(0, len(transcript), stride):
+                feats = transcript[at : at + _FEATURES]
+                kind, gold = transcript[at + _FEATURES : at + stride]
+                perceptron.update(feats, gold, perceptron.predict(feats, valid_sets[kind]))
 
     return ParserModel(
-        weights=perceptron.averaged(actions.names),
+        weights=perceptron.averaged(features, actions.names),
         dep_labels=dep_labels,
         root_labels=root_labels,
         schema=schema,
@@ -383,81 +419,63 @@ def train_parser(
     )
 
 
-def _train_sentence(
-    perceptron: _AveragedPerceptron,
-    sentence: Sentence,
-    actions: _Actions,
-    dep_labels: list[str],
-    root_labels: list[str],
-) -> None:
-    ctx = _Context(sentence.single_tokens())
-    n = ctx.n
-    unary = [_unary(values) for values in ctx.values]
-    s0_feats = [_BIAS + u[0] for u in unary]
-    s1_feats = [u[1] for u in unary]
-    buffer_feats = [u[2] + after[3] for u, after in zip(unary[1:], unary[2:])]
-    position = {t.id: p for p, t in enumerate(ctx.tokens, 1)}
-    position[ROOT] = ROOT
-    gold_head = [None] + [position[t.head] for t in ctx.tokens]
-    gold_label = [None] + [t.deprel for t in ctx.tokens]
-    pending = [0] * (n + 1)
-    for head in gold_head[1:]:
-        pending[head] += 1
+def _transcripts(
+    sentences: list[Sentence], actions: _Actions, dep_labels: list[str], root_labels: list[str]
+) -> tuple[list[memoryview], list[str], list[list[int]]]:
+    """Each sentence's static-oracle configurations as ``_CONFIGURATION`` items
+    (feature ids in scoring order, the kind of the valid action list, the gold
+    action), the feature strings by id and the valid action lists by kind."""
+    ids: dict[str, int] = {}
+    valid_sets = [valid for row in actions._valid for valid in row]
+    kinds = {id(valid): kind for kind, valid in enumerate(valid_sets)}
 
-    weights = perceptron.weights
-    stack = [ROOT]
-    pos = 0
-    heads: dict[int, int] = {}
-    labels: dict[int, str] = {}
-    while len(stack) > 1 or pos < n:
-        gold = _oracle(
-            stack, pos, n, gold_head, gold_label, pending, actions, dep_labels, root_labels
-        )
-        s0 = stack[-1]
-        s1 = stack[-2] if len(stack) > 1 else ctx.none
-        feats = s0_feats[s0] + s1_feats[s1] + buffer_feats[pos] + ctx.pairs(s0, s1, pos)
-        valid = actions.valid(stack, pos < n)
-        predicted = valid[0]
-        if len(valid) > 1:  # a forced move needs no scores
-            scores = [0.0] * len(actions.names)
-            _add_rows(scores, map(dict.items, _found(weights, feats)))
-            predicted = max(valid, key=scores.__getitem__)
-        perceptron.update(feats, gold, predicted)
-        pos += _apply(actions.moves[gold], stack, pos, heads, labels)
+    def intern(feats) -> list[int]:
+        return [ids.setdefault(feat, len(ids)) for feat in feats]
 
+    transcripts = []
+    for sentence in sentences:
+        ctx = _Context(sentence.single_tokens())
+        n = ctx.n
+        unary = [_unary(values) for values in ctx.values]
+        s0_feats = [intern(_BIAS + u[0]) for u in unary]
+        s1_feats = [intern(u[1]) for u in unary]
+        buffer_feats = [intern(u[2] + after[3]) for u, after in zip(unary[1:], unary[2:])]
+        position = {t.id: p for p, t in enumerate(ctx.tokens, 1)}
+        position[ROOT] = ROOT
+        gold_head = [None] + [position[t.head] for t in ctx.tokens]
+        gold_label = [None] + [t.deprel for t in ctx.tokens]
+        pending = [0] * (n + 1)
+        for head in gold_head[1:]:
+            pending[head] += 1
 
-def _oracle(
-    stack: list[int],
-    pos: int,
-    n: int,
-    gold_head: list[int | None],
-    gold_label: list[str | None],
-    pending: list[int],
-    actions: _Actions,
-    dep_labels: list[str],
-    root_labels: list[str],
-) -> int:
-    if len(stack) >= 2:
-        s1, s2 = stack[-1], stack[-2]
-        if s2 != ROOT and gold_head[s2] == s1 and pending[s2] == 0:
-            pending[s1] -= 1
-            return actions.left[gold_label[s2]]
-        if gold_head[s1] == s2 and pending[s1] == 0:
-            pending[s2] -= 1
-            return actions.right[gold_label[s1]]
-    if pos < n:
-        return actions.shift
-    # gold tree is not reachable (non-projective); force a right-arc so the
-    # transition sequence still terminates
-    s1, s2 = stack[-1], stack[-2]
-    label = gold_label[s1]
-    if s2 == ROOT:
-        if label not in root_labels:
-            label = root_labels[0]
-    elif label not in dep_labels:
-        label = dep_labels[0]
-    pending[s2] -= 1
-    return actions.right[label]
+        out = bytearray()
+        stack = [ROOT]
+        pos = 0
+        while len(stack) > 1 or pos < n:
+            s0 = stack[-1]
+            s1 = stack[-2] if len(stack) > 1 else ctx.none
+            # the oracle pops a dependent once it has all of its own dependents
+            if len(stack) > 1 and s1 != ROOT and gold_head[s1] == s0 and not pending[s1]:
+                gold = actions.left[gold_label[s1]]
+                pending[s0] -= 1
+            elif len(stack) > 1 and gold_head[s0] == s1 and not pending[s0]:
+                gold = actions.right[gold_label[s0]]
+                pending[s1] -= 1
+            elif pos < n:
+                gold = actions.shift
+            else:
+                # the gold tree is not reachable (non-projective); force a
+                # right-arc so the transition sequence still terminates
+                known = root_labels if s1 == ROOT else dep_labels
+                gold = actions.right[gold_label[s0] if gold_label[s0] in known else known[0]]
+                pending[s1] -= 1
+            out += _CONFIGURATION.pack(
+                *s0_feats[s0], *s1_feats[s1], *buffer_feats[pos], *intern(ctx.pairs(s0, s1, pos)),
+                kinds[id(actions.valid(stack, pos < n))], gold,
+            )
+            pos += _apply(actions.moves[gold], stack, pos, {}, {})  # the arcs are gold
+        transcripts.append(memoryview(out).cast("I"))
+    return transcripts, list(ids), valid_sets
 
 
 def _entry(model: ParserModel, values: tuple[str, str, str]) -> tuple:

@@ -54,7 +54,6 @@ class ClosedClassEntry:
     upos: str
     xpos: str
     lemma: str
-    category: str  # "punctuation" or "symbol"
 
     def fix(self, token: Token) -> None:
         """Give ``token`` this entry's tags and lemma and mark it fixed in misc,
@@ -75,10 +74,10 @@ class ClosedClassTable:
         return form in self.entries
 
     def add_punctuation(self, form: str) -> None:
-        self.entries[form] = ClosedClassEntry("PUNCT", "Z", form, "punctuation")
+        self.entries[form] = ClosedClassEntry("PUNCT", "Z", form)
 
     def add_symbol(self, form: str) -> None:
-        self.entries[form] = ClosedClassEntry("SYM", "X", form, "symbol")
+        self.entries[form] = ClosedClassEntry("SYM", "X", form)
 
 
 @dataclass

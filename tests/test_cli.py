@@ -617,6 +617,19 @@ def test_train_parser_without_an_arc_between_tokens_is_model_error(tmp_path, dev
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.conllu", "train.conllu"]
 
 
+@pytest.mark.parametrize("epochs", ["0", "-3"])
+def test_train_parser_refuses_fewer_than_one_epoch(tmp_path, train_doc, capsys, epochs):
+    train_f = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    code = main([
+        "train", "parser", "--lang", "sl", "--train", str(train_f),
+        "--model-out", str(tmp_path / "m.slm"), "--epochs", epochs,
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"configuration error: parser training needs at least one epoch, got {epochs}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.conllu"]
+
+
 # --- evaluate ---------------------------------------------------------------
 
 

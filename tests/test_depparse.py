@@ -1,20 +1,23 @@
 import hashlib
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from slavpipe import memo, modelio
+from slavpipe import depparse, memo, modelio
 from slavpipe.conllu import Document, Sentence, Token, copy_document, serialize_document
 from slavpipe.depparse import (
     ParserModel,
     TreeSchema,
+    _AveragedPerceptron,
     load_parser,
     parse_dependency,
     save_parser,
     train_parser,
     validate_tree,
 )
-from slavpipe.errors import ModelError, StageError, TrainingError
+from slavpipe.errors import ConfigurationError, ModelError, StageError, TrainingError
 
 from support import make_corpus
 
@@ -204,6 +207,107 @@ def test_training_rejects_data_without_an_arc_between_tokens(schema):
     one_token = Document(sentences=[sentence([(0, "root")]) for _ in range(3)])
     with pytest.raises(TrainingError, match="an arc between two tokens"):
         train_parser(one_token, schema, epochs=1)
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_training_refuses_fewer_than_one_epoch(train_doc, epochs):
+    message = f"^parser training needs at least one epoch, got {epochs}$"
+    with pytest.raises(ConfigurationError, match=message):
+        train_parser(train_doc, TreeSchema.UD, epochs=epochs)
+
+
+def test_training_refuses_a_run_too_long_for_the_weight_fields(monkeypatch):
+    # arc-standard takes 2n transitions for n tokens, so an epoch over three
+    # five-token sentences is 30; b-bit fields hold runs with steps² < 2**(b - 1)
+    arcs = [(2, "a"), (0, "root"), (2, "b"), (5, "a"), (3, "b")]
+    doc = Document(sentences=[sentence(arcs) for _ in range(3)])
+    wide = train_parser(doc, TreeSchema.UD, epochs=6)
+    monkeypatch.setattr(depparse, "_FIELD_BITS", 16)
+    fits = math.isqrt((1 << 15) - 1) // 30
+    assert fits == 6
+    assert train_parser(doc, TreeSchema.UD, epochs=fits).weights == wide.weights
+    message = "^7 epochs of 30 transitions overflow the parser's 16-bit weight fields$"
+    with pytest.raises(TrainingError, match=message):
+        train_parser(doc, TreeSchema.UD, epochs=fits + 1)
+
+
+class FloatPerceptron:
+    """The reference for the packed perceptron: one float per (feature,
+    action), averaged lazily through a running total and the step of the
+    entry's last change."""
+
+    def __init__(self):
+        self.weights = {}
+        self.totals = {}
+        self.stamps = {}
+        self.step = 0
+
+    def bump(self, feat, action, delta):
+        row = self.weights.setdefault(feat, {})
+        key = (feat, action)
+        current = row.get(action, 0.0)
+        self.totals[key] = self.totals.get(key, 0.0) + current * (
+            self.step - self.stamps.get(key, 0)
+        )
+        self.stamps[key] = self.step
+        row[action] = current + delta
+
+    def predict(self, feats, valid, actions):
+        scores = [0.0] * actions
+        for feat in feats:
+            for action, weight in self.weights.get(feat, {}).items():
+                scores[action] += weight
+        return max(valid, key=scores.__getitem__)
+
+    def update(self, feats, gold, predicted):
+        self.step += 1
+        if gold != predicted:
+            for feat in feats:
+                self.bump(feat, gold, 1.0)
+                self.bump(feat, predicted, -1.0)
+
+    def averaged(self, features, names):
+        out = {}
+        for feat, row in self.weights.items():
+            for action, weight in row.items():
+                key = (feat, action)
+                total = self.totals.get(key, 0.0) + weight * (
+                    self.step - self.stamps.get(key, 0)
+                )
+                if total:
+                    out.setdefault(features[feat], {})[names[action]] = total / self.step
+        return out
+
+
+@st.composite
+def update_runs(draw):
+    """A perceptron size and a run of (feats, valid, gold, predicted) updates."""
+    features = draw(st.integers(1, 8))
+    actions = draw(st.integers(1, 6))
+    action = st.integers(0, actions - 1)
+    step = st.tuples(
+        st.lists(st.integers(0, features - 1), min_size=1, max_size=5, unique=True),
+        st.lists(action, min_size=1, max_size=actions, unique=True).map(sorted),
+        action,
+        action,
+    )
+    return features, actions, draw(st.lists(step, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(update_runs())
+def test_packed_perceptron_matches_the_float_reference(run):
+    features, actions, steps = run
+    packed, reference = _AveragedPerceptron(features, actions), FloatPerceptron()
+    for feats, valid, gold, predicted in steps:
+        assert packed.predict(feats, valid) == reference.predict(feats, valid, actions)
+        packed.update(feats, gold, predicted)
+        reference.update(feats, gold, predicted)
+    feature_names = [f"f{i}" for i in range(features)]
+    action_names = [f"a{i}" for i in range(actions)]
+    assert packed.averaged(feature_names, action_names) == reference.averaged(
+        feature_names, action_names
+    )
 
 
 def test_training_is_deterministic(train_doc, trained):

@@ -149,7 +149,7 @@ def test_closed_class_symbol_tagged(sl_rules):
 
 def test_closed_class_fix_marks_the_token_in_place():
     tok = Token(id=3, form=".", feats="X=Y", head=2, deprel="punct", misc="SpaceAfter=No")
-    entry = ClosedClassEntry("PUNCT", "Z", ".", "punctuation")
+    entry = ClosedClassEntry("PUNCT", "Z", ".")
     entry.fix(tok)
     want = Token(
         id=3, form=".", lemma=".", upos="PUNCT", xpos="Z", feats="X=Y", head=2,
