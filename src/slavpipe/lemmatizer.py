@@ -209,11 +209,20 @@ def save_lemmatizer(model: LemmatizerModel, path) -> None:
         ],
     }
     if model.lexicon is not None:
-        sections["lexicon"] = {
-            "rows": model.lexicon.to_rows(),
-            "prefixes": model.lexicon.prefix_table,
-        }
+        sections["lexicon"] = _lexicon_section(model.lexicon)
     modelio.write_archive(path, "lemmatizer", asdict(model.metadata), sections)
+
+
+def _lexicon_section(lexicon: Lexicon) -> dict[str, object]:
+    return {"rows": lexicon.to_rows(), "prefixes": lexicon.prefix_table}
+
+
+def _embedded(payload: bytes, lexicon: Lexicon) -> bool:
+    """Whether ``payload`` is the section :func:`save_lemmatizer` writes for ``lexicon``."""
+    try:
+        return payload == modelio._dumps(_lexicon_section(lexicon))
+    except (TypeError, ValueError):  # not encodable, so never written
+        return False
 
 
 def _lookup_entry(row) -> tuple[tuple[str, str], str]:
@@ -238,18 +247,19 @@ def _rule(row) -> SuffixRule:
 def load_lemmatizer(path, lexicon: Lexicon | None = None) -> LemmatizerModel:
     """Read a lemmatizer archive; a malformed one is a :class:`ModelError`.
 
-    ``lexicon`` serves a model whose archive embeds none, and is also the
-    model's lexicon when the embedded one has exactly its rows and prefix
-    table (:meth:`Lexicon.matches_rows`), so that one object is built and
-    kept instead of two equal ones.  Any other embedded lexicon is built
-    from its rows.
+    ``lexicon`` serves a model whose archive embeds none, and is the model's
+    lexicon, kept instead of an equal copy, when the embedded section's bytes
+    are those :func:`save_lemmatizer` writes for it; that section is then
+    never decoded.  Any other embedded lexicon is decoded and built from its rows.
     """
-    meta, sections = modelio.read_archive(path, "lemmatizer")
+    meta, sections = modelio._read_archive(path, "lemmatizer", raw=("lexicon",))
+    payload = sections.pop("lexicon", None)
+    if payload is not None and (lexicon is None or not _embedded(payload, lexicon)):
+        sections["lexicon"] = modelio.decode_payload(path, payload)
     try:
         if "lexicon" in sections:
             rows, prefixes = sections["lexicon"]["rows"], sections["lexicon"]["prefixes"]
-            if lexicon is None or not lexicon.matches_rows(rows, prefixes):
-                lexicon = Lexicon.from_rows(rows, prefixes)
+            lexicon = Lexicon.from_rows(rows, prefixes)
         model = LemmatizerModel(
             lookup=dict(map(_lookup_entry, sections["lookup"])),
             rules=[_rule(row) for row in sections["rules"]],

@@ -9,8 +9,12 @@ a candidate tag).  Closed classes are recognized through a
 per-language table of tag prefixes following the MULTEXT-East convention of
 encoding the coarse part of speech in the first characters of the tag: a
 form belongs to a closed class when one of its listed tags, or one of its
-lowercase form's, starts with the class prefix.  TSV lexicons may use LF
-or CRLF line ends.
+lowercase form's, starts with the class prefix.  A line of a TSV lexicon
+ends at LF, or at CRLF, which is read as LF.
+
+The index maps a form to a flat tuple ``(xpos, lemma, frequency, xpos, ...)``
+ascending by (xpos, lemma); equal xpos and lemma strings added together are
+one object (66,281 rows take about 100 bytes each, form strings included).
 """
 
 from __future__ import annotations
@@ -45,14 +49,14 @@ class LexiconEntry:
 
 class Lexicon:
     def __init__(self, prefix_table: dict[str, str] | None = None):
-        self._index: dict[str, dict[tuple[str, str], int]] = {}
+        self._index: dict[str, tuple] = {}
         self.prefix_table = dict(
             DEFAULT_CLOSED_CLASS_PREFIXES if prefix_table is None else prefix_table
         )
         self._version = 0  # bumped by every add; see slavpipe.memo
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._index.values())
+        return sum(map(len, self._index.values())) // 3
 
     @property
     def form_count(self) -> int:
@@ -66,49 +70,46 @@ class Lexicon:
     def _fill(self, rows) -> None:
         """Add (form, lemma, xpos, frequency) rows without a version bump."""
         index = self._index
+        shared: dict[str, str] = {}  # one object for equal xpos and lemma strings
         for form, lemma, xpos, frequency in rows:
-            slot = index.setdefault(form, {})
-            key = (xpos, lemma)
-            slot[key] = slot.get(key, 0) + frequency
+            # 0 + frequency, as in a sum: a bool becomes an int, -0.0 becomes 0.0
+            entry = (shared.setdefault(xpos, xpos), shared.setdefault(lemma, lemma), 0 + frequency)
+            slot = index.setdefault(form, entry)
+            if slot is not entry:
+                index[form] = slot + entry if slot[-3:-1] < entry[:2] else _inserted(slot, entry)
 
-    def _slot(self, form: str) -> dict[tuple[str, str], int]:
-        if form in self._index:
-            return self._index[form]
-        return self._index.get(form.lower(), {})
+    def _slot(self, form: str) -> tuple:
+        return self._index.get(form) or self._index.get(form.lower(), ())
 
     def entries(self, form: str) -> list[LexiconEntry]:
         """Entries for a form, exact match preferred over lowercased."""
-        return [
-            LexiconEntry(xpos, lemma, freq)
-            for (xpos, lemma), freq in sorted(self._slot(form).items())
-        ]
+        slot = self._slot(form)
+        return [LexiconEntry(*slot[i : i + 3]) for i in range(0, len(slot), 3)]
 
     def allowed_tags(self, form: str) -> set[str]:
-        return {xpos for xpos, _ in self._slot(form)}
+        return set(self._slot(form)[::3])
 
     def lookup_lemma(self, form: str, xpos: str) -> str | None:
         """Lemma for (form, xpos): highest frequency wins, ties go to the
         lexicographically smallest lemma.  Absent exactly when
         :meth:`allowed_tags` does not contain ``xpos``."""
-        best_freq = best = None
-        for (tag, lemma), freq in self._slot(form).items():
-            if tag == xpos and (
-                best is None or freq > best_freq or (freq == best_freq and lemma < best)
-            ):
-                best_freq, best = freq, lemma
-        return best
+        slot = self._slot(form)
+        best = None  # lemmas ascend within a tag: the first of equal frequencies wins
+        for i in range(0, len(slot), 3):
+            if slot[i] == xpos and (best is None or slot[i + 2] > slot[best + 2]):
+                best = i
+        return None if best is None else slot[best + 1]
 
     def most_frequent_tag(self, form: str) -> str | None:
-        tags = [(freq, xpos) for (xpos, _), freq in self._slot(form).items()]
-        if not tags:
-            return None
-        best_freq = max(f for f, _ in tags)
-        return min(x for f, x in tags if f == best_freq)
+        """The tag of the highest frequency, the smallest one on a tie."""
+        slot = self._slot(form)
+        freqs = slot[2::3]
+        return slot[3 * freqs.index(max(freqs))] if freqs else None
 
     def _tagged(self, prefix: str, *forms: str) -> bool:
         """Whether a tag listed for one of ``forms`` starts with ``prefix``."""
         for form in forms:
-            for xpos, _ in self._index.get(form, ()):
+            for xpos in self._index.get(form, ())[::3]:
                 if xpos.startswith(prefix):
                     return True
         return False
@@ -135,10 +136,11 @@ class Lexicon:
     # serialization into model archives
 
     def to_rows(self) -> list[list]:
+        """[form, lemma, xpos, frequency] rows, ascending by (form, xpos, lemma)."""
         return [
-            [form, lemma, xpos, freq]
+            [form, slot[i + 1], slot[i], slot[i + 2]]
             for form, slot in sorted(self._index.items())
-            for (xpos, lemma), freq in sorted(slot.items())
+            for i in range(0, len(slot), 3)
         ]
 
     @classmethod
@@ -150,51 +152,25 @@ class Lexicon:
         Rows that are not [form, lemma, xpos, frequency] and a prefix table
         that does not map strings to strings raise TypeError or ValueError.
         """
-        if prefix_table is not None and not _maps_strings(prefix_table):
+        if prefix_table is not None and not (
+            isinstance(prefix_table, dict)
+            and all(type(k) is type(v) is str for k, v in prefix_table.items())
+        ):
             raise TypeError(f"prefix table {prefix_table!r} does not map strings to strings")
         lex = cls(prefix_table)
         lex._fill(map(_checked_row, rows))
         return lex
 
-    def matches_rows(self, rows, prefix_table) -> bool:
-        """Whether ``rows`` and ``prefix_table`` are exactly this lexicon's
-        :meth:`to_rows` and :attr:`prefix_table`, so that :meth:`from_rows`
-        would build an equal lexicon without raising.
 
-        One pass, no sort: rows must be lists of three strings and a number
-        of the type and value stored, in strictly ascending (form, xpos,
-        lemma) order, one per entry.  Anything else is False, never an error.
-        """
-        if not (
-            type(rows) is list
-            and len(rows) == len(self)
-            and _maps_strings(prefix_table)
-            and prefix_table == self.prefix_table
-        ):
-            return False
-        index = self._index
-        last = ()  # below every key
-        for row in rows:
-            if type(row) is not list or len(row) != 4:
-                return False
-            form, lemma, xpos, freq = row
-            if not (type(form) is type(lemma) is type(xpos) is str and type(freq) in (int, float)):
-                return False
-            key = (form, xpos, lemma)
-            if key <= last:
-                return False
-            last = key
-            stored = index.get(form, _NO_SLOT).get((xpos, lemma))
-            if type(stored) is not type(freq) or stored != freq:
-                return False
-        return True
-
-
-_NO_SLOT: dict = {}
-
-
-def _maps_strings(table) -> bool:
-    return isinstance(table, dict) and all(type(k) is type(v) is str for k, v in table.items())
+def _inserted(slot: tuple, entry: tuple) -> tuple:
+    """``slot`` with ``entry``, which sorts at or before its last entry, added
+    in (xpos, lemma) order; the frequency of an equal pair is added instead."""
+    i = 0
+    while slot[i : i + 2] < entry[:2]:
+        i += 3
+    if slot[i : i + 2] == entry[:2]:
+        return slot[: i + 2] + (slot[i + 2] + entry[2],) + slot[i + 3 :]
+    return slot[:i] + entry + slot[i:]
 
 
 def _checked_row(row) -> tuple[str, str, str, int | float]:
@@ -223,11 +199,10 @@ def load_lexicon(source: str | Path) -> Lexicon:
             blob = gzip.decompress(blob)
         except (OSError, EOFError, zlib.error) as exc:  # bad header, truncated, corrupt
             raise LexiconError(f"{path}: bad gzip data: {exc}") from exc
-    try:
-        text = blob.decode("utf-8")
+    try:  # a text wrapper's read() decodes once, where StringIO would keep a UCS-4 copy
+        return read_lexicon(io.TextIOWrapper(io.BytesIO(blob), "utf-8", newline="\n"), str(path))
     except UnicodeDecodeError as exc:
         raise LexiconError(f"{path}: not valid UTF-8: {exc}") from exc
-    return read_lexicon(io.StringIO(text), name=str(path))
 
 
 def read_lexicon(
@@ -236,15 +211,15 @@ def read_lexicon(
     prefix_table: dict[str, str] | None = None,
 ) -> Lexicon:
     lex = Lexicon(prefix_table)
-    lex._fill(_tsv_rows(stream, name))
+    lex._fill(_tsv_rows(stream.read(), name))
     return lex
 
 
-def _tsv_rows(stream: io.TextIOBase, name: str):
-    """The (form, lemma, xpos, frequency) rows of a TSV lexicon; a CRLF line
-    end is read as LF."""
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw[:-2] if raw.endswith("\r\n") else raw.rstrip("\n")
+def _tsv_rows(text: str, name: str):
+    """The (form, lemma, xpos, frequency) rows of a TSV lexicon.  Lines end at
+    LF only (``str.splitlines`` would also end them at U+0085 and other
+    characters a field may hold); CRLF is read as LF, and a bare CR stays."""
+    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
         if not line:
             continue
         cols = line.split("\t")

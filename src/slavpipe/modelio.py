@@ -122,6 +122,11 @@ def read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, object]]:
 
     ``kind`` must match the kind recorded in the archive's meta section.
     """
+    return _read_archive(path, kind, raw=())
+
+
+def _read_archive(path: str | Path, kind: str, raw: tuple[str, ...]):
+    """:func:`read_archive`, leaving the sections named in ``raw`` undecoded bytes."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -152,8 +157,8 @@ def read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, object]]:
             if len(payload) != payload_len:
                 raise ModelError(f"{path}: truncated section {name!r}")
             offset += payload_len
-            sections[name] = json.loads(payload.decode("utf-8"))
-    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            sections[name] = payload if name in raw else decode_payload(path, payload)
+    except (struct.error, UnicodeDecodeError) as exc:
         raise ModelError(f"{path}: corrupt model archive: {exc}") from exc
 
     meta = sections.pop("meta", None)
@@ -164,3 +169,11 @@ def read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, object]]:
             f"{path}: archive holds a {meta.get('kind')!r} model, expected {kind!r}"
         )
     return meta, sections
+
+
+def decode_payload(path: str | Path, payload: bytes) -> object:
+    """The value of a section payload of the archive at ``path``."""
+    try:
+        return json.loads(payload.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ModelError(f"{path}: corrupt model archive: {exc}") from exc

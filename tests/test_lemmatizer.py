@@ -320,3 +320,33 @@ def test_boolean_frequency_is_refused_with_or_without_a_configured_lexicon(tmp_p
     for lexicon in (None, configured):
         with pytest.raises(ModelError, match="malformed lemmatizer model"):
             load_lemmatizer(path, lexicon=lexicon)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda blob: blob[:-1] + b"!", id="bad-json"),
+        pytest.param(lambda blob: blob[:-1] + b"\xff", id="bad-utf8"),
+    ],
+)
+def test_a_corrupt_lexicon_section_is_one_error_with_or_without_a_configured_lexicon(
+    embedded, damage
+):
+    path, configured = embedded
+    blob = path.read_bytes()
+    assert blob.endswith(b"]}")  # the lexicon section is written last
+    path.write_bytes(damage(blob))
+    messages = []
+    for lexicon in (None, configured):
+        with pytest.raises(ModelError, match=": corrupt model archive: ") as info:
+            load_lemmatizer(path, lexicon=lexicon)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def test_a_configured_lexicon_that_cannot_be_encoded_is_not_shared(embedded, dev_doc):
+    path, configured = embedded
+    configured.add("\ud800", "x", "Ncmsn")  # a lone surrogate has no UTF-8 encoding
+    loaded = load_lemmatizer(path, lexicon=configured)
+    assert loaded.lexicon is not configured
+    assert lemmas(loaded, dev_doc) == lemmas(load_lemmatizer(path), dev_doc)

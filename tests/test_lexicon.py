@@ -1,12 +1,15 @@
 import gzip
 import io
+import math
+import random
+import tracemalloc
 import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slavpipe.errors import DataError, LexiconError
-from slavpipe.lexicon import Lexicon, load_lexicon, read_lexicon
+from slavpipe.lexicon import Lexicon, LexiconEntry, load_lexicon, read_lexicon
 
 from support import GZIP_DAMAGE, damaged_gzip
 
@@ -58,6 +61,40 @@ def test_absent_iff_not_allowed():
 def test_duplicate_entries_accumulate():
     lex = build([("x", "y", "Ncfsn", 2), ("x", "y", "Ncfsn", 3)])
     assert lex.entries("x") == [type(lex.entries("x")[0])("Ncfsn", "y", 5)]
+
+
+def test_a_frequency_is_stored_as_a_sum_from_zero():
+    rows = build([("pes", "pes", "Ncmsn", True), ("psa", "pes", "Ncmsg", -0.0)]).to_rows()
+    assert rows == [["pes", "pes", "Ncmsn", 1], ["psa", "pes", "Ncmsg", 0.0]]
+    assert type(rows[0][3]) is int and math.copysign(1, rows[1][3]) == 1
+
+
+_rows_in_any_order = st.lists(
+    st.tuples(st.sampled_from(["a", "A", "b"]), st.sampled_from(["x", "y", "z"]),
+              st.sampled_from(["N", "Nc", "V"]), st.integers(1, 3)),
+    max_size=16,
+)
+
+
+@given(rows=_rows_in_any_order)
+def test_queries_agree_with_a_table_of_summed_frequencies(rows):
+    table: dict[tuple[str, str, str], int] = {}
+    for form, lemma, xpos, freq in rows:
+        table[form, xpos, lemma] = table.get((form, xpos, lemma), 0) + freq
+    tsv = "".join(f"{f}\t{lemma}\t{x}\t{n}\n" for f, lemma, x, n in rows)
+    for lex in (build(rows), read_lexicon(io.StringIO(tsv))):
+        assert lex.to_rows() == [[f, lemma, x, n] for (f, x, lemma), n in sorted(table.items())]
+        assert len(lex) == len(table)
+        for form in ("a", "A", "b", "c"):
+            listed = [k for k in table if k[0] == form] or [k for k in table if k[0] == form.lower()]
+            assert lex.allowed_tags(form) == {x for _, x, _ in listed}
+            assert lex.entries(form) == [LexiconEntry(x, lemma, table[f, x, lemma])
+                                         for f, x, lemma in sorted(listed)]
+            ranked_tags = sorted((-table[k], k[1]) for k in listed)
+            assert lex.most_frequent_tag(form) == (ranked_tags[0][1] if listed else None)
+            for xpos in ("N", "Nc", "V", "Q"):
+                ranked = sorted((-table[k], k[2]) for k in listed if k[1] == xpos)
+                assert lex.lookup_lemma(form, xpos) == (ranked[0][1] if ranked else None)
 
 
 def test_closed_class_membership_by_prefix():
@@ -166,6 +203,59 @@ def test_crlf_lexicon_loads_like_lf(tmp_path):
     packed.write_bytes(gzip.compress(crlf))
     assert load_lexicon(plain).to_rows() == want
     assert load_lexicon(packed).to_rows() == want
+
+
+# fields hold characters at which str.splitlines would also end a line
+LF_ONLY = (
+    "pa\x0bs\tpes\tNc\x1cmsn\t3\r\n"
+    "p\x85sa\tpes\tNcmsg\r\n"
+    "\r\n"
+    "ps\u2028u\tp\u2028es\tNcmsd\t2\n"
+    "pa\x0bs\tpes\tNc\x1cmsn\t4\r\n"
+    "psu\tpes\tNcmsl\r"  # a bare CR, not followed by LF, stays in its field
+)
+
+
+def test_tsv_lines_end_at_lf_only(tmp_path):
+    want = [
+        ["pa\x0bs", "pes", "Nc\x1cmsn", 7],
+        ["psu", "pes", "Ncmsl\r", 1],
+        ["ps\u2028u", "p\u2028es", "Ncmsd", 2],
+        ["p\x85sa", "pes", "Ncmsg", 1],
+    ]
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(LF_ONLY.encode("utf-8"))
+    assert load_lexicon(path).to_rows() == want
+    assert read_lexicon(io.StringIO(LF_ONLY)).to_rows() == want
+    with pytest.raises(LexiconError, match="line 7: expected at least 3"):
+        read_lexicon(io.StringIO(LF_ONLY + "\nbad"))
+
+
+# one feminine noun paradigm: 12 tags, 8 distinct endings
+PARADIGM = {"sn": "a", "sg": "e", "sd": "i", "sa": "o", "sl": "i", "si": "o",
+            "pn": "e", "pg": "", "pd": "am", "pa": "e", "pl": "ah", "pi": "ami"}
+
+
+def test_a_loaded_lexicon_holds_at_most_160_bytes_a_row(tmp_path):
+    """Paradigms of 2,000 random stems, 24,000 rows, with Zipf-like
+    frequencies as in a corpus-derived lexicon."""
+    rng = random.Random(7)
+    lines = []
+    for rank in range(1, 2001):
+        stem = "".join(rng.choices("abcčdefghijklmnoprsštuvzž", k=rng.randint(3, 8)))
+        for tag, ending in PARADIGM.items():
+            freq = max(1, 5000 // rank) + rng.randint(0, 9)
+            lines.append(f"{stem}{ending}\t{stem}a\tNcf{tag}\t{freq}\n")
+    path = tmp_path / "lex.tsv"
+    path.write_text("".join(sorted(lines)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        lex = load_lexicon(path)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 24000 and lex.form_count > 15000
+    assert retained / len(lines) <= 160
 
 
 def test_closed_class_checks_the_form_and_its_lowercase_separately():

@@ -364,6 +364,34 @@ def test_pipeline_keeps_one_lexicon_when_the_lemmatizer_embeds_it(
     assert serialize_document(pipe.annotate(bare)) == shared
 
 
+def test_the_sharing_decision_never_decodes_the_embedded_lexicon(
+    model_dir, embedded_lexicon_file, monkeypatch
+):
+    from slavpipe import modelio
+
+    built, decoded = [], []
+    from_rows, decode_payload = Lexicon.from_rows.__func__, modelio.decode_payload
+    monkeypatch.setattr(
+        Lexicon, "from_rows", classmethod(lambda cls, *a: built.append(a) or from_rows(cls, *a))
+    )
+    monkeypatch.setattr(
+        modelio, "decode_payload", lambda path, b: decoded.append(b) or decode_payload(path, b)
+    )
+    config = PipelineConfig(
+        language="sl", tasks=("tokenize", "morph", "lemma"),
+        model_dir=model_dir, lexicon_path=embedded_lexicon_file,
+    )
+    pipe = Pipeline(config)
+    assert built == []
+    assert pipe.lexicon is pipe.lemmatizer.lexicon
+    section = {"rows": pipe.lexicon.to_rows(), "prefixes": pipe.lexicon.prefix_table}
+    assert modelio._dumps(section) not in decoded
+    # without a configured lexicon the same archive's section is decoded and built
+    Pipeline(PipelineConfig(language="sl", tasks=config.tasks, model_dir=model_dir))
+    assert len(built) == 1
+    assert modelio._dumps(section) in decoded
+
+
 def test_one_add_to_a_shared_lexicon_reaches_tagger_and_lemmatizer(
     model_dir, embedded_lexicon_file
 ):
