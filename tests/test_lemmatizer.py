@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from slavpipe.conllu import Document, Sentence, Token, copy_document, misc_value
@@ -350,3 +352,48 @@ def test_a_configured_lexicon_that_cannot_be_encoded_is_not_shared(embedded, dev
     loaded = load_lemmatizer(path, lexicon=configured)
     assert loaded.lexicon is not configured
     assert lemmas(loaded, dev_doc) == lemmas(load_lemmatizer(path), dev_doc)
+
+
+# --- archive digests ----------------------------------------------------------
+
+# sha256 of the archives save_lemmatizer writes for a model trained on the
+# synthetic corpus, with the lexicon below embedded and without a lexicon
+EMBEDDED_ARCHIVE_SHA256 = "19719fb4ae53943e11933e427ae974c3e87c95f666c1cdc7382beb3b9d5722a7"
+BARE_ARCHIVE_SHA256 = "c0e9967fdc9d571622e7662a3d6adc1a4dd35acbf3eb6b17abdcb33192979c64"
+
+
+def _pinned_lexicon() -> Lexicon:
+    """Hand-written rows whose forms hold a quote, a backslash, a control
+    character and non-ASCII letters, then 2,400 generated paradigm rows;
+    a prefix table of its own."""
+    lex = Lexicon({"pronoun": "P", "particle": "Q", "adposition": "S"})
+    for form, lemma, xpos, freq in [
+        ("že", "že", "Q", 40), ("ђак", "ђак", "Ncmsn", 3), ("ђака", "ђак", "Ncmsg", 2),
+        ('"', '"', "Z", 9), ("\\", "\\", "Z", 1), ("a\tb", "ab", "X", 1),
+        ("čez", "čez", "Sa", 12), ("jaz", "jaz", "Pp1-sn", 7), ("Jaz", "jaz", "Pp1-sn", 2.5),
+    ]:
+        lex.add(form, lemma, xpos, freq)
+    endings = {"sn": "a", "sg": "e", "sd": "i", "sa": "o", "si": "ou",
+               "pn": "e", "pg": "", "pd": "am", "pl": "ah", "pi": "ami"}
+    n = 0
+    for c1 in "bčdđgkls":
+        for v in "aeiou":
+            for c2 in "vžrnmt":
+                stem = c1 + v + c2
+                for tag, ending in endings.items():
+                    n += 1
+                    lex.add(stem + ending, stem + "a", "Ncf" + tag, n * 7919 % 97 + 1)
+    return lex
+
+
+@pytest.mark.parametrize(
+    "with_lexicon, archive_sha",
+    [(True, EMBEDDED_ARCHIVE_SHA256), (False, BARE_ARCHIVE_SHA256)],
+    ids=["embedded", "bare"],
+)
+def test_golden_archive(tmp_path, train_doc, with_lexicon, archive_sha):
+    lexicon = _pinned_lexicon() if with_lexicon else None
+    model = train_lemmatizer(train_doc, lexicon=lexicon, language="sl")
+    path = tmp_path / "lemmatizer.slm"
+    save_lemmatizer(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == archive_sha
