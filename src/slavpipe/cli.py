@@ -76,7 +76,13 @@ def _write_text(target: str, text: str) -> None:
     try:
         write_atomic(target, [text.encode("utf-8")])
     except OSError as exc:
-        raise DataError(f"cannot write {target}: {exc}") from exc
+        raise _write_error(target, exc) from exc
+
+
+def _write_error(target: str, exc: OSError) -> DataError:
+    """The error of a failed write, naming ``target`` and the reason only: the
+    exception itself may name the temporary file that was written instead."""
+    return DataError(f"cannot write {target}: {exc.strerror}")
 
 
 def _read_document(source: str):
@@ -172,7 +178,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     try:
         save(model, model_out)
     except OSError as exc:
-        raise DataError(f"cannot write {model_out}: {exc}") from exc
+        raise _write_error(model_out, exc) from exc
     if args.dev:
         _write_text(args.dev_out or f"{model_out}.dev.conllu", serialize_document(filled))
     shown = "n/a" if score is None else f"{score:.4f}"

@@ -20,7 +20,9 @@ contributes ``-e/-i``, ``-ce/-ci``, ``-ece/-eci`` and the whole-word pair.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 from . import modelio
 from .conllu import Document, copy_document, misc_set
@@ -30,6 +32,8 @@ from .tokenizer import CLOSED_CLASS_MISC, is_closed_class_fixed
 
 TIER_MISC = "Lemmatizer"
 RULE_CONTEXT = 3
+# rows of an embedded lexicon encoded at a time, when written and when compared
+LEXICON_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -209,20 +213,35 @@ def save_lemmatizer(model: LemmatizerModel, path) -> None:
         ],
     }
     if model.lexicon is not None:
-        sections["lexicon"] = _lexicon_section(model.lexicon)
+        sections["lexicon"] = b"".join(_lexicon_blocks(model.lexicon))
     modelio.write_archive(path, "lemmatizer", asdict(model.metadata), sections)
 
 
-def _lexicon_section(lexicon: Lexicon) -> dict[str, object]:
-    return {"rows": lexicon.to_rows(), "prefixes": lexicon.prefix_table}
+def _lexicon_blocks(lexicon: Lexicon) -> Iterator[bytes]:
+    """The lexicon section of an archive, ``_dumps({"prefixes": ..., "rows": ...})``
+    of the prefix table and :meth:`Lexicon.iter_rows`, encoded
+    :data:`LEXICON_BLOCK_ROWS` rows at a time: the joined blocks are its bytes."""
+    yield b'{"prefixes":' + modelio._dumps(lexicon.prefix_table) + b',"rows":['
+    rows = lexicon.iter_rows()
+    separator = b""
+    while block := list(islice(rows, LEXICON_BLOCK_ROWS)):
+        yield separator + modelio._dumps(block)[1:-1]
+        separator = b","
+    yield b"]}"
 
 
 def _embedded(payload: bytes, lexicon: Lexicon) -> bool:
-    """Whether ``payload`` is the section :func:`save_lemmatizer` writes for ``lexicon``."""
+    """Whether ``payload`` is the section :func:`save_lemmatizer` writes for
+    ``lexicon``, compared in place with each block as it is encoded."""
+    at = 0
     try:
-        return payload == modelio._dumps(_lexicon_section(lexicon))
+        for block in _lexicon_blocks(lexicon):
+            if not payload.startswith(block, at):
+                return False
+            at += len(block)
     except (TypeError, ValueError):  # not encodable, so never written
         return False
+    return at == len(payload)
 
 
 def _lookup_entry(row) -> tuple[tuple[str, str], str]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import gzip
 import io
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -135,13 +136,17 @@ class Lexicon:
 
     # serialization into model archives
 
-    def to_rows(self) -> list[list]:
+    def iter_rows(self) -> Iterator[list]:
         """[form, lemma, xpos, frequency] rows, ascending by (form, xpos, lemma)."""
-        return [
-            [form, slot[i + 1], slot[i], slot[i + 2]]
-            for form, slot in sorted(self._index.items())
-            for i in range(0, len(slot), 3)
-        ]
+        index = self._index
+        for form in sorted(index):
+            slot = index[form]
+            for i in range(0, len(slot), 3):
+                yield [form, slot[i + 1], slot[i], slot[i + 2]]
+
+    def to_rows(self) -> list[list]:
+        """The rows of :meth:`iter_rows` as one list."""
+        return list(self.iter_rows())
 
     @classmethod
     def from_rows(

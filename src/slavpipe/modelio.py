@@ -12,6 +12,9 @@ bytes     content
           payload length (``u64``), payload (UTF-8 JSON)
 ========  =====================================================
 
+A writer may hand over a section's payload already encoded, as ``bytes``
+(never a JSON value): it is written as it is.
+
 Every archive starts with a ``meta`` section recording the model kind
 (``tagger``, ``lemmatizer`` or ``parser``), the language/variety it was
 trained for and training statistics.  Readers reject wrong magic, unknown
@@ -47,7 +50,8 @@ def write_archive(
     meta: dict[str, object],
     sections: dict[str, object],
 ) -> None:
-    """Serialize ``sections`` (JSON-encodable values) into a model archive.
+    """Serialize ``sections`` into a model archive: a ``bytes`` value is
+    written as the section's payload itself, any other value as its JSON.
 
     The archive is written atomically (see :func:`write_atomic`).
     """
@@ -58,7 +62,7 @@ def _archive_chunks(meta: dict[str, object], sections: dict[str, object]):
     yield MAGIC + struct.pack(">HH", FORMAT_VERSION, 1 + len(sections))
     for name, value in (("meta", meta), *sections.items()):
         encoded = name.encode("utf-8")
-        payload = _dumps(value)
+        payload = value if isinstance(value, bytes) else _dumps(value)
         yield struct.pack(">H", len(encoded)) + encoded + struct.pack(">Q", len(payload))
         yield payload
 

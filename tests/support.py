@@ -181,6 +181,21 @@ def make_lexicon(vocab: Vocabulary, rng: random.Random | None = None) -> Lexicon
     return lex
 
 
+# one feminine noun paradigm: 12 tags, 8 distinct endings
+PARADIGM = {"sn": "a", "sg": "e", "sd": "i", "sa": "o", "sl": "i", "si": "o",
+            "pn": "e", "pg": "", "pd": "am", "pa": "e", "pl": "ah", "pi": "ami"}
+
+
+def paradigm_rows(stems: int = 2000, seed: int = 7):
+    """(form, lemma, xpos, frequency) rows: the paradigms of ``stems`` random
+    stems, with Zipf-like frequencies as in a corpus-derived lexicon."""
+    rng = random.Random(seed)
+    for rank in range(1, stems + 1):
+        stem = "".join(rng.choices("abcčdefghijklmnoprsštuvzž", k=rng.randint(3, 8)))
+        for tag, ending in PARADIGM.items():
+            yield f"{stem}{ending}", f"{stem}a", f"Ncf{tag}", max(1, 5000 // rank) + rng.randint(0, 9)
+
+
 def lexicon_tsv(lex: Lexicon) -> str:
     """The TSV text that :func:`slavpipe.lexicon.load_lexicon` reads back as ``lex``."""
     return "".join(f"{form}\t{lemma}\t{xpos}\t{freq}\n" for form, lemma, xpos, freq in lex.to_rows())

@@ -485,6 +485,19 @@ def test_failed_output_write_leaves_the_target_alone(tmp_path, capsys, monkeypat
     assert sorted(p.name for p in out_dir.iterdir()) == [target.name]
 
 
+def test_output_into_a_missing_directory_names_the_target_and_the_reason(tmp_path, capsys):
+    src = write(tmp_path, "in.txt", "Prva poved.")
+    target = tmp_path / "missing" / "x.conllu"
+    errors = []
+    for _ in range(2):
+        code = main(["annotate", "--lang", "sl", "--tasks", "tokenize",
+                     "--in", str(src), "--out", str(target)])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == f"data error: cannot write {target}: No such file or directory\n"
+    assert errors[1] == errors[0]
+
+
 def test_output_through_a_symlink_writes_where_it_points(tmp_path):
     src = write(tmp_path, "in.txt", "Prva poved.")
     (tmp_path / "real").mkdir()
@@ -562,6 +575,21 @@ def test_unwritable_model_path_is_data_error(tmp_path, train_doc, capsys):
     assert err.startswith(f"data error: cannot write {taken}")
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "train.conllu"]
+
+
+def test_model_out_into_a_missing_directory_names_the_target_and_the_reason(
+    tmp_path, train_doc, capsys
+):
+    train_f = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    target = tmp_path / "missing" / "lemmatizer.slm"
+    errors = []
+    for _ in range(2):
+        code = main(["train", "lemmatizer", "--lang", "sl", "--train", str(train_f),
+                     "--model-out", str(target)])
+        assert code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == f"data error: cannot write {target}: No such file or directory\n"
+    assert errors[1] == errors[0]
 
 
 def test_train_parser_with_options(tmp_path, train_doc, capsys):

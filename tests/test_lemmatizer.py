@@ -1,17 +1,25 @@
 import hashlib
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from slavpipe import modelio
 from slavpipe.conllu import Document, Sentence, Token, copy_document, misc_value
 from slavpipe.errors import ModelError, StageError, TrainingError
 from slavpipe.lemmatizer import (
+    LEXICON_BLOCK_ROWS,
     LemmatizerModel,
+    _embedded,
+    _lexicon_blocks,
     lemmatize_document,
     load_lemmatizer,
     save_lemmatizer,
     train_lemmatizer,
 )
 from slavpipe.lexicon import Lexicon
+
+from support import paradigm_rows
 
 
 @pytest.fixture(scope="module")
@@ -397,3 +405,80 @@ def test_golden_archive(tmp_path, train_doc, with_lexicon, archive_sha):
     path = tmp_path / "lemmatizer.slm"
     save_lemmatizer(model, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == archive_sha
+
+
+# --- the lexicon section, encoded and compared in blocks ---------------------
+
+TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\tžђ'), st.characters(exclude_categories=("Cs",))),
+    max_size=6,
+)
+FREQUENCY = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.just(True), st.just(-0.0)
+)
+
+
+@st.composite
+def lexicons(draw):
+    """A lexicon of 0, 1 or about one or two blocks of rows: drawn rows, then
+    generated ones up to the drawn count; with a drawn prefix table or the default."""
+    n = draw(st.sampled_from(
+        [0, 1, LEXICON_BLOCK_ROWS - 1, LEXICON_BLOCK_ROWS, LEXICON_BLOCK_ROWS + 1,
+         2 * LEXICON_BLOCK_ROWS + 1]
+    ))
+    prefixes = draw(st.none() | st.dictionaries(TEXT, TEXT, max_size=3))
+    lex = Lexicon(prefixes)
+    for form, lemma, xpos, freq in draw(st.lists(st.tuples(TEXT, TEXT, TEXT, FREQUENCY),
+                                                 max_size=min(n, 8))):
+        lex.add(form, lemma, xpos, freq)
+    i = 0
+    while len(lex) < n:
+        i += 1
+        lex.add(f"f{i}", f"l{i % 7}", ("Ncf", "Vmp", "Q")[i % 3], (i, 0.5 * i, True, -0.0)[i % 4])
+    return lex
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lexicons(), st.data())
+def test_the_lexicon_blocks_are_the_section_and_only_it_is_shared(lex, data):
+    blocks = list(_lexicon_blocks(lex))
+    payload = b"".join(blocks)
+    assert payload == modelio._dumps({"rows": lex.to_rows(), "prefixes": lex.prefix_table})
+    assert _embedded(payload, lex)
+    last = len(payload) - 1
+    in_head, in_last_block = len(blocks[0]) - 1, last - len(blocks[-1])
+    anywhere = data.draw(st.integers(0, last))
+    for at in (in_head, in_last_block, last, anywhere):
+        changed = bytearray(payload)
+        changed[at] ^= 0x01
+        assert not _embedded(bytes(changed), lex)
+    assert not _embedded(payload[: data.draw(st.integers(0, last))], lex)
+    assert not _embedded(payload + data.draw(st.binary(min_size=1, max_size=1)), lex)
+    lex.add("\ud800", "x", "Ncmsn")  # a lone surrogate has no UTF-8 encoding
+    assert not _embedded(payload, lex)
+
+
+# a bound between the 1.6 MB that encoding in blocks peaks at and the 7.0 MB
+# (save) and 7.8 MB (shared load) that encoding the section whole peaks at
+PEAK_BOUND = 3_000_000
+
+
+def test_the_lexicon_section_is_never_encoded_whole(tmp_path):
+    """Paradigms of 2,000 random stems, 24,000 rows: writing the lemmatizer
+    and loading it with the lexicon it embeds each peak below PEAK_BOUND."""
+    lex = Lexicon()
+    for form, lemma, xpos, freq in paradigm_rows():
+        lex.add(form, lemma, xpos, freq)
+    model = train_lemmatizer(tagged_doc(("hiše", "Ncfsg", None, "hiša")), lexicon=lex)
+    path = tmp_path / "lemmatizer.slm"
+    peaks = []
+    for step in (lambda: save_lemmatizer(model, path),
+                 lambda: load_lemmatizer(path, lexicon=lex)):
+        tracemalloc.start()
+        try:
+            loaded = step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(lex) > 23000 and loaded.lexicon is lex
+    assert max(peaks) < PEAK_BOUND, peaks

@@ -1,7 +1,6 @@
 import gzip
 import io
 import math
-import random
 import tracemalloc
 import zlib
 
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from slavpipe.errors import DataError, LexiconError
 from slavpipe.lexicon import Lexicon, LexiconEntry, load_lexicon, read_lexicon
 
-from support import GZIP_DAMAGE, damaged_gzip
+from support import GZIP_DAMAGE, damaged_gzip, paradigm_rows
 
 
 def build(entries):
@@ -231,21 +230,10 @@ def test_tsv_lines_end_at_lf_only(tmp_path):
         read_lexicon(io.StringIO(LF_ONLY + "\nbad"))
 
 
-# one feminine noun paradigm: 12 tags, 8 distinct endings
-PARADIGM = {"sn": "a", "sg": "e", "sd": "i", "sa": "o", "sl": "i", "si": "o",
-            "pn": "e", "pg": "", "pd": "am", "pa": "e", "pl": "ah", "pi": "ami"}
-
-
 def test_a_loaded_lexicon_holds_at_most_160_bytes_a_row(tmp_path):
     """Paradigms of 2,000 random stems, 24,000 rows, with Zipf-like
     frequencies as in a corpus-derived lexicon."""
-    rng = random.Random(7)
-    lines = []
-    for rank in range(1, 2001):
-        stem = "".join(rng.choices("abcčdefghijklmnoprsštuvzž", k=rng.randint(3, 8)))
-        for tag, ending in PARADIGM.items():
-            freq = max(1, 5000 // rank) + rng.randint(0, 9)
-            lines.append(f"{stem}{ending}\t{stem}a\tNcf{tag}\t{freq}\n")
+    lines = [f"{form}\t{lemma}\t{xpos}\t{freq}\n" for form, lemma, xpos, freq in paradigm_rows()]
     path = tmp_path / "lex.tsv"
     path.write_text("".join(sorted(lines)), encoding="utf-8")
     tracemalloc.start()
