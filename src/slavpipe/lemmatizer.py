@@ -230,18 +230,20 @@ def _lexicon_blocks(lexicon: Lexicon) -> Iterator[bytes]:
     yield b"]}"
 
 
-def _embedded(payload: bytes, lexicon: Lexicon) -> bool:
+def _embedded(payload: bytes | memoryview, lexicon: Lexicon) -> bool:
     """Whether ``payload`` is the section :func:`save_lemmatizer` writes for
-    ``lexicon``, compared in place with each block as it is encoded."""
+    ``lexicon``, compared with each block as it is encoded."""
+    view = memoryview(payload)
     at = 0
     try:
         for block in _lexicon_blocks(lexicon):
-            if not payload.startswith(block, at):
+            # a bytes copy of the slice compares far faster than the view itself
+            if bytes(view[at : at + len(block)]) != block:
                 return False
             at += len(block)
     except (TypeError, ValueError):  # not encodable, so never written
         return False
-    return at == len(payload)
+    return at == len(view)
 
 
 def _lookup_entry(row) -> tuple[tuple[str, str], str]:
@@ -271,14 +273,12 @@ def load_lemmatizer(path, lexicon: Lexicon | None = None) -> LemmatizerModel:
     are those :func:`save_lemmatizer` writes for it; that section is then
     never decoded.  Any other embedded lexicon is decoded and built from its rows.
     """
-    meta, sections = modelio._read_archive(path, "lemmatizer", raw=("lexicon",))
-    payload = sections.pop("lexicon", None)
-    if payload is not None and (lexicon is None or not _embedded(payload, lexicon)):
-        sections["lexicon"] = modelio.decode_payload(path, payload)
+    meta, sections = modelio.read_archive(path, "lemmatizer", raw=("lexicon",))
+    payload = sections.get("lexicon")
     try:
-        if "lexicon" in sections:
-            rows, prefixes = sections["lexicon"]["rows"], sections["lexicon"]["prefixes"]
-            lexicon = Lexicon.from_rows(rows, prefixes)
+        if payload is not None and (lexicon is None or not _embedded(payload, lexicon)):
+            embedded = modelio.decode_payload(path, payload)
+            lexicon = Lexicon.from_rows(embedded["rows"], embedded["prefixes"])
         model = LemmatizerModel(
             lookup=dict(map(_lookup_entry, sections["lookup"])),
             rules=[_rule(row) for row in sections["rules"]],

@@ -20,7 +20,6 @@ one object (66,281 rows take about 100 bytes each, form strings included).
 from __future__ import annotations
 
 import gzip
-import io
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -191,8 +190,7 @@ def load_lexicon(source: str | Path) -> Lexicon:
     Gzip-compressed files are detected by their magic bytes.  A truncated or
     corrupt gzip file, rows with fewer than three columns and an unreadable
     frequency raise :class:`~slavpipe.errors.LexiconError`; a bad row is
-    named by its line.  The lexicon gets the default closed-class prefixes;
-    :func:`read_lexicon` takes another table.
+    named by its line.  The lexicon gets the default closed-class prefixes.
     """
     path = Path(source)
     try:
@@ -204,19 +202,13 @@ def load_lexicon(source: str | Path) -> Lexicon:
             blob = gzip.decompress(blob)
         except (OSError, EOFError, zlib.error) as exc:  # bad header, truncated, corrupt
             raise LexiconError(f"{path}: bad gzip data: {exc}") from exc
-    try:  # a text wrapper's read() decodes once, where StringIO would keep a UCS-4 copy
-        return read_lexicon(io.TextIOWrapper(io.BytesIO(blob), "utf-8", newline="\n"), str(path))
+    try:
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise LexiconError(f"{path}: not valid UTF-8: {exc}") from exc
-
-
-def read_lexicon(
-    stream: io.TextIOBase,
-    name: str = "<lexicon>",
-    prefix_table: dict[str, str] | None = None,
-) -> Lexicon:
-    lex = Lexicon(prefix_table)
-    lex._fill(_tsv_rows(stream.read(), name))
+    del blob  # only the text is held while the rows are filled
+    lex = Lexicon()
+    lex._fill(_tsv_rows(text, str(path)))
     return lex
 
 

@@ -12,13 +12,17 @@ bytes     content
           payload length (``u64``), payload (UTF-8 JSON)
 ========  =====================================================
 
-A writer may hand over a section's payload already encoded, as ``bytes``
-(never a JSON value): it is written as it is.
+The sections run to the end of the file, and no two share a name.  A writer
+may hand over a section's payload already encoded, as ``bytes`` (never a
+JSON value): it is written as it is.  A section that a reader asks for
+``raw`` comes back undecoded, as a view of the file's bytes, which keeps
+those bytes alive while it is held.
 
 Every archive starts with a ``meta`` section recording the model kind
 (``tagger``, ``lemmatizer`` or ``parser``), the language/variety it was
 trained for and training statistics.  Readers reject wrong magic, unknown
-format versions and mismatched kinds with :class:`~slavpipe.errors.ModelError`.
+format versions, mismatched kinds, bytes after the last section and a
+repeated section name with :class:`~slavpipe.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -121,16 +125,12 @@ def check_language(kind: str, trained: str, configured: str | None) -> None:
         )
 
 
-def read_archive(path: str | Path, kind: str) -> tuple[dict, dict[str, object]]:
+def read_archive(path: str | Path, kind: str, raw: tuple[str, ...] = ()) -> tuple[dict, dict]:
     """Read an archive, returning ``(meta, sections)``.
 
-    ``kind`` must match the kind recorded in the archive's meta section.
+    ``kind`` must match the kind recorded in the archive's meta section.  A
+    section named in ``raw`` is returned undecoded, as a view of the file's bytes.
     """
-    return _read_archive(path, kind, raw=())
-
-
-def _read_archive(path: str | Path, kind: str, raw: tuple[str, ...]):
-    """:func:`read_archive`, leaving the sections named in ``raw`` undecoded bytes."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -138,7 +138,7 @@ def _read_archive(path: str | Path, kind: str, raw: tuple[str, ...]):
         raise ModelError(f"cannot read model file {path}: {exc}") from exc
 
     view = memoryview(blob)
-    if len(view) < 8 or bytes(view[:4]) != MAGIC:
+    if len(view) < 8 or view[:4] != MAGIC:
         raise ModelError(f"{path}: not a model archive (bad magic)")
     version, count = struct.unpack(">HH", view[4:8])
     if version != FORMAT_VERSION:
@@ -153,17 +153,21 @@ def _read_archive(path: str | Path, kind: str, raw: tuple[str, ...]):
         for _ in range(count):
             (name_len,) = struct.unpack_from(">H", view, offset)
             offset += 2
-            name = bytes(view[offset : offset + name_len]).decode("utf-8")
+            name = str(view[offset : offset + name_len], "utf-8")
             offset += name_len
+            if name in sections:
+                raise ModelError(f"{path}: repeated section {name!r}")
             (payload_len,) = struct.unpack_from(">Q", view, offset)
             offset += 8
-            payload = bytes(view[offset : offset + payload_len])
+            payload = view[offset : offset + payload_len]
             if len(payload) != payload_len:
                 raise ModelError(f"{path}: truncated section {name!r}")
             offset += payload_len
             sections[name] = payload if name in raw else decode_payload(path, payload)
     except (struct.error, UnicodeDecodeError) as exc:
         raise ModelError(f"{path}: corrupt model archive: {exc}") from exc
+    if offset != len(view):
+        raise ModelError(f"{path}: extra bytes after the last section: {len(view) - offset}")
 
     meta = sections.pop("meta", None)
     if not isinstance(meta, dict):
@@ -175,9 +179,9 @@ def _read_archive(path: str | Path, kind: str, raw: tuple[str, ...]):
     return meta, sections
 
 
-def decode_payload(path: str | Path, payload: bytes) -> object:
+def decode_payload(path: str | Path, payload: bytes | memoryview) -> object:
     """The value of a section payload of the archive at ``path``."""
     try:
-        return json.loads(payload.decode("utf-8"))
+        return json.loads(str(payload, "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelError(f"{path}: corrupt model archive: {exc}") from exc

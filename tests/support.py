@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import gzip
 import random
+import struct
 from fractions import Fraction
 
 from slavpipe.conllu import Document, Sentence, Token
@@ -35,6 +36,16 @@ def damaged_gzip(damage: str) -> bytes:
         "truncated": packed[:-6],
         "flipped-byte": packed[:12] + bytes([packed[12] ^ 0xFF]) + packed[13:],
     }[damage]
+
+
+def with_section(blob: bytes, name: str, payload: bytes) -> bytes:
+    """A model archive ``blob`` with one more section, counted in its header."""
+    (count,) = struct.unpack_from(">H", blob, 6)
+    encoded = name.encode("utf-8")
+    return (
+        blob[:6] + struct.pack(">H", count + 1) + blob[8:]
+        + struct.pack(">H", len(encoded)) + encoded + struct.pack(">Q", len(payload)) + payload
+    )
 
 
 # --- tiny synthetic language ------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import io
+import json
 import os
 import shutil
 import stat
@@ -16,7 +17,7 @@ from slavpipe.cli import EXIT_BROKEN_PIPE, build_parser, main
 from slavpipe.conllu import parse_document, serialize_document
 from slavpipe.pipeline import model_filename
 
-from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv
+from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section
 
 
 @pytest.fixture
@@ -411,21 +412,42 @@ def test_any_config_file_ends_in_a_documented_status(tmp_path, capsys, data):
         assert err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize(
-    "kind, tasks",
-    [("tagger", "morph"), ("lemmatizer", "morph,lemma"), ("parser", "morph,lemma,depparse")],
-)
-def test_malformed_model_is_one_line_model_error(tmp_path, model_dir, capsys, kind, tasks):
+def _malformed_sections(path, kind):
     from slavpipe.modelio import write_archive
 
-    models = tmp_path / "models"
-    shutil.copytree(model_dir, models)
-    write_archive(models / model_filename("sl", "standard", kind), kind, {"schema": "ud"}, {
+    write_archive(path, kind, {"schema": "ud"}, {
         "tagger": {"form_probs": {}, "suffix_counts": {}, "xpos_best": {},
                    "triples": [], "default_triple": ["X"]},
         "lemmatizer": {"lookup": [], "rules": [["a", "N", "e", "high"]]},
         "parser": {"weights": {}, "dep_labels": ["a"], "root_labels": []},
     }[kind])
+
+
+def _second_meta(path, kind):
+    """A second meta section, which would record another language."""
+    meta = json.dumps({"kind": kind, "language": "hr"}).encode()
+    path.write_bytes(with_section(path.read_bytes(), "meta", meta))
+
+
+@pytest.mark.parametrize(
+    "kind, tasks, damage, message",
+    [
+        pytest.param("tagger", "morph", _malformed_sections, "malformed tagger model",
+                     id="tagger-morph"),
+        pytest.param("lemmatizer", "morph,lemma", _malformed_sections,
+                     "malformed lemmatizer model", id="lemmatizer-morph,lemma"),
+        pytest.param("parser", "morph,lemma,depparse", _malformed_sections,
+                     "malformed parser model", id="parser-morph,lemma,depparse"),
+        pytest.param("tagger", "morph", _second_meta, "repeated section 'meta'",
+                     id="tagger-repeated-meta"),
+    ],
+)
+def test_malformed_model_is_one_line_model_error(
+    tmp_path, model_dir, capsys, kind, tasks, damage, message
+):
+    models = tmp_path / "models"
+    shutil.copytree(model_dir, models)
+    damage(models / model_filename("sl", "standard", kind), kind)
     src = write(tmp_path, "in.txt", "besedilo.")
     code = main([
         "annotate", "--lang", "sl", "--tasks", f"tokenize,{tasks}",
@@ -435,7 +457,7 @@ def test_malformed_model_is_one_line_model_error(tmp_path, model_dir, capsys, ki
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"model error: {models}")
-    assert f"malformed {kind} model" in captured.err
+    assert message in captured.err
     assert captured.err.count("\n") == 1
 
 

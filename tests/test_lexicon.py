@@ -1,16 +1,25 @@
 import gzip
-import io
 import math
+import tempfile
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slavpipe.errors import DataError, LexiconError
-from slavpipe.lexicon import Lexicon, LexiconEntry, load_lexicon, read_lexicon
+from slavpipe.lexicon import Lexicon, LexiconEntry, load_lexicon
 
 from support import GZIP_DAMAGE, damaged_gzip, paradigm_rows
+
+
+def loaded(tsv: str) -> Lexicon:
+    """``tsv`` written to a file and read back by :func:`load_lexicon`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lex.tsv"
+        path.write_bytes(tsv.encode("utf-8"))
+        return load_lexicon(path)
 
 
 def build(entries):
@@ -81,7 +90,7 @@ def test_queries_agree_with_a_table_of_summed_frequencies(rows):
     for form, lemma, xpos, freq in rows:
         table[form, xpos, lemma] = table.get((form, xpos, lemma), 0) + freq
     tsv = "".join(f"{f}\t{lemma}\t{x}\t{n}\n" for f, lemma, x, n in rows)
-    for lex in (build(rows), read_lexicon(io.StringIO(tsv))):
+    for lex in (build(rows), loaded(tsv)):
         assert lex.to_rows() == [[f, lemma, x, n] for (f, x, lemma), n in sorted(table.items())]
         assert len(lex) == len(table)
         for form in ("a", "A", "b", "c"):
@@ -117,19 +126,19 @@ def test_most_frequent_tag():
     assert lex.most_frequent_tag("zzz") is None
 
 
-def test_read_lexicon_three_and_four_columns():
-    lex = read_lexicon(io.StringIO("voda\tvoda\tNcfsn\t7\nvode\tvoda\tNcfsg\n"))
+def test_load_lexicon_three_and_four_columns():
+    lex = loaded("voda\tvoda\tNcfsn\t7\nvode\tvoda\tNcfsg\n")
     assert lex.entries("voda")[0].frequency == 7
     assert lex.entries("vode")[0].frequency == 1
 
 
-def test_read_lexicon_errors_name_lines():
+def test_load_lexicon_errors_name_lines():
     with pytest.raises(LexiconError, match="line 2"):
-        read_lexicon(io.StringIO("a\tb\tX\nbad line\n"))
+        loaded("a\tb\tX\nbad line\n")
     with pytest.raises(LexiconError, match="line 1"):
-        read_lexicon(io.StringIO("a\tb\tX\tmany\n"))
+        loaded("a\tb\tX\tmany\n")
     with pytest.raises(LexiconError, match="line 1"):
-        read_lexicon(io.StringIO("a\tb\tX\t1\textra\n"))
+        loaded("a\tb\tX\t1\textra\n")
 
 
 def test_load_lexicon_plain_and_gzip(tmp_path):
@@ -191,7 +200,7 @@ def test_rows_roundtrip():
 
 def test_crlf_lexicon_loads_like_lf(tmp_path):
     body = "voda\tvoda\tNcfsn\t7\n\nvode\tvoda\tNcfsg\nna\tna\tSl\t3\n"
-    want = read_lexicon(io.StringIO(body)).to_rows()
+    want = loaded(body).to_rows()
     assert want == [
         ["na", "na", "Sl", 3], ["voda", "voda", "Ncfsn", 7], ["vode", "voda", "Ncfsg", 1]
     ]
@@ -225,9 +234,11 @@ def test_tsv_lines_end_at_lf_only(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_bytes(LF_ONLY.encode("utf-8"))
     assert load_lexicon(path).to_rows() == want
-    assert read_lexicon(io.StringIO(LF_ONLY)).to_rows() == want
+    packed = tmp_path / "lex.tsv.gz"
+    packed.write_bytes(gzip.compress(LF_ONLY.encode("utf-8")))
+    assert load_lexicon(packed).to_rows() == want
     with pytest.raises(LexiconError, match="line 7: expected at least 3"):
-        read_lexicon(io.StringIO(LF_ONLY + "\nbad"))
+        loaded(LF_ONLY + "\nbad")
 
 
 def test_a_loaded_lexicon_holds_at_most_160_bytes_a_row(tmp_path):
@@ -283,7 +294,7 @@ def test_closed_classes_follow_the_listed_tags(rows, table):
     queried = sorted({f for f, *_ in rows} | {f.upper() for f, *_ in rows} | {"zz"})
     tsv = "".join(f"{f}\t{lemma}\t{x}\t{n}\n" for f, lemma, x, n in rows)
     built = Lexicon.from_rows(lex.to_rows(), table)
-    read = read_lexicon(io.StringIO(tsv), prefix_table=table)
+    read = Lexicon.from_rows(loaded(tsv).to_rows(), table)
     for got in (lex, built, read):
         assert got.to_rows() == lex.to_rows()
         for category, prefix in prefixes.items():

@@ -14,6 +14,11 @@ from slavpipe.modelio import FORMAT_VERSION, MAGIC, read_archive, write_archive,
 from slavpipe.pipeline import model_filename
 from slavpipe.tagger import load_tagger
 
+from support import with_section
+
+
+LOADERS = {"tagger": load_tagger, "lemmatizer": load_lemmatizer, "parser": load_parser}
+
 
 @pytest.fixture
 def archive(tmp_path):
@@ -75,6 +80,32 @@ def test_truncated_payload(tmp_path, archive):
     bad.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(ModelError):
         read_archive(bad, "tagger")
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_bytes_after_the_last_section_are_refused(tmp_path, model_dir, kind):
+    bad = tmp_path / "long.slm"
+    bad.write_bytes((model_dir / model_filename("sl", "standard", kind)).read_bytes() + b"garbage")
+    with pytest.raises(ModelError) as caught:
+        LOADERS[kind](bad)
+    assert str(caught.value) == f"{bad}: extra bytes after the last section: 7"
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("repeated", ["meta", "last"])
+def test_a_repeated_section_is_refused(tmp_path, model_dir, kind, repeated):
+    """A second meta would replace the language the first one records."""
+    path = model_dir / model_filename("sl", "standard", kind)
+    _, sections = read_archive(path, kind)
+    name, value = {
+        "meta": ("meta", {"kind": kind, "language": "hr"}),
+        "last": (list(sections)[-1], list(sections.values())[-1]),
+    }[repeated]
+    bad = tmp_path / "twice.slm"
+    bad.write_bytes(with_section(path.read_bytes(), name, modelio._dumps(value)))
+    with pytest.raises(ModelError) as caught:
+        LOADERS[kind](bad)
+    assert str(caught.value) == f"{bad}: repeated section {name!r}"
 
 
 def test_corrupt_json(tmp_path):
@@ -162,8 +193,6 @@ def test_atomic_write_through_a_symlink_replaces_its_target(tmp_path):
     assert link.is_symlink() and real.read_bytes() == b"new"
     assert [p.name for p in real.parent.iterdir()] == ["model.slm"]
 
-
-LOADERS = {"tagger": load_tagger, "lemmatizer": load_lemmatizer, "parser": load_parser}
 
 JSON = st.recursive(
     st.none()

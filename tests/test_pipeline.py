@@ -392,6 +392,27 @@ def test_the_sharing_decision_never_decodes_the_embedded_lexicon(
     assert modelio._dumps(section) in decoded
 
 
+def test_every_model_archive_is_read_through_read_archive(
+    model_dir, embedded_lexicon_file, monkeypatch
+):
+    from slavpipe import modelio
+
+    calls = []
+    read_archive = modelio.read_archive
+
+    def recorded(path, kind, raw=()):
+        calls.append((kind, raw))
+        return read_archive(path, kind, raw)
+
+    monkeypatch.setattr(modelio, "read_archive", recorded)
+    pipe = Pipeline(PipelineConfig(
+        language="sl", tasks=("tokenize", "morph", "lemma", "depparse"),
+        model_dir=model_dir, lexicon_path=embedded_lexicon_file,
+    ))
+    assert pipe.lexicon is pipe.lemmatizer.lexicon
+    assert sorted(calls) == [("lemmatizer", ("lexicon",)), ("parser", ()), ("tagger", ())]
+
+
 def test_one_add_to_a_shared_lexicon_reaches_tagger_and_lemmatizer(
     model_dir, embedded_lexicon_file
 ):
