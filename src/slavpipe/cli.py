@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
-from .conllu import Document, parse_document, serialize_document
+from .conllu import Document, parse_document, serialize_sentences
 from .dataprep import (
     build_recipe_dataset,
     default_diacritic_map,
@@ -69,12 +70,14 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _write_text(target: str, text: str) -> None:
+def _write_text(target: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` of text to ``target`` (``-``: standard output) as
+    they come, so that a document's text is never held whole."""
     if target == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
-        write_atomic(target, [text.encode("utf-8")])
+        write_atomic(target, (chunk.encode("utf-8") for chunk in chunks))
     except OSError as exc:
         raise _write_error(target, exc) from exc
 
@@ -158,7 +161,7 @@ def _cmd_annotate(args: argparse.Namespace) -> int:
     pipe = Pipeline(_pipeline_config(args))
     raw = read_text(args.infile)
     source = raw if "tokenize" in pipe.tasks else parse_document(raw)
-    _write_text(args.outfile, serialize_document(pipe.annotate(source)))
+    _write_text(args.outfile, serialize_sentences(pipe.annotate(source)))
     return 0
 
 
@@ -180,7 +183,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise _write_error(model_out, exc) from exc
     if args.dev:
-        _write_text(args.dev_out or f"{model_out}.dev.conllu", serialize_document(filled))
+        _write_text(args.dev_out or f"{model_out}.dev.conllu", serialize_sentences(filled))
     shown = "n/a" if score is None else f"{score:.4f}"
     print(f"{score_name}: {shown}", file=sys.stderr)
     return 0
@@ -222,7 +225,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         report.per_label.update(full.per_label)
     except EvaluationError as exc:
         print(f"token-level metrics skipped: {exc}", file=sys.stderr)
-    _write_text(args.outfile, format_report(report, style=args.report) + "\n")
+    _write_text(args.outfile, [format_report(report, style=args.report), "\n"])
     return 0
 
 
@@ -242,7 +245,7 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     combined, report = build_recipe_dataset(
         recipe, corpora, diacritic_map=mapping, shuffle_seed=args.seed
     )
-    _write_text(args.outfile, serialize_document(combined))
+    _write_text(args.outfile, serialize_sentences(combined))
     print(report.format(), file=sys.stderr)
     return 0
 

@@ -17,6 +17,7 @@ comments) is accepted by the parser and reported by :func:`validate_document`.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -377,14 +378,15 @@ def _format_token_line(tok: Token) -> str:
     ))
 
 
+def serialize_sentences(doc: Document) -> Iterator[str]:
+    """The CoNLL-U text of each sentence of ``doc``, its blank line included."""
+    for sent in doc.sentences:
+        yield "\n".join([*sent.comments, *map(_format_token_line, sent.tokens), "\n"])
+
+
 def serialize_document(doc: Document) -> str:
     """Render a document back to CoNLL-U text (inverse of the parser)."""
-    lines: list[str] = []
-    for sent in doc.sentences:
-        lines.extend(sent.comments)
-        lines.extend(_format_token_line(t) for t in sent.tokens)
-        lines.append("")
-    return "\n".join(lines) + "\n" if lines else ""
+    return "".join(serialize_sentences(doc))
 
 
 # --- transformation --------------------------------------------------------

@@ -20,9 +20,11 @@ contributes ``-e/-i``, ``-ce/-ci``, ``-ece/-eci`` and the whole-word pair.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from itertools import islice
+from json.encoder import encode_basestring
 
 from . import modelio
 from .conllu import Document, copy_document, misc_set
@@ -213,21 +215,34 @@ def save_lemmatizer(model: LemmatizerModel, path) -> None:
         ],
     }
     if model.lexicon is not None:
-        sections["lexicon"] = b"".join(_lexicon_blocks(model.lexicon))
+        sections["lexicon"] = list(_lexicon_blocks(model.lexicon))
     modelio.write_archive(path, "lemmatizer", asdict(model.metadata), sections)
 
 
 def _lexicon_blocks(lexicon: Lexicon) -> Iterator[bytes]:
     """The lexicon section of an archive, ``_dumps({"prefixes": ..., "rows": ...})``
-    of the prefix table and :meth:`Lexicon.iter_rows`, encoded
+    of the prefix table and :meth:`Lexicon.to_rows`, encoded
     :data:`LEXICON_BLOCK_ROWS` rows at a time: the joined blocks are its bytes."""
     yield b'{"prefixes":' + modelio._dumps(lexicon.prefix_table) + b',"rows":['
-    rows = lexicon.iter_rows()
-    separator = b""
-    while block := list(islice(rows, LEXICON_BLOCK_ROWS)):
-        yield separator + modelio._dumps(block)[1:-1]
-        separator = b","
+    rows = _encoded_rows(lexicon)
+    separator = ""
+    while block := ",".join(islice(rows, LEXICON_BLOCK_ROWS)):
+        yield (separator + block).encode("utf-8")
+        separator = ","
     yield b"]}"
+
+
+def _encoded_rows(lexicon: Lexicon) -> Iterator[str]:
+    """Each row of :meth:`Lexicon.to_rows` as the JSON text ``_dumps`` gives it."""
+    index = lexicon._index
+    for form in sorted(index):
+        head = "[" + encode_basestring(form) + ","
+        entries = iter(index[form])
+        for xpos, lemma, frequency in zip(entries, entries, entries):
+            number = repr(frequency)
+            if type(frequency) is float and not math.isfinite(frequency):
+                number = modelio._dumps(frequency).decode()
+            yield f"{head}{encode_basestring(lemma)},{encode_basestring(xpos)},{number}]"
 
 
 def _embedded(payload: bytes | memoryview, lexicon: Lexicon) -> bool:

@@ -9,8 +9,9 @@ a candidate tag).  Closed classes are recognized through a
 per-language table of tag prefixes following the MULTEXT-East convention of
 encoding the coarse part of speech in the first characters of the tag: a
 form belongs to a closed class when one of its listed tags, or one of its
-lowercase form's, starts with the class prefix.  A line of a TSV lexicon
-ends at LF, or at CRLF, which is read as LF.
+lowercase form's, starts with the class prefix.  A TSV lexicon is read
+:data:`READ_BLOCK` bytes at a time; a line ends at LF, or at CRLF, which is
+read as LF.
 
 The index maps a form to a flat tuple ``(xpos, lemma, frequency, xpos, ...)``
 ascending by (xpos, lemma); equal xpos and lemma strings added together are
@@ -19,6 +20,7 @@ one object (66,281 rows take about 100 bytes each, form strings included).
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import zlib
 from collections.abc import Iterator
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import LexiconError
+
+READ_BLOCK = 64 * 1024  # bytes of a TSV lexicon read (and decompressed) at a time
 
 # First-character (or two-character, for conjunction subtypes) tag prefixes
 # of the closed classes.  Languages with diverging tagsets can pass their own
@@ -135,17 +139,13 @@ class Lexicon:
 
     # serialization into model archives
 
-    def iter_rows(self) -> Iterator[list]:
-        """[form, lemma, xpos, frequency] rows, ascending by (form, xpos, lemma)."""
-        index = self._index
-        for form in sorted(index):
-            slot = index[form]
-            for i in range(0, len(slot), 3):
-                yield [form, slot[i + 1], slot[i], slot[i + 2]]
-
     def to_rows(self) -> list[list]:
-        """The rows of :meth:`iter_rows` as one list."""
-        return list(self.iter_rows())
+        """[form, lemma, xpos, frequency] rows, ascending by (form, xpos, lemma)."""
+        rows = []
+        for form in sorted(self._index):
+            slot = self._index[form]
+            rows.extend([form, slot[i + 1], slot[i], slot[i + 2]] for i in range(0, len(slot), 3))
+        return rows
 
     @classmethod
     def from_rows(
@@ -187,36 +187,61 @@ def _checked_row(row) -> tuple[str, str, str, int | float]:
 def load_lexicon(source: str | Path) -> Lexicon:
     """Load a lexicon from a TSV file (``form<TAB>lemma<TAB>xpos[<TAB>freq]``).
 
-    Gzip-compressed files are detected by their magic bytes.  A truncated or
-    corrupt gzip file, rows with fewer than three columns and an unreadable
-    frequency raise :class:`~slavpipe.errors.LexiconError`; a bad row is
-    named by its line.  The lexicon gets the default closed-class prefixes.
+    Gzip-compressed files are detected by their magic bytes, without a seek,
+    so a pipe serves as well as a file.  A truncated or corrupt gzip file,
+    rows with fewer than three columns and an unreadable frequency raise
+    :class:`~slavpipe.errors.LexiconError`; a bad row is named by its line.
+    The lexicon gets the default closed-class prefixes.
     """
     path = Path(source)
+    lex = Lexicon()
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as raw:
+            stream = gzip.GzipFile(fileobj=raw) if raw.peek(2)[:2] == b"\x1f\x8b" else raw
+            lex._fill(_tsv_rows(_lines(stream, str(path)), str(path)))
+    except (gzip.BadGzipFile, EOFError, zlib.error) as exc:  # bad header, truncated, corrupt
+        raise LexiconError(f"{path}: bad gzip data: {exc}") from exc
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
-    if blob[:2] == b"\x1f\x8b":
-        try:
-            blob = gzip.decompress(blob)
-        except (OSError, EOFError, zlib.error) as exc:  # bad header, truncated, corrupt
-            raise LexiconError(f"{path}: bad gzip data: {exc}") from exc
-    try:
-        text = blob.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path}: not valid UTF-8: {exc}") from exc
-    del blob  # only the text is held while the rows are filled
-    lex = Lexicon()
-    lex._fill(_tsv_rows(text, str(path)))
     return lex
 
 
-def _tsv_rows(text: str, name: str):
-    """The (form, lemma, xpos, frequency) rows of a TSV lexicon.  Lines end at
-    LF only (``str.splitlines`` would also end them at U+0085 and other
-    characters a field may hold); CRLF is read as LF, and a bare CR stays."""
-    for lineno, line in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+def _lines(stream, name: str) -> Iterator[str]:
+    """The lines of a UTF-8 byte stream, read :data:`READ_BLOCK` bytes at a
+    time.  Lines end at LF only (``str.splitlines`` would also end them at
+    U+0085 and other characters a field may hold); CRLF is read as LF, and a
+    bare CR stays, also at the end of a last line without LF."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    read = 0  # bytes read so far
+    pieces: list[str] = []  # the text after the last LF so far
+    while True:
+        block = stream.read(READ_BLOCK)
+        start = read - len(decoder.getstate()[0])  # file offset of the bytes decoded now
+        read += len(block)
+        try:
+            text = decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            # the error that decoding the whole file raises, positions included
+            whole = UnicodeDecodeError(
+                exc.encoding, bytes(start) + exc.object, start + exc.start, start + exc.end,
+                exc.reason,
+            )
+            raise LexiconError(f"{name}: not valid UTF-8: {whole}") from whole
+        if not block:
+            break
+        if "\n" in text:
+            lines = "".join([*pieces, text]).replace("\r\n", "\n").split("\n")
+            pieces = [lines.pop()]
+            yield from lines
+        else:  # a line longer than a block is joined once, when it ends
+            pieces.append(text)
+    if last := "".join(pieces):
+        yield last
+
+
+def _tsv_rows(lines, name: str):
+    """The (form, lemma, xpos, frequency) rows of the lines of a TSV lexicon."""
+    for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         cols = line.split("\t")

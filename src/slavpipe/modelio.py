@@ -13,8 +13,9 @@ bytes     content
 ========  =====================================================
 
 The sections run to the end of the file, and no two share a name.  A writer
-may hand over a section's payload already encoded, as ``bytes`` (never a
-JSON value): it is written as it is.  A section that a reader asks for
+may hand over a section's payload already encoded, as a non-empty list of
+``bytes`` blocks (never a JSON value): their summed length is written, then
+each block as it is.  A section that a reader asks for
 ``raw`` comes back undecoded, as a view of the file's bytes, which keeps
 those bytes alive while it is held.
 
@@ -54,8 +55,9 @@ def write_archive(
     meta: dict[str, object],
     sections: dict[str, object],
 ) -> None:
-    """Serialize ``sections`` into a model archive: a ``bytes`` value is
-    written as the section's payload itself, any other value as its JSON.
+    """Serialize ``sections`` into a model archive: a non-empty list of
+    ``bytes`` blocks is written as the section's payload, joined, any other
+    value as its JSON.
 
     The archive is written atomically (see :func:`write_atomic`).
     """
@@ -66,9 +68,14 @@ def _archive_chunks(meta: dict[str, object], sections: dict[str, object]):
     yield MAGIC + struct.pack(">HH", FORMAT_VERSION, 1 + len(sections))
     for name, value in (("meta", meta), *sections.items()):
         encoded = name.encode("utf-8")
-        payload = value if isinstance(value, bytes) else _dumps(value)
-        yield struct.pack(">H", len(encoded)) + encoded + struct.pack(">Q", len(payload))
-        yield payload
+        blocks = value if _is_blocks(value) else [_dumps(value)]
+        yield struct.pack(">H", len(encoded)) + encoded + struct.pack(">Q", sum(map(len, blocks)))
+        yield from blocks
+
+
+def _is_blocks(value: object) -> bool:
+    """Whether a section value is an encoded payload, not a JSON value."""
+    return type(value) is list and bool(value) and all(type(b) is bytes for b in value)
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:

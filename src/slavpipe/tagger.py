@@ -17,6 +17,7 @@ anything else.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 
 from . import modelio
 from .conllu import Document, Token, canonical_feats, copy_document, strip_annotations
@@ -295,8 +296,9 @@ def _triple(row) -> Triple:
     raise TypeError(f"{row!r} is not an [upos, xpos, feats] triple of strings")
 
 
-def _weighted(row) -> tuple[Triple, float]:
-    """An archived [upos, xpos, feats, number] row."""
+def _weighted(row, shared: dict[tuple, tuple]) -> tuple[Triple, float]:
+    """An archived [upos, xpos, feats, number] row; an equal triple already in
+    ``shared`` is taken instead of a new one."""
     if type(row) is list and len(row) == 4:
         upos, xpos, feats, value = row
         if (
@@ -305,7 +307,8 @@ def _weighted(row) -> tuple[Triple, float]:
             and (feats is None or type(feats) is str)
             and type(value) in (int, float)
         ):
-            return (upos, xpos, feats), value
+            triple = (upos, xpos, feats)
+            return shared.setdefault(triple, triple), value
     raise TypeError(f"{row!r} is not an [upos, xpos, feats, number] row")
 
 
@@ -318,21 +321,28 @@ def _upos_feats(xpos: str, pair) -> tuple[str, str | None]:
 
 
 def load_tagger(path) -> TaggerModel:
-    """Read a tagger archive; a malformed one is a :class:`ModelError`."""
+    """Read a tagger archive; a malformed one is a :class:`ModelError`.
+
+    Equal triples, and equal ``xpos_best`` pairs, are one object each."""
     meta, sections = modelio.read_archive(path, "tagger")
+    shared: dict[tuple, tuple] = {}
+
+    def one(value: tuple) -> tuple:
+        return shared.setdefault(value, value)
+
     try:
         model = TaggerModel(
             form_probs={
-                form: dict(map(_weighted, rows))
+                form: dict(map(_weighted, rows, repeat(shared)))
                 for form, rows in sections["form_probs"].items()
             },
             suffix_counts={
-                sfx: dict(map(_weighted, rows))
+                sfx: dict(map(_weighted, rows, repeat(shared)))
                 for sfx, rows in sections["suffix_counts"].items()
             },
-            xpos_best={x: _upos_feats(x, p) for x, p in sections["xpos_best"].items()},
-            triples=[_triple(row) for row in sections["triples"]],
-            default_triple=_triple(sections["default_triple"]),
+            xpos_best={x: one(_upos_feats(x, p)) for x, p in sections["xpos_best"].items()},
+            triples=[one(_triple(row)) for row in sections["triples"]],
+            default_triple=one(_triple(sections["default_triple"])),
             metadata=modelio.read_metadata(TaggerMetadata, meta),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -1,4 +1,5 @@
 import argparse
+import gzip
 import io
 import json
 import os
@@ -14,8 +15,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slavpipe
 from slavpipe.cli import EXIT_BROKEN_PIPE, build_parser, main
-from slavpipe.conllu import parse_document, serialize_document
-from slavpipe.pipeline import model_filename
+from slavpipe.conllu import document_text, parse_document, serialize_document
+from slavpipe.pipeline import Pipeline, PipelineConfig, model_filename
 
 from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section
 
@@ -147,6 +148,25 @@ def test_annotate_raw_text(tmp_path, model_dir, lexicon_file, vocab):
     tok = doc.sentences[0].tokens[0]
     assert tok.lemma == noun[3]
     assert tok.head is not None
+
+
+def test_annotate_writes_the_library_text_with_a_plain_or_gzipped_crlf_lexicon(
+    tmp_path, model_dir, lexicon_file, dev_doc, capsys
+):
+    text = document_text(dev_doc)
+    crlf = tmp_path / "lexicon-crlf.tsv.gz"
+    crlf.write_bytes(gzip.compress(lexicon_file.read_bytes().replace(b"\n", b"\r\n")))
+    src = write(tmp_path, "in.txt", text)
+    out = tmp_path / "out.conllu"
+    args = ["annotate", "--lang", "sl", "--model-dir", str(model_dir), "--in", str(src)]
+    outputs = []
+    for lexicon in (lexicon_file, crlf):
+        assert main([*args, "--lexicon", str(lexicon), "--out", str(out)]) == 0
+        outputs.append(out.read_text(encoding="utf-8"))
+        assert main([*args, "--lexicon", str(lexicon)]) == 0
+        outputs.append(capsys.readouterr().out)
+    pipe = Pipeline(PipelineConfig(language="sl", model_dir=model_dir, lexicon_path=lexicon_file))
+    assert outputs == [serialize_document(pipe.annotate(text))] * 4
 
 
 def test_annotate_pretokenized_subset(tmp_path, model_dir, dev_doc):

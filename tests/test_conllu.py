@@ -20,6 +20,7 @@ from slavpipe.conllu import (
     parse_feats,
     sentence_text,
     serialize_document,
+    serialize_sentences,
     strip_annotations,
     surface_tokens,
     validate_document,
@@ -59,6 +60,18 @@ def test_roundtrip_random_documents():
         doc = random_document(rng)
         text = serialize_document(doc)
         assert serialize_document(parse_document(text)) == text
+
+
+def test_the_sentence_chunks_are_the_document_text_sentence_by_sentence():
+    rng = random.Random(11)
+    for _ in range(50):
+        doc = random_document(rng)
+        chunks = list(serialize_sentences(doc))
+        assert "".join(chunks) == serialize_document(doc)
+        assert len(chunks) == len(doc.sentences)
+        for chunk, sent in zip(chunks, doc.sentences):
+            assert parse_document(chunk).sentences == [sent]
+    assert list(serialize_sentences(Document())) == [] and serialize_document(Document()) == ""
 
 
 def test_empty_input_rejected():

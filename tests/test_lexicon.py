@@ -1,6 +1,8 @@
 import gzip
 import math
+import os
 import tempfile
+import threading
 import tracemalloc
 import zlib
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from slavpipe import lexicon
 from slavpipe.errors import DataError, LexiconError
 from slavpipe.lexicon import Lexicon, LexiconEntry, load_lexicon
 
@@ -224,37 +227,132 @@ LF_ONLY = (
 )
 
 
+LF_ONLY_ROWS = [
+    ["pa\x0bs", "pes", "Nc\x1cmsn", 7],
+    ["psu", "pes", "Ncmsl\r", 1],
+    ["ps\u2028u", "p\u2028es", "Ncmsd", 2],
+    ["p\x85sa", "pes", "Ncmsg", 1],
+]
+
+
 def test_tsv_lines_end_at_lf_only(tmp_path):
-    want = [
-        ["pa\x0bs", "pes", "Nc\x1cmsn", 7],
-        ["psu", "pes", "Ncmsl\r", 1],
-        ["ps\u2028u", "p\u2028es", "Ncmsd", 2],
-        ["p\x85sa", "pes", "Ncmsg", 1],
-    ]
     path = tmp_path / "lex.tsv"
     path.write_bytes(LF_ONLY.encode("utf-8"))
-    assert load_lexicon(path).to_rows() == want
+    assert load_lexicon(path).to_rows() == LF_ONLY_ROWS
     packed = tmp_path / "lex.tsv.gz"
     packed.write_bytes(gzip.compress(LF_ONLY.encode("utf-8")))
-    assert load_lexicon(packed).to_rows() == want
+    assert load_lexicon(packed).to_rows() == LF_ONLY_ROWS
     with pytest.raises(LexiconError, match="line 7: expected at least 3"):
         loaded(LF_ONLY + "\nbad")
 
 
-def test_a_loaded_lexicon_holds_at_most_160_bytes_a_row(tmp_path):
+# --- the TSV read in blocks -------------------------------------------------
+
+# CRLF and multi-byte characters (2, 3 and 4 bytes in UTF-8) at every offset
+# of a block of 1 to 7 bytes
+SPLIT = "žaba\tžaba\tNcfsn\t2\r\nђак\tђак\tNcmsn\r\n\r\n\U0001f600x\tx\tY\t1\r\nč\tč\tQ\n"
+SPLIT_ROWS = [
+    ["č", "č", "Q", 1], ["žaba", "žaba", "Ncfsn", 2], ["ђак", "ђак", "Ncmsn", 1],
+    ["\U0001f600x", "x", "Y", 1],
+]
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_any_block_size_reads_the_same_rows(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(lexicon, "READ_BLOCK", size)
+    for name, text, want in (("split", SPLIT, SPLIT_ROWS), ("lf-only", LF_ONLY, LF_ONLY_ROWS)):
+        blob = text.encode("utf-8")
+        (tmp_path / name).write_bytes(blob)
+        (tmp_path / f"{name}.gz").write_bytes(gzip.compress(blob))
+        assert load_lexicon(tmp_path / name).to_rows() == want
+        assert load_lexicon(tmp_path / f"{name}.gz").to_rows() == want
+
+
+@pytest.mark.parametrize("size", [1, 3, 7, 64 * 1024])
+def test_errors_in_later_blocks_are_those_of_a_whole_read(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(lexicon, "READ_BLOCK", size)
+    good = SPLIT * 4  # 20 lines
+    path = tmp_path / "lex.tsv"
+    for bad, message in (
+        ("bad line\n", "line 21: expected at least 3 tab-separated columns, found 1"),
+        ("a\tb\tX\t1\textra\r\n", "line 21: expected at most 4 columns, found 5"),
+        ("a\tb\tX\tmany\n", "line 21: frequency 'many' is not an integer"),
+    ):
+        path.write_bytes((good + bad + SPLIT).encode("utf-8"))
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon(path)
+        assert str(caught.value) == f"{path}: {message}"
+    for blob in (good.encode() + b"\xc5x" + b"\n" * 9, good.encode() + b"ab\xe2\x82"):
+        path.write_bytes(blob)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            blob.decode("utf-8")
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon(path)
+        assert str(caught.value) == f"{path}: not valid UTF-8: {whole.value}"
+        cause = caught.value.__cause__
+        assert isinstance(cause, UnicodeDecodeError)
+        assert (cause.start, cause.end, cause.reason) == (
+            whole.value.start, whole.value.end, whole.value.reason
+        )
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])
+def test_a_lexicon_is_read_from_a_pipe(tmp_path, packed):
+    """A FIFO cannot seek: the gzip magic is peeked at, not read and put back."""
+    blob = SPLIT.encode("utf-8")
+    fifo = tmp_path / "lex.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as out:
+            out.write(gzip.compress(blob) if packed else blob)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        rows = load_lexicon(fifo).to_rows()
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert rows == SPLIT_ROWS
+
+
+def _paradigm_file(tmp_path) -> tuple[Path, int]:
     """Paradigms of 2,000 random stems, 24,000 rows, with Zipf-like
-    frequencies as in a corpus-derived lexicon."""
+    frequencies as in a corpus-derived lexicon, as a TSV file; and its row count."""
     lines = [f"{form}\t{lemma}\t{xpos}\t{freq}\n" for form, lemma, xpos, freq in paradigm_rows()]
     path = tmp_path / "lex.tsv"
     path.write_text("".join(sorted(lines)), encoding="utf-8")
+    return path, len(lines)
+
+
+def _traced_load(path) -> tuple[Lexicon, int, int]:
+    """The lexicon at ``path``, and the bytes its load retains and peaks at."""
     tracemalloc.start()
     try:
         lex = load_lexicon(path)
-        retained = tracemalloc.get_traced_memory()[0]
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(lines) == 24000 and lex.form_count > 15000
-    assert retained / len(lines) <= 160
+    return lex, retained, peak
+
+
+def test_a_loaded_lexicon_holds_at_most_160_bytes_a_row(tmp_path):
+    path, rows = _paradigm_file(tmp_path)
+    lex, retained, _ = _traced_load(path)
+    assert rows == 24000 and lex.form_count > 15000
+    assert retained / rows <= 160
+
+
+# between the 0.6 MB that reading the 0.6 MB file in 64 KiB blocks peaks at
+# over what the lexicon holds and the 3.7 MB of reading it whole
+LOAD_OVERHEAD_BOUND = 1_000_000
+
+
+def test_loading_a_lexicon_peaks_little_above_what_it_holds(tmp_path):
+    path, _ = _paradigm_file(tmp_path)
+    _, retained, peak = _traced_load(path)
+    assert peak - retained < LOAD_OVERHEAD_BOUND, (peak, retained)
 
 
 def test_closed_class_checks_the_form_and_its_lowercase_separately():

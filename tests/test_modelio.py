@@ -46,6 +46,15 @@ def test_unicode_payload_survives(tmp_path):
     assert sections["rules"] == {"čšž": "ćđ"}
 
 
+def test_a_section_given_as_blocks_is_their_joined_bytes(tmp_path):
+    path = tmp_path / "m.slm"
+    blocks = [b'{"rows":[', "[\"č\",1]".encode("utf-8"), b"]}"]
+    write_archive(path, "lemmatizer", {}, {"lexicon": blocks, "empty": [], "lists": [[1], []]})
+    meta, sections = read_archive(path, "lemmatizer", raw=("lexicon",))
+    assert bytes(sections.pop("lexicon")) == b"".join(blocks)
+    assert sections == {"empty": [], "lists": [[1], []]}  # JSON values, not blocks
+
+
 def test_kind_mismatch(archive):
     with pytest.raises(ModelError, match="expected 'parser'"):
         read_archive(archive, "parser")

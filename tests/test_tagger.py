@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -183,6 +184,25 @@ def test_save_load_tags_identically(tmp_path, model, dev_doc):
     for sa, sb in zip(a.sentences, b.sentences):
         for ta, tb in zip(sa.tokens, sb.tokens):
             assert (ta.upos, ta.xpos, ta.feats) == (tb.upos, tb.xpos, tb.feats)
+
+
+def test_a_loaded_tagger_holds_each_distinct_triple_once(tmp_path, model):
+    # a second tag with the (upos, feats) pair of Z
+    saved = dataclasses.replace(model, xpos_best={**model.xpos_best, "Zq": model.xpos_best["Z"]})
+    path = tmp_path / "tagger.slm"
+    save_tagger(saved, path)
+    again = load_tagger(path)
+    triples = [
+        *(t for table in (again.form_probs, again.suffix_counts) for slot in table.values()
+          for t in slot),
+        *again.triples,
+        again.default_triple,
+    ]
+    pairs = list(again.xpos_best.values())
+    assert len(set(triples)) < len(triples) and len(set(pairs)) < len(pairs)
+    for values in (triples, pairs):
+        assert len(set(map(id, values))) == len(set(values))
+    assert again.form_probs == saved.form_probs and again.xpos_best == saved.xpos_best
 
 
 def test_load_rejects_other_kind(tmp_path, model):
