@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -184,6 +185,16 @@ def test_save_load_tags_identically(tmp_path, model, dev_doc):
     for sa, sb in zip(a.sentences, b.sentences):
         for ta, tb in zip(sa.tokens, sb.tokens):
             assert (ta.upos, ta.xpos, ta.feats) == (tb.upos, tb.xpos, tb.feats)
+
+
+# sha256 of the archive of the conftest tagger (train_doc, scored on dev_doc)
+ARCHIVE_SHA256 = "133ade8bfb40f5a136108ddb6b31cf6d5c74a893b6f3b697099f366f25c3a80d"
+
+
+def test_golden_archive(tmp_path, model):
+    path = tmp_path / "tagger.slm"
+    save_tagger(model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARCHIVE_SHA256
 
 
 def test_a_loaded_tagger_holds_each_distinct_triple_once(tmp_path, model):
