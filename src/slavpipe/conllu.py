@@ -7,11 +7,13 @@ reproduces ``x`` byte for byte:
 * every sentence is a run of ``#``-comment lines followed by token lines,
   terminated by exactly one blank line (including the last sentence),
 * token lines carry exactly ten tab-separated columns,
-* single-token ids are contiguous from 1, multiword range tokens ``a-b``
-  appear immediately before token ``a`` and never overlap.
+* single-token ids are contiguous from 1; a multiword range token ``a-b``
+  has ``a < b``, appears immediately before token ``a``, never overlaps
+  another range and is followed by all of its words.
 
-Everything else (unsorted feature keys, dangling heads, inconsistent text
-comments) is accepted by the parser and reported by :func:`validate_document`.
+:func:`validate_document` reports these id and range rules too, from the
+same definition, and everything else (unsorted feature keys, dangling heads,
+inconsistent text comments), which the parser accepts.
 """
 
 from __future__ import annotations
@@ -117,7 +119,9 @@ class Token:
 
     @property
     def space_after(self) -> bool:
-        return misc_value(self.misc, "SpaceAfter") != "No"
+        misc = self.misc
+        # misc without the key's text cannot hold SpaceAfter=No
+        return not misc or "SpaceAfter" not in misc or misc_value(misc, "SpaceAfter") != "No"
 
     def id_str(self) -> str:
         if self.is_range:
@@ -176,34 +180,50 @@ def surface_tokens(sentence: Sentence) -> list[Token]:
     return out
 
 
-def sentence_text(sentence: Sentence) -> str:
-    """Reconstruct the sentence surface from forms and SpaceAfter marks."""
+def _surface_parts(sentence: Sentence) -> list[str]:
+    """Each surface form, then one space unless it has ``SpaceAfter=No``."""
     tokens = sentence.tokens
     if any(isinstance(tok.id, tuple) for tok in tokens):
         tokens = surface_tokens(sentence)
     parts: list[str] = []
     for tok in tokens:
-        parts.append(tok.form)
-        misc = tok.misc
-        # misc without the key's text cannot hold SpaceAfter=No
-        spaced = not misc or "SpaceAfter" not in misc or misc_value(misc, "SpaceAfter") != "No"
-        parts.append(" " if spaced else "")
-    return "".join(parts[:-1])
+        parts += (tok.form, " " if tok.space_after else "")
+    return parts
+
+
+def sentence_text(sentence: Sentence) -> str:
+    """Reconstruct the sentence surface from forms and SpaceAfter marks."""
+    return "".join(_surface_parts(sentence)[:-1])
+
+
+def text_layout(doc: Document) -> tuple[str, list[tuple[int, int]], list[tuple[int, int]]]:
+    """The raw text of ``doc`` and the character spans of its surface tokens
+    and sentences.  The space after a sentence's last surface token also
+    separates it from the next sentence; a sentence without tokens is one space.
+    """
+    parts: list[str] = []
+    token_spans: list[tuple[int, int]] = []
+    sentence_spans: list[tuple[int, int]] = []
+    pos = 0
+    for sent in doc.sentences:
+        surface = _surface_parts(sent)
+        if not surface:
+            parts.append(" ")
+            pos += 1
+            continue
+        start = pos
+        for i in range(0, len(surface), 2):
+            end = pos + len(surface[i])
+            token_spans.append((pos, end))
+            pos = end + len(surface[i + 1])
+        sentence_spans.append((start, end))
+        parts += surface
+    return "".join(parts[:-1]), token_spans, sentence_spans
 
 
 def document_text(doc: Document) -> str:
-    """Reconstruct the raw text of the whole document.
-
-    Consecutive sentences are joined with one space unless the last surface
-    token of the earlier sentence carries ``SpaceAfter=No``.
-    """
-    parts: list[str] = []
-    for i, sent in enumerate(doc.sentences):
-        parts.append(sentence_text(sent))
-        surface = surface_tokens(sent)
-        if i + 1 < len(doc.sentences) and (not surface or surface[-1].space_after):
-            parts.append(" ")
-    return "".join(parts)
+    """Reconstruct the raw text of the whole document (see :func:`text_layout`)."""
+    return text_layout(doc)[0]
 
 
 def set_text_comment(sentence: Sentence, text: str) -> None:
@@ -236,8 +256,6 @@ def _parse_id(raw: str, lineno: int) -> int | tuple[int, int]:
         lo, hi = _decimal(a), _decimal(b)
         if lo is None or hi is None:
             raise ConlluParseError(f"malformed token id {raw!r}", lineno)
-        if lo >= hi:
-            raise ConlluParseError(f"empty token range {raw!r}", lineno)
         return (lo, hi)
     tid = _decimal(raw)
     if not tid:  # None or 0
@@ -271,56 +289,44 @@ def _parse_token_line(line: str, lineno: int) -> Token:
     )
 
 
-class _SentenceBuilder:
-    def __init__(self) -> None:
-        self.comments: list[str] = []
-        self.tokens: list[Token] = []
-        self.next_single = 1
-        self.open_range: tuple[int, int] | None = None
-        self.open_range_line = 0
-
-    @property
-    def started(self) -> bool:
-        return bool(self.comments or self.tokens)
-
-    def add(self, tok: Token, lineno: int) -> None:
-        if tok.is_range:
-            lo, hi = tok.id
-            if lo != self.next_single:
-                raise ConlluParseError(
-                    f"range token {tok.id_str()} does not start at the next "
-                    f"single token id {self.next_single}",
-                    lineno,
-                )
-            if self.open_range is not None:
-                raise ConlluParseError(
-                    f"range token {tok.id_str()} overlaps range "
-                    f"{self.open_range[0]}-{self.open_range[1]}",
-                    lineno,
-                )
-            self.open_range = (lo, hi)
-            self.open_range_line = lineno
+def _structure_problems(tokens: list[Token]) -> list[tuple[int, str, str]]:
+    """The sentence's breaches of the id and range rules (module docstring)
+    in token order, as ``(position in tokens, rule, message)``."""
+    expected = 1
+    for tok in tokens:
+        if tok.id != expected:  # a range never equals an int
+            break
+        expected += 1
+    else:
+        return [] if tokens else [(0, "empty-sentence", "sentence has no token lines")]
+    problems = []
+    open_range = None  # (position, lo, hi) of the range whose words are not all seen
+    for pos in range(expected - 1, len(tokens)):
+        tid = tokens[pos].id
+        if isinstance(tid, tuple):
+            lo, hi = tid
+            if lo >= hi:
+                problems.append((pos, "range-empty", f"empty token range '{lo}-{hi}'"))
+            if lo != expected:
+                problems.append((pos, "range-position", f"range token {lo}-{hi} does not "
+                                 f"start at the next single token id {expected}"))
+            if open_range is not None:
+                problems.append((pos, "range-overlap", f"range token {lo}-{hi} overlaps "
+                                 f"range {open_range[1]}-{open_range[2]}"))
+            open_range = (pos, lo, hi) if lo < hi else open_range  # an empty one opens none
         else:
-            if tok.id != self.next_single:
-                raise ConlluParseError(
-                    f"non-contiguous token id {tok.id} (expected {self.next_single})",
-                    lineno,
-                )
-            self.next_single += 1
-            if self.open_range is not None and tok.id >= self.open_range[1]:
-                self.open_range = None
-        self.tokens.append(tok)
-
-    def finish(self, lineno: int) -> Sentence:
-        if not self.tokens:
-            raise ConlluParseError("sentence has no token lines", lineno)
-        if self.open_range is not None:
-            raise ConlluParseError(
-                f"range token {self.open_range[0]}-{self.open_range[1]} covers "
-                "tokens missing from the sentence",
-                self.open_range_line,
-            )
-        return Sentence(comments=self.comments, tokens=self.tokens)
+            if tid != expected:
+                problems.append((pos, "id-contiguity",
+                                 f"non-contiguous token id {tid} (expected {expected})"))
+            expected = tid + 1
+            if open_range is not None and tid >= open_range[2]:
+                open_range = None
+    if open_range is not None:
+        pos, lo, hi = open_range
+        problems.append((pos, "range-coverage",
+                         f"range token {lo}-{hi} covers tokens missing from the sentence"))
+        problems.sort(key=lambda problem: problem[0])
+    return problems
 
 
 def parse_document(text: str) -> Document:
@@ -340,20 +346,26 @@ def parse_document(text: str) -> Document:
     lines.pop()
 
     sentences: list[Sentence] = []
-    builder = _SentenceBuilder()
+    comments: list[str] = []
+    tokens: list[Token] = []
     for lineno, line in enumerate(lines, start=1):
         if line == "":
-            if not builder.started:
+            if not (comments or tokens):
                 raise ConlluParseError("unexpected blank line", lineno)
-            sentences.append(builder.finish(lineno))
-            builder = _SentenceBuilder()
+            problems = _structure_problems(tokens)
+            if problems:
+                # token lines run up to the blank line; no token: the blank line
+                pos, _, message = problems[0]
+                raise ConlluParseError(message, lineno - len(tokens) + pos)
+            sentences.append(Sentence(comments=comments, tokens=tokens))
+            comments, tokens = [], []
         elif line.startswith("#"):
-            if builder.tokens:
+            if tokens:
                 raise ConlluParseError("comment line after token lines", lineno)
-            builder.comments.append(line)
+            comments.append(line)
         else:
-            builder.add(_parse_token_line(line, lineno), lineno)
-    if builder.started:
+            tokens.append(_parse_token_line(line, lineno))
+    if comments or tokens:
         raise ConlluParseError("missing blank line after the last sentence", len(lines))
     if not sentences:
         raise ConlluParseError("input contains no sentences", 1)
@@ -473,9 +485,9 @@ def _check_feats(feats: str) -> tuple[tuple[str, str], ...]:
 def validate_document(doc: Document) -> list[Violation]:
     """Check structural invariants; an empty result means the document is valid.
 
-    Reported rules: empty sentences, id contiguity, range placement/coverage/
-    overlap, annotations on range tokens, feats well-formedness and ordering,
-    head targets, and text-comment consistency.
+    Reported rules: the parser's id and range rules, then, on a sentence whose
+    ids and ranges are sound, annotations on range tokens, feats well-formedness
+    and ordering, head targets, and text-comment consistency.
     """
     violations: list[Violation] = []
 
@@ -485,38 +497,23 @@ def validate_document(doc: Document) -> list[Violation]:
 
     for si, sent in enumerate(doc.sentences):
         tokens = sent.tokens
-        if not tokens:
-            add(si, None, "empty-sentence", "sentence has no tokens")
+        problems = _structure_problems(tokens)
+        if problems:
+            # a range problem names its range; a wrong single id names no token
+            for pos, rule, msg in problems:
+                add(si, tokens[pos].id_str() if rule.startswith("range-") else None, rule, msg)
             continue
 
-        singles = sent.single_tokens()
-        ids = [t.id for t in singles]
-        n = len(ids)
-        if ids != list(range(1, n + 1)):
-            add(si, None, "id-contiguity", f"single token ids are {ids}")
-            continue
-
-        if n < len(tokens):  # the sentence has range tokens
-            prev_end = 0
-            for pos, tok in enumerate(tokens):
-                if not tok.is_range:
-                    continue
-                lo, hi = tok.id
-                tid = tok.id_str()
-                if lo <= prev_end:
-                    add(si, tid, "range-overlap", "range overlaps an earlier range")
-                if hi > n:
-                    add(si, tid, "range-coverage", f"range end {hi} exceeds last token id {n}")
-                nxt = tokens[pos + 1] if pos + 1 < len(tokens) else None
-                if nxt is None or nxt.is_range or nxt.id != lo:
-                    add(si, tid, "range-position",
-                        f"range token is not immediately followed by token {lo}")
-                if any(v is not None for v in
-                       (tok.lemma, tok.upos, tok.xpos, tok.feats, tok.deprel, tok.deps)) \
-                        or tok.head is not None:
-                    add(si, tid, "range-annotations",
+        # sound ids end with token n, which is the last token unless there are ranges
+        n = tokens[-1].id
+        singles = tokens
+        if n < len(tokens):
+            singles = sent.single_tokens()
+            for tok in tokens:
+                if tok.is_range and (tok.lemma, tok.upos, tok.xpos, tok.feats, tok.head,
+                                     tok.deprel, tok.deps) != (None,) * 7:
+                    add(si, tok.id_str(), "range-annotations",
                         "range tokens may carry only form and misc")
-                prev_end = max(prev_end, hi)
 
         for tok in singles:
             if tok.feats is not None:

@@ -39,11 +39,19 @@ def compute_repetition_ratio(target_tokens: int, source_tokens: int) -> Decimal:
     return round_half_up(Decimal(target_tokens) / Decimal(source_tokens), 1)
 
 
-def _as_repetitions(value, what: str, minimum: str) -> Decimal:
+def _recipe_number(value, what: str) -> Decimal:
+    """``value`` as a finite Decimal; anything else is a RecipeError."""
     try:
         dec = Decimal(str(value))
     except InvalidOperation:
-        raise RecipeError(f"{what} {value!r} is not a decimal number") from None
+        dec = None
+    if dec is None or not dec.is_finite():
+        raise RecipeError(f"{what} {value!r} is not a decimal number")
+    return dec
+
+
+def _as_repetitions(value, what: str, minimum: str) -> Decimal:
+    dec = _recipe_number(value, what)
     if -dec.as_tuple().exponent > 1:
         raise RecipeError(f"{what} {value} has more than one fractional digit")
     if dec < Decimal(minimum):
@@ -156,7 +164,9 @@ class RecipeComponent:
                 f"component {self.corpus_id}: cannot dediacritize "
                 f"{self.dediacritize_repetitions} of {self.repetitions} repetitions"
             )
-        frac = Decimal(str(self.sample_fraction))
+        frac = _recipe_number(
+            self.sample_fraction, f"component {self.corpus_id}: sample fraction"
+        )
         if not (0 < frac <= 1):
             raise RecipeError(
                 f"component {self.corpus_id}: sample fraction {frac} "
@@ -446,7 +456,7 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
                 corpus_id=kv["id"],
                 repetitions=kv["reps"],
                 dediacritize_repetitions=kv.get("dedia", "0"),
-                sample_fraction=Decimal(kv.get("fraction", "1")),
+                sample_fraction=kv.get("fraction", "1"),
                 sample_filter=sample_filter,
                 group=kv.get("group", ""),
             )

@@ -19,7 +19,8 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import modelio
-from .conllu import Document, Token, copy_document, strip_annotations, validate_document
+from .conllu import Document, Token, copy_document, validate_document
+from .conllu import strip_annotations  # noqa: F401 (bench/spans.py times it under this name)
 from .depparse import (
     TreeSchema,
     load_parser,
@@ -37,7 +38,7 @@ from .lemmatizer import (
     train_lemmatizer,
 )
 from .lexicon import Lexicon, load_lexicon
-from .tagger import load_tagger, tag_document, tag_in_place, tagging, train_tagger
+from .tagger import load_tagger, tag_dev, tag_document, train_tagger
 from .tokenizer import (
     ClosedClassTable,
     TokenizerMode,
@@ -325,9 +326,7 @@ def train_stage_tagger(
 ) -> tuple[object, Document, float | None]:
     """Train the tagger, tag a stripped copy of the dev split and score it."""
     model = train_tagger(train, Document(), language=language, variety=variety)
-    filled = strip_annotations(dev)
-    tag_in_place(filled, model, lexicon=lexicon, closed_table=closed_table)
-    model.metadata.dev_accuracy = dev_accuracy(dev, filled, tagging)
+    filled = tag_dev(model, dev, lexicon, closed_table)
     return model, filled, model.metadata.dev_accuracy
 
 

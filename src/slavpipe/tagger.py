@@ -134,10 +134,22 @@ def train_tagger(
         default_triple=default_triple,
         metadata=TaggerMetadata(language=language, variety=variety, token_count=n_tokens),
     )
-    tagged = strip_annotations(dev)
-    tag_in_place(tagged, model)
-    model.metadata.dev_accuracy = dev_accuracy(dev, tagged, tagging)
+    tag_dev(model, dev)
     return model
+
+
+def tag_dev(
+    model: TaggerModel,
+    dev: Document,
+    lexicon: Lexicon | None = None,
+    closed_table: ClosedClassTable | None = None,
+) -> Document:
+    """Tag a stripped copy of ``dev`` and return it; its accuracy is stored as
+    the model's ``metadata.dev_accuracy`` (None when no token is scored)."""
+    tagged = strip_annotations(dev)
+    tag_in_place(tagged, model, lexicon=lexicon, closed_table=closed_table)
+    model.metadata.dev_accuracy = dev_accuracy(dev, tagged, tagging)
+    return tagged
 
 
 def tagging(tok: Token) -> Triple | None:

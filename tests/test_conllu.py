@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slavpipe.conllu import (
     Document,
@@ -126,6 +126,91 @@ def test_range_token_must_cover_following_words():
     )
     with pytest.raises(ConlluParseError, match="range"):
         parse_document(truncated)
+
+
+def _token(tid: str) -> Token:
+    lo, sep, hi = tid.partition("-")
+    return Token(id=(int(lo), int(hi)) if sep else int(lo), form="w")
+
+
+# (token ids of one sentence after a comment line, rule, parser message, its line)
+STRUCTURE_CASES = [
+    ([], "empty-sentence", "sentence has no token lines", 2),
+    (["1", "3"], "id-contiguity", "non-contiguous token id 3 (expected 2)", 3),
+    (["1", "2-2", "2"], "range-empty", "empty token range '2-2'", 3),
+    (["1", "1-2", "2"], "range-position",
+     "range token 1-2 does not start at the next single token id 2", 3),
+    (["1-3", "1", "2-3", "2", "3"], "range-overlap", "range token 2-3 overlaps range 1-3", 4),
+    (["1-2", "1"], "range-coverage",
+     "range token 1-2 covers tokens missing from the sentence", 2),
+]
+
+
+@pytest.mark.parametrize("ids, rule, message, line", STRUCTURE_CASES,
+                         ids=[case[1] for case in STRUCTURE_CASES])
+def test_each_structure_rule_refused_by_the_parser_at_its_line(ids, rule, message, line):
+    sent = Sentence(comments=["# sent_id = s"], tokens=[_token(t) for t in ids])
+    with pytest.raises(ConlluParseError) as caught:
+        parse_document(serialize_document(Document(sentences=[sent])))
+    assert str(caught.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("ids, rule, message, line", STRUCTURE_CASES,
+                         ids=[case[1] for case in STRUCTURE_CASES])
+def test_each_structure_rule_reported_by_the_validator(ids, rule, message, line):
+    sent = Sentence(comments=["# sent_id = s"], tokens=[_token(t) for t in ids])
+    assert [(v.rule, v.message) for v in validate_document(Document(sentences=[sent]))] == [
+        (rule, message)
+    ]
+
+
+def test_a_sentence_reports_every_structure_problem_in_token_order():
+    # 1-3 is never covered, 2-2 is empty and inside it, and token 2 comes twice
+    sent = Sentence(tokens=[_token(t) for t in ["1-3", "1", "2-2", "2", "2"]])
+    assert [(v.token_id, v.rule) for v in validate_document(Document(sentences=[sent]))] == [
+        ("1-3", "range-coverage"), ("2-2", "range-empty"), ("2-2", "range-overlap"),
+        (None, "id-contiguity"),
+    ]
+    with pytest.raises(ConlluParseError, match="line 1: range token 1-3 covers"):
+        parse_document(serialize_document(Document(sentences=[sent])))
+
+
+_STRUCTURE_RULES = {"empty-sentence", "id-contiguity", "range-empty", "range-position",
+                    "range-overlap", "range-coverage"}
+
+
+@st.composite
+def near_valid_sentences(draw):
+    """Single ids 1..n, sometimes one of them changed, with up to two ranges
+    anywhere whose bounds lie around the ids; or a sentence of comments only."""
+    comments = draw(st.lists(
+        st.text(st.characters(exclude_characters="\t\n\r"), max_size=4).map("#".__add__),
+        max_size=2,
+    ))
+    if comments and draw(st.integers(0, 4)) == 0:
+        return Sentence(comments=comments)
+    n = draw(st.integers(0, 5))
+    ids: list = list(range(1, n + 1))
+    if n and draw(st.booleans()):
+        ids[draw(st.integers(0, n - 1))] = draw(st.integers(0, n + 2))
+    for _ in range(draw(st.integers(0, 2))):
+        lo = draw(st.integers(0, n + 1))
+        ids.insert(draw(st.integers(0, len(ids))), (lo, draw(st.integers(lo - 1, n + 2))))
+    forms = st.text(st.characters(exclude_characters="\t\n\r"), max_size=3)
+    return Sentence(comments=comments, tokens=[Token(id=i, form=draw(forms)) for i in ids])
+
+
+@settings(max_examples=400)
+@given(st.lists(near_valid_sentences(), min_size=1, max_size=3).map(
+    lambda sentences: Document(sentences=sentences)))
+def test_the_parser_refuses_exactly_what_the_validator_reports_as_structure(doc):
+    structural = any(v.rule in _STRUCTURE_RULES for v in validate_document(doc))
+    try:
+        parse_document(serialize_document(doc))
+    except ConlluParseError:
+        assert structural
+    else:
+        assert not structural
 
 
 def test_range_annotations_flagged_by_validator():

@@ -146,6 +146,15 @@ def test_oversample_validates_repetitions():
         parse_recipe("component id=c reps=lots\n")
 
 
+@pytest.mark.parametrize("key", ["reps", "dedia", "fraction"])
+@pytest.mark.parametrize("value", ["nan", "inf", "Infinity", "snan", "-inf", "abc", "0.5.5"])
+def test_recipe_numbers_must_be_finite_decimals(key, value):
+    fields = {"id": "c", "reps": "2", key: value}
+    line = " ".join(["component", *(f"{k}={v}" for k, v in fields.items())])
+    with pytest.raises(RecipeError, match=f"{value!r} is not a decimal number"):
+        parse_recipe(line + "\n")
+
+
 def test_oversample_copies_are_independent():
     doc = small_doc(1)
     out = _recipe_copies(doc, "2")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import shutil
 
@@ -8,10 +9,11 @@ from slavpipe.conllu import (
     copy_document,
     document_text,
     misc_value,
+    parse_document,
     serialize_document,
     strip_annotations,
 )
-from slavpipe.errors import ConfigurationError, ModelError
+from slavpipe.errors import ConfigurationError, ModelError, StageError
 from slavpipe.lexicon import Lexicon
 from slavpipe.pipeline import (
     _AVAILABLE,
@@ -226,6 +228,41 @@ def test_annotate_document_keeps_segmentation(full_config, dev_doc):
     assert all(t.head is not None for s in out.sentences for t in s.single_tokens())
     # the input document is left untouched
     assert all(t.upos is None for s in bare.sentences for t in s.tokens)
+
+
+RANGE_SENTENCE = (
+    "1-2\tdela\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "1\tdel\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "2\ta\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n"
+    "3\t.\t_\t_\t_\t_\t_\t_\t_\t_\n"
+    "\n"
+)
+
+
+@pytest.fixture
+def document_pipeline(model_dir, lexicon_file):
+    return Pipeline(PipelineConfig(
+        language="sl", tasks=("morph", "lemma", "depparse"),
+        model_dir=model_dir, lexicon_path=lexicon_file,
+    ))
+
+
+def test_annotate_document_with_a_multiword_range(document_pipeline):
+    out = serialize_document(document_pipeline.annotate(parse_document(RANGE_SENTENCE)))
+    assert out.split("\n")[0] == RANGE_SENTENCE.split("\n")[0]
+    words = parse_document(out).sentences[0].single_tokens()
+    assert [t.form for t in words] == ["del", "a", "."]
+    for tok in words:
+        assert None not in (tok.upos, tok.xpos, tok.lemma, tok.head, tok.deprel)
+
+
+def test_annotate_refuses_an_empty_range(document_pipeline):
+    doc = parse_document(RANGE_SENTENCE)
+    tokens = doc.sentences[0].tokens
+    # 1 del / 2-2 a / 2 a / 3 .: the range comes right before its only word
+    tokens[:] = [tokens[1], dataclasses.replace(tokens[0], id=(2, 2), form="a"), *tokens[2:]]
+    with pytest.raises(StageError, match=r"\[range-empty\] sentence 1, token 2-2"):
+        document_pipeline.annotate(doc)
 
 
 def test_annotate_without_parser(model_dir, lexicon_file, vocab):
