@@ -12,13 +12,17 @@ reproduces ``x`` byte for byte:
   another range and is followed by all of its words.
 
 :func:`validate_document` reports these id and range rules too, from the
-same definition, and everything else (unsorted feature keys, dangling heads,
-inconsistent text comments), which the parser accepts.
+same definition, a comment that would not serialize to one comment line, and
+everything else (unsorted feature keys, dangling heads, inconsistent text
+comments), which the parser accepts.
+
+Comments of the form ``# key = value`` are read with :meth:`Sentence.comment`
+and written with :func:`set_comment`; feats strings are read by
+:func:`_read_feats` alone.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -26,14 +30,6 @@ from functools import lru_cache
 from .errors import ConlluParseError
 
 N_COLUMNS = 10
-
-_SENT_ID_RE = re.compile(r"^# sent_id = (.+)$")
-_TEXT_RE = re.compile(r"^# text = (.*)$")
-
-
-def _parse_misc_parts(misc: str | None) -> list[str]:
-    return misc.split("|") if misc else []
-
 
 def misc_value(misc: str | None, key: str) -> str | None:
     """Return the value of ``key`` inside a raw misc string, if present."""
@@ -66,30 +62,47 @@ def misc_set(misc: str | None, key: str, value: str) -> str:
 
 def misc_keep_keys(misc: str | None, keys: set[str]) -> str | None:
     """Return a misc string reduced to the entries whose key is in ``keys``."""
-    kept = [p for p in _parse_misc_parts(misc) if p.partition("=")[0] in keys]
+    kept = [p for p in misc.split("|") if p.partition("=")[0] in keys] if misc else []
     return "|".join(kept) if kept else None
 
 
-def format_feats(feats: dict[str, str]) -> str | None:
-    """Render a feature mapping in canonical (case-insensitive sorted) order."""
-    if not feats:
-        return None
-    return "|".join(f"{k}={feats[k]}" for k in sorted(feats, key=str.lower))
-
-
-def parse_feats(feats: str | None) -> dict[str, str]:
-    """Best-effort view of a raw feats string as a mapping."""
-    out: dict[str, str] = {}
-    for part in _parse_misc_parts(feats):
-        k, _, v = part.partition("=")
-        out[k] = v
-    return out
-
-
 @lru_cache(maxsize=4096)
+def _read_feats(feats: str) -> tuple[str | None, tuple[tuple[str, str], ...]]:
+    """The canonical form of a raw feats string, and its breaches of the feats
+    rules as ``(rule, message)`` pairs.
+
+    The rules: every ``|``-separated entry is ``key=value`` with a non-empty
+    key, no key repeats, and keys are in case-insensitive alphabetical order.
+    The canonical form keeps each key's last value (an entry without ``=``
+    has the empty value), drops entries with an empty key and sorts the keys
+    that way; so it passes the rules, and a string that passes them is its
+    own canonical form.
+    """
+    values: dict[str, str] = {}
+    keys: list[str] = []
+    problems = []
+    for part in feats.split("|"):
+        k, sep, v = part.partition("=")
+        if sep and k:
+            keys.append(k)
+        else:
+            problems.append(("feats-format", f"entry {part!r} is not key=value"))
+        if k:
+            values[k] = v
+    if len(keys) != len(set(keys)):
+        problems.append(("feats-unique", "duplicate feature keys"))
+    lowered = [k.lower() for k in keys]
+    if lowered != sorted(lowered):
+        problems.append(
+            ("feats-order", "feature keys are not in case-insensitive alphabetical order")
+        )
+    canonical = "|".join(f"{k}={values[k]}" for k in sorted(values, key=str.lower))
+    return canonical or None, tuple(problems)
+
+
 def canonical_feats(feats: str | None) -> str | None:
-    """A raw feats string in canonical order; None when it holds no feature."""
-    return format_feats(parse_feats(feats))
+    """A raw feats string in canonical form; None when it holds no feature."""
+    return _read_feats(feats)[0] if feats else None
 
 
 @dataclass
@@ -134,21 +147,21 @@ class Sentence:
     comments: list[str] = field(default_factory=list)
     tokens: list[Token] = field(default_factory=list)
 
-    @property
-    def sent_id(self) -> str | None:
+    def comment(self, key: str) -> str | None:
+        """The value of the first ``# key = value`` comment; None without one."""
+        prefix = f"# {key} = "
         for c in self.comments:
-            m = _SENT_ID_RE.match(c)
-            if m:
-                return m.group(1)
+            if c.startswith(prefix):
+                return c[len(prefix):]
         return None
 
     @property
+    def sent_id(self) -> str | None:
+        return self.comment("sent_id") or None
+
+    @property
     def text(self) -> str | None:
-        for c in self.comments:
-            m = _TEXT_RE.match(c)
-            if m:
-                return m.group(1)
-        return None
+        return self.comment("text")
 
     def single_tokens(self) -> list[Token]:
         return [t for t in self.tokens if not isinstance(t.id, tuple)]
@@ -221,19 +234,14 @@ def text_layout(doc: Document) -> tuple[str, list[tuple[int, int]], list[tuple[i
     return "".join(parts[:-1]), token_spans, sentence_spans
 
 
-def document_text(doc: Document) -> str:
-    """Reconstruct the raw text of the whole document (see :func:`text_layout`)."""
-    return text_layout(doc)[0]
-
-
-def set_text_comment(sentence: Sentence, text: str) -> None:
-    """Replace (or append) the ``# text = ...`` comment of a sentence."""
-    line = f"# text = {text}"
+def set_comment(sentence: Sentence, key: str, value: str) -> None:
+    """Replace the first ``# key = value`` comment of ``sentence``, or append one."""
+    prefix = f"# {key} = "
     for i, c in enumerate(sentence.comments):
-        if _TEXT_RE.match(c):
-            sentence.comments[i] = line
+        if c.startswith(prefix):
+            sentence.comments[i] = prefix + value
             return
-    sentence.comments.append(line)
+    sentence.comments.append(prefix + value)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -462,40 +470,26 @@ class Violation:
         return f"[{self.rule}] {where}: {self.message}"
 
 
-@lru_cache(maxsize=4096)
-def _check_feats(feats: str) -> tuple[tuple[str, str], ...]:
-    problems = []
-    keys: list[str] = []
-    for part in feats.split("|"):
-        k, sep, _ = part.partition("=")
-        if not sep or not k:
-            problems.append(("feats-format", f"entry {part!r} is not key=value"))
-            continue
-        keys.append(k)
-    if len(keys) != len(set(keys)):
-        problems.append(("feats-unique", "duplicate feature keys"))
-    lowered = [k.lower() for k in keys]
-    if lowered != sorted(lowered):
-        problems.append(
-            ("feats-order", "feature keys are not in case-insensitive alphabetical order")
-        )
-    return tuple(problems)
-
-
 def validate_document(doc: Document) -> list[Violation]:
     """Check structural invariants; an empty result means the document is valid.
 
-    Reported rules: the parser's id and range rules, then, on a sentence whose
-    ids and ranges are sound, annotations on range tokens, feats well-formedness
-    and ordering, head targets, and text-comment consistency.
+    Reported rules: comments that are not one line starting with ``#``, the
+    parser's id and range rules, then, on a sentence whose ids and ranges are
+    sound, annotations on range tokens, the feats rules (:func:`_read_feats`),
+    head targets, and text-comment consistency.
     """
     violations: list[Violation] = []
 
     def add(si: int, tid: str | None, rule: str, msg: str) -> None:
-        # sent_id is a regex over the comments: looked up only when reported
+        # sent_id is a scan of the comments: looked up only when reported
         violations.append(Violation(si, doc.sentences[si].sent_id, tid, rule, msg))
 
     for si, sent in enumerate(doc.sentences):
+        for c in sent.comments:
+            # anything else serializes to lines that do not read back as this comment
+            if not c.startswith("#") or "\n" in c or "\r" in c:
+                add(si, None, "comment-format",
+                    f"comment {c!r} is not one line starting with '#'")
         tokens = sent.tokens
         problems = _structure_problems(tokens)
         if problems:
@@ -517,7 +511,7 @@ def validate_document(doc: Document) -> list[Violation]:
 
         for tok in singles:
             if tok.feats is not None:
-                for rule, msg in _check_feats(tok.feats):
+                for rule, msg in _read_feats(tok.feats)[1]:
                     add(si, tok.id_str(), rule, msg)
             if tok.head is not None and not (0 <= tok.head <= n):
                 add(si, tok.id_str(), "head-target",

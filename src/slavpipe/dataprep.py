@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
 
-from .conllu import Document, Sentence, copy_document, sentence_text, set_text_comment
+from .conllu import Document, Sentence, copy_document, sentence_text, set_comment
 from .errors import ConfigurationError, DataError, RecipeError, read_text
-
-_SOURCE_PREFIX = "# source = "
 
 
 def round_half_up(value: Decimal, digits: int = 0) -> Decimal:
@@ -101,13 +99,6 @@ def dediacritize_text(text: str, mapping: dict[str, str]) -> str:
 
 
 # --- copies and splits -----------------------------------------------------
-
-
-def _suffix_sent_id(sent: Sentence, copy_index: int) -> None:
-    for i, comment in enumerate(sent.comments):
-        if comment.startswith("# sent_id = "):
-            sent.comments[i] = f"{comment}-r{copy_index}"
-            return
 
 
 def _copy_plan(n_sentences: int, repetitions: Decimal) -> list[int]:
@@ -266,13 +257,6 @@ class RecipeReport:
         return "\n".join(lines)
 
 
-def _sentence_source(sent: Sentence) -> str | None:
-    for comment in sent.comments:
-        if comment.startswith(_SOURCE_PREFIX):
-            return comment[len(_SOURCE_PREFIX):]
-    return None
-
-
 def _select_sentences(
     component: RecipeComponent, corpus: Document, rng: random.Random | None
 ) -> list[Sentence]:
@@ -280,9 +264,9 @@ def _select_sentences(
     if component.sample_filter is not None:
         mode, tag = component.sample_filter
         if mode == "include":
-            sentences = [s for s in sentences if _sentence_source(s) == tag]
+            sentences = [s for s in sentences if s.comment("source") == tag]
         else:
-            sentences = [s for s in sentences if _sentence_source(s) != tag]
+            sentences = [s for s in sentences if s.comment("source") != tag]
     if rng is not None:
         rng.shuffle(sentences)
     if component.sample_fraction != 1:
@@ -345,7 +329,9 @@ def build_recipe_dataset(
         for copy_index, count in enumerate(_copy_plan(n, reps), start=1):
             copies = copy_document(Document(sentences=sentences[:count])).sentences
             for si, copy in enumerate(copies):
-                _suffix_sent_id(copy, copy_index)
+                sent_id = copy.comment("sent_id")
+                if sent_id is not None:
+                    set_comment(copy, "sent_id", f"{sent_id}-r{copy_index}")
                 dediacritize_this = 2 <= copy_index <= 1 + full_dedia or (
                     copy_index == 2 + full_dedia and si < dedia_prefix
                 )
@@ -353,7 +339,7 @@ def build_recipe_dataset(
                     for tok in copy.tokens:
                         tok.form = tok.form.translate(table)
                     if copy.text is not None:
-                        set_text_comment(copy, sentence_text(copy))
+                        set_comment(copy, "text", sentence_text(copy))
                     dedia_tokens += len(copy.single_tokens())
                 tokens_emitted += len(copy.single_tokens())
                 emitted += 1

@@ -300,27 +300,26 @@ def save_tagger(model: TaggerModel, path) -> None:
 
 
 def _triple(row) -> Triple:
-    """An archived [upos, xpos, feats] row; feats may be null."""
+    """An archived [upos, xpos, feats] row; feats is null or canonical."""
     if type(row) is list and len(row) == 3:
         upos, xpos, feats = row
         if type(upos) is str and type(xpos) is str and (feats is None or type(feats) is str):
+            if feats is not None and canonical_feats(feats) != feats:
+                raise ValueError(f"feats {feats!r} is not in canonical form")
             return (upos, xpos, feats)
     raise TypeError(f"{row!r} is not an [upos, xpos, feats] triple of strings")
 
 
 def _weighted(row, shared: dict[tuple, tuple]) -> tuple[Triple, float]:
-    """An archived [upos, xpos, feats, number] row; an equal triple already in
-    ``shared`` is taken instead of a new one."""
-    if type(row) is list and len(row) == 4:
-        upos, xpos, feats, value = row
-        if (
-            type(upos) is str
-            and type(xpos) is str
-            and (feats is None or type(feats) is str)
-            and type(value) in (int, float)
-        ):
-            triple = (upos, xpos, feats)
-            return shared.setdefault(triple, triple), value
+    """An archived [upos, xpos, feats, number] row.  A triple equal to one in
+    ``shared`` is taken from there; any other is checked by :func:`_triple`
+    and added, so each distinct triple is checked once."""
+    if type(row) is list and len(row) == 4 and type(row[3]) in (int, float):
+        try:
+            return shared[tuple(row[:3])], row[3]
+        except (KeyError, TypeError):  # new, or unhashable and so malformed
+            triple = _triple(row[:3])
+            return shared.setdefault(triple, triple), row[3]
     raise TypeError(f"{row!r} is not an [upos, xpos, feats, number] row")
 
 
@@ -333,7 +332,8 @@ def _upos_feats(xpos: str, pair) -> tuple[str, str | None]:
 
 
 def load_tagger(path) -> TaggerModel:
-    """Read a tagger archive; a malformed one is a :class:`ModelError`.
+    """Read a tagger archive; a malformed one, feats that are not their own
+    :func:`canonical_feats` included, is a :class:`ModelError`.
 
     Equal triples, and equal ``xpos_best`` pairs, are one object each."""
     meta, sections = modelio.read_archive(path, "tagger")

@@ -175,7 +175,6 @@ _EMAIL_RE = re.compile(_EMAIL_LOCAL_CLASS + r"+@[A-Za-z0-9-]+\.[A-Za-z0-9.-]*[A-
 _EMAIL_LOCAL = frozenset(ch for ch in map(chr, range(128)) if re.fullmatch(_EMAIL_LOCAL_CLASS, ch))
 _MENTION_RE = re.compile(r"@\w+")
 _HASHTAG_RE = re.compile(r"#\w+")
-_SPECIAL_RES = (_URL_RE, _EMAIL_RE, _MENTION_RE, _HASHTAG_RE)
 _SEPARATOR_RE = re.compile("[,;]")
 
 # Trailing characters a URL match should not swallow.

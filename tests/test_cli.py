@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slavpipe
 from slavpipe.cli import EXIT_BROKEN_PIPE, build_parser, main
-from slavpipe.conllu import document_text, parse_document, serialize_document
+from slavpipe.conllu import parse_document, serialize_document, text_layout
 from slavpipe.pipeline import Pipeline, PipelineConfig, model_filename
 
 from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section
@@ -153,7 +153,7 @@ def test_annotate_raw_text(tmp_path, model_dir, lexicon_file, vocab):
 def test_annotate_writes_the_library_text_with_a_plain_or_gzipped_crlf_lexicon(
     tmp_path, model_dir, lexicon_file, dev_doc, capsys
 ):
-    text = document_text(dev_doc)
+    text = text_layout(dev_doc)[0]
     crlf = tmp_path / "lexicon-crlf.tsv.gz"
     crlf.write_bytes(gzip.compress(lexicon_file.read_bytes().replace(b"\n", b"\r\n")))
     src = write(tmp_path, "in.txt", text)
@@ -443,6 +443,16 @@ def _malformed_sections(path, kind):
     }[kind])
 
 
+def _non_canonical_feats(path, kind):
+    """One archived feats with a trailing "|", which canonical_feats drops."""
+    from slavpipe.modelio import read_archive, write_archive
+
+    meta, sections = read_archive(path, kind)
+    row = next(row for rows in sections["form_probs"].values() for row in rows if row[2])
+    row[2] += "|"
+    write_archive(path, kind, meta, sections)
+
+
 def _second_meta(path, kind):
     """A second meta section, which would record another language."""
     meta = json.dumps({"kind": kind, "language": "hr"}).encode()
@@ -460,6 +470,8 @@ def _second_meta(path, kind):
                      "malformed parser model", id="parser-morph,lemma,depparse"),
         pytest.param("tagger", "morph", _second_meta, "repeated section 'meta'",
                      id="tagger-repeated-meta"),
+        pytest.param("tagger", "morph", _non_canonical_feats, "is not in canonical form",
+                     id="tagger-non-canonical-feats"),
     ],
 )
 def test_malformed_model_is_one_line_model_error(
@@ -602,6 +614,22 @@ def test_train_tagger_writes_model_and_dev(tmp_path, train_doc, dev_doc, capsys)
     )
     assert all(t.upos is not None for s in filled.sentences for t in s.single_tokens())
     assert "dev accuracy:" in capsys.readouterr().err
+
+
+def test_feats_ending_in_a_bar_train_a_tagger_that_annotates(tmp_path, capsys):
+    train_f = write(tmp_path, "train.conllu",
+                    "1\tPes\tpes\tNOUN\tNcmsn\tCase=Nom|\t_\t_\t_\t_\n\n")
+    models = tmp_path / "models"
+    assert main(["train", "tagger", "--lang", "sl", "--train", str(train_f),
+                 "--model-dir", str(models)]) == 0
+    src = write(tmp_path, "in.txt", "Pes\n")
+    capsys.readouterr()
+    code = main(["annotate", "--lang", "sl", "--tasks", "tokenize,morph",
+                 "--model-dir", str(models), "--in", str(src)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    [token] = parse_document(captured.out).sentences[0].tokens
+    assert (token.upos, token.xpos, token.feats) == ("NOUN", "Ncmsn", "Case=Nom")
 
 
 def test_unwritable_model_path_is_data_error(tmp_path, train_doc, capsys):

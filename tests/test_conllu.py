@@ -9,20 +9,20 @@ from slavpipe.conllu import (
     Sentence,
     Token,
     Violation,
+    canonical_feats,
     copy_document,
     copy_token,
-    document_text,
-    format_feats,
     misc_keep_keys,
     misc_set,
     misc_value,
     parse_document,
-    parse_feats,
     sentence_text,
     serialize_document,
     serialize_sentences,
+    set_comment,
     strip_annotations,
     surface_tokens,
+    text_layout,
     validate_document,
 )
 from slavpipe.errors import ConlluParseError, DataError
@@ -281,7 +281,7 @@ def test_validator_accepts_clean_fixture(nonstandard_doc):
 def test_text_reconstruction_with_ranges(nonstandard_doc):
     sent = nonstandard_doc.sentences[0]
     assert sentence_text(sent) == sent.text
-    assert document_text(nonstandard_doc).startswith("mislm sej mam")
+    assert text_layout(nonstandard_doc)[0].startswith("mislm sej mam")
 
 
 def surface_definition(sent):
@@ -417,12 +417,51 @@ _key = st.text(st.characters(whitelist_categories=("Lu", "Ll")), min_size=1, max
 _value = st.text(st.characters(whitelist_categories=("Lu", "Ll", "Nd")), min_size=1, max_size=8)
 
 
-@given(st.dictionaries(_key, _value, min_size=1, max_size=5))
-def test_feats_roundtrip_canonical(mapping):
-    rendered = format_feats(mapping)
-    assert parse_feats(rendered) == mapping
+@given(st.dictionaries(_key, _value, min_size=1, max_size=5), st.randoms())
+def test_feats_roundtrip_canonical(mapping, rnd):
+    entries = [f"{k}={v}" for k, v in mapping.items()]
+    rnd.shuffle(entries)
+    rendered = canonical_feats("|".join(entries))
+    assert dict(p.split("=") for p in rendered.split("|")) == mapping
     keys = [p.split("=")[0] for p in rendered.split("|")]
     assert keys == sorted(keys, key=str.lower)
+    assert canonical_feats(rendered) == rendered
+
+
+def _feats_problems(feats):
+    doc = Document(sentences=[Sentence(tokens=[Token(id=1, form="a", feats=feats)])])
+    return [v for v in validate_document(doc) if v.rule.startswith("feats-")]
+
+
+@given(st.text(alphabet="=|aAbB_\t", max_size=12))
+@example("Case=Nom|")
+@example("|Case=Nom")
+@example("=|Case=Nom")
+@example("Case")
+@example("Case=Nom|Case=Acc")
+@example("b=1|A=2")
+@example("")
+def test_canonical_feats_passes_the_feats_rules_and_keeps_what_they_accept(feats):
+    canonical = canonical_feats(feats)
+    assert canonical is None or _feats_problems(canonical) == []
+    if _feats_problems(feats) == []:
+        assert canonical == feats
+
+
+@pytest.mark.parametrize(
+    "feats, canonical",
+    [
+        ("Case=Nom|", "Case=Nom"),  # the trailing "|" leaves an entry with an empty key
+        ("=x|Number=Sing|Case=Nom", "Case=Nom|Number=Sing"),
+        ("Case", "Case="),
+        ("Case=Nom|Case=Acc", "Case=Acc"),
+        ("|", None),
+        ("", None),
+        (None, None),
+    ],
+)
+def test_canonical_feats_examples(feats, canonical):
+    assert canonical_feats(feats) == canonical
 
 
 @given(_key, _value)
@@ -454,6 +493,57 @@ def test_document_text_joins_sentences():
             Sentence(comments=[], tokens=[Token(id=1, form="B")]),
         ]
     )
-    assert document_text(doc) == "A B"
+    assert text_layout(doc)[0] == "A B"
     doc.sentences[0].tokens[0].misc = "SpaceAfter=No"
-    assert document_text(doc) == "AB"
+    assert text_layout(doc)[0] == "AB"
+
+
+# --- comments ----------------------------------------------------------------
+
+
+def test_comment_reads_the_first_key_value_comment():
+    sent = Sentence(comments=["# note", "# sent_id = a = b", "# text = ", "# sent_id = c"])
+    assert sent.comment("sent_id") == sent.sent_id == "a = b"
+    assert sent.comment("text") == sent.text == ""
+    assert sent.comment("note") is None and sent.comment("source") is None
+
+
+def test_an_empty_sent_id_is_none():
+    sent = Sentence(comments=["# sent_id = ", "# sent_id = later"])
+    assert sent.comment("sent_id") == ""
+    assert sent.sent_id is None
+
+
+def test_set_comment_replaces_the_first_or_appends():
+    sent = Sentence(comments=["# sent_id = 1", "# text = a", "# text = b"])
+    set_comment(sent, "text", "c")
+    set_comment(sent, "source", "web")
+    assert sent.comments == ["# sent_id = 1", "# text = c", "# text = b", "# source = web"]
+
+
+@pytest.mark.parametrize("comment", ["", "x", " # x", "#a\nb", "#a\n#b", "#a\rb", "#a\n"])
+def test_validator_flags_a_comment_that_is_not_one_comment_line(comment):
+    doc = parse_document(SIMPLE)
+    doc.sentences[0].comments.insert(1, comment)
+    assert validate_document(doc) == [
+        Violation(0, "1", None, "comment-format",
+                  f"comment {comment!r} is not one line starting with '#'")
+    ]
+
+
+def _round_trips(doc):
+    try:
+        return parse_document(serialize_document(doc)) == doc
+    except DataError:
+        return False
+
+
+@given(st.lists(st.text(alphabet="#a1 \t\n\r", max_size=6), max_size=3))
+@example(["#a\n#b"])  # two comment lines that read back as two comments
+@example(["#a\n1\ta\t_\t_\t_\t_\t_\t_\t_\t_"])  # a token line that reads back
+def test_comments_pass_the_validator_exactly_when_they_round_trip(comments):
+    doc = parse_document(SIMPLE)
+    doc.sentences[0].comments = comments
+    reported = {v.rule for v in validate_document(doc)}
+    assert reported <= {"comment-format"}
+    assert (not reported) == _round_trips(doc)

@@ -11,7 +11,7 @@ from slavpipe.conllu import (
     Token,
     sentence_text,
     serialize_document,
-    set_text_comment,
+    set_comment,
 )
 from slavpipe.dataprep import (
     Recipe,
@@ -454,7 +454,7 @@ def _pin_corpus(seed: int, prefix: str) -> Document:
                       f"# source = {rng.choice(['tweets', 'forums', 'news'])}"],
             tokens=tokens,
         )
-        set_text_comment(sent, sentence_text(sent))
+        set_comment(sent, "text", sentence_text(sent))
         doc.sentences.append(sent)
     return doc
 

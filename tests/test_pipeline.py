@@ -7,11 +7,11 @@ import pytest
 from slavpipe.conllu import (
     Document,
     copy_document,
-    document_text,
     misc_value,
     parse_document,
     serialize_document,
     strip_annotations,
+    text_layout,
 )
 from slavpipe.errors import ConfigurationError, ModelError, StageError
 from slavpipe.lexicon import Lexicon
@@ -560,9 +560,9 @@ def test_golden_annotate_text(
     reported_speech_text,
 ):
     text = " ".join((
-        document_text(dev_doc),
+        text_layout(dev_doc)[0],
         reported_speech_text.strip(),
-        document_text(nonstandard_doc),
+        text_layout(nonstandard_doc)[0],
         "Super :) hvala:-D www.example.com/a, <3 @ana #novo!!",
     ))
     pipe = _golden_pipeline(model_dir, lexicon_file, processing_type)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from slavpipe.conllu import Document, Sentence, Token, strip_annotations
+from slavpipe.conllu import Document, Sentence, Token, strip_annotations, validate_document
 from slavpipe.errors import ModelError, TrainingError
 from slavpipe.lexicon import Lexicon
 from slavpipe.tagger import (
@@ -163,6 +163,18 @@ def test_training_needs_annotations():
         train_tagger(doc, Document())
 
 
+def test_feats_ending_in_a_bar_train_a_model_that_loads_and_validates(tmp_path):
+    doc = one_token_doc("pes", upos="NOUN", xpos="Ncmsn", feats="Case=Nom|")
+    model = train_tagger(doc, doc)
+    assert model.triples == [("NOUN", "Ncmsn", "Case=Nom")]
+    assert model.metadata.dev_accuracy == 1.0
+    path = tmp_path / "tagger.slm"
+    save_tagger(model, path)
+    tagged = tag_document(one_token_doc("pes"), load_tagger(path))
+    assert tagged.sentences[0].tokens[0].feats == "Case=Nom"
+    assert validate_document(tagged) == []
+
+
 def test_single_class_training_degenerates():
     doc = Document()
     for i in range(3):
@@ -261,6 +273,16 @@ MINIMAL_SECTIONS = {
         pytest.param("xpos_best", {"Ncfsn": ["NOUN"]}, id="best-short"),
         pytest.param("xpos_best", {"Ncfsn": [1, None]}, id="best-number"),
         pytest.param("triples", [["NOUN", "Ncfsn"]], id="triple-short"),
+        pytest.param("form_probs", {"hiša": [["NOUN", "Ncfsn", ["Case=Nom"], 1.0]]},
+                     id="feats-list"),
+        # feats that are not their own canonical_feats
+        pytest.param("form_probs", {"hiša": [["NOUN", "Ncfsn", "Case=Nom|", 1.0]]},
+                     id="feats-trailing-bar"),
+        pytest.param("suffix_counts", {"a": [["NOUN", "Ncfsn", "Number=Sing|Case=Nom", 1]]},
+                     id="feats-unsorted"),
+        pytest.param("xpos_best", {"Ncfsn": ["NOUN", "=x|Case=Nom"]}, id="best-feats-empty-key"),
+        pytest.param("triples", [["NOUN", "Ncfsn", "Case=Nom|Case=Acc"]], id="triple-feats-repeated"),
+        pytest.param("default_triple", ["NOUN", "Ncfsn", ""], id="default-feats-empty"),
     ],
 )
 def test_malformed_archive_refused_at_load(tmp_path, section, value):

@@ -3,20 +3,23 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slavpipe.cli import main
 from slavpipe.conllu import (
     Token,
-    document_text,
     parse_document,
     sentence_text,
+    text_layout,
     validate_document,
 )
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
-    _SPECIAL_RES,
+    _EMAIL_RE,
+    _HASHTAG_RE,
+    _MENTION_RE,
     _SPECIAL_TRIM,
+    _URL_RE,
     TERMINAL_CHARS,
     ClosedClassEntry,
     TokenizerMode,
@@ -110,7 +113,7 @@ def test_reported_speech_mode_contrast(reported_speech_text, hr_rules):
     assert len(nonstandard.sentences) == 2
     assert [t.form for t in nonstandard.sentences[1].tokens] == ["“"]
     # both modes reconstruct the same raw text
-    assert document_text(standard) == document_text(nonstandard)
+    assert text_layout(standard)[0] == text_layout(nonstandard)[0]
 
 
 def test_space_after_marks_follow_input(sl_rules):
@@ -203,7 +206,7 @@ _CHUNK_PIECES = [
 
 def _first_special_end(chunk, pos):
     # the first pattern that matches at pos and keeps a nonempty trimmed token
-    for pattern in _SPECIAL_RES:
+    for pattern in (_URL_RE, _EMAIL_RE, _MENTION_RE, _HASHTAG_RE):
         m = pattern.match(chunk, pos)
         if m:
             token = m.group(0).rstrip("".join(_SPECIAL_TRIM))
@@ -343,3 +346,21 @@ def test_tokens_are_the_split_whitespace_chunks(sl_rules, text):
         assert [tok.space_after for tok in tokens] == last_in_chunk
         for sent in doc.sentences:
             assert sent.text == sentence_text(sent)
+
+
+# URLs, emoticons, control and separator characters, zero-width and
+# combining marks, and lines that look like CoNLL-U
+_FUZZ_PIECES = [
+    "Pes", "teče", "mačka", "SPI", "3,14", " ", "  ", "\n", "\r", "\r\n", "\t", "\x0b",
+    "\x1c", "\x00", "\x85", "\u2028", "\u200b", "\u200d", "\u0301", "\ufeff",
+    *".!?…,;:\"”»()", "?!", "...", ":)", ":-(", ";)", "<3", "@ana", "#novo", "ana@b.si",
+    "http://x.si/a?b=1", "WwW.primer.si", "# text = x", "# sent_id = 1",
+    "1\tPes\t_\t_\t_\t_\t_\t_\t_\t_", "1-2\tdela", "_", "=", "|",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_FUZZ_PIECES), max_size=16).map("".join))
+def test_tokenizer_output_passes_the_validator(sl_rules, text):
+    for mode in TokenizerMode:
+        assert validate_document(tokenize(text, mode, sl_rules)) == []
