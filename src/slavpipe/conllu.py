@@ -12,7 +12,8 @@ reproduces ``x`` byte for byte:
   another range and is followed by all of its words.
 
 :func:`validate_document` reports these id and range rules too, from the
-same definition, a comment that would not serialize to one comment line, and
+same definition, a comment that would not serialize to one comment line, a
+column that would not serialize to one column (:func:`breaks_column`), and
 everything else (unsorted feature keys, dangling heads, inconsistent text
 comments), which the parser accepts.
 
@@ -30,6 +31,13 @@ from functools import lru_cache
 from .errors import ConlluParseError
 
 N_COLUMNS = 10
+
+
+def breaks_column(value: str) -> bool:
+    """Whether ``value`` holds a tab, LF or CR, so that a token line with it
+    in a column does not read back (:func:`parse_document`)."""
+    return "\t" in value or "\n" in value or "\r" in value
+
 
 def misc_value(misc: str | None, key: str) -> str | None:
     """Return the value of ``key`` inside a raw misc string, if present."""
@@ -470,10 +478,15 @@ class Violation:
         return f"[{self.rule}] {where}: {self.message}"
 
 
+# the token columns that hold strings, in line order
+_STRING_COLUMNS = ("form", "lemma", "upos", "xpos", "feats", "deprel", "deps", "misc")
+
+
 def validate_document(doc: Document) -> list[Violation]:
     """Check structural invariants; an empty result means the document is valid.
 
-    Reported rules: comments that are not one line starting with ``#``, the
+    Reported rules: comments that are not one line starting with ``#``,
+    string columns that hold a tab, LF or CR (:func:`breaks_column`), the
     parser's id and range rules, then, on a sentence whose ids and ranges are
     sound, annotations on range tokens, the feats rules (:func:`_read_feats`),
     head targets, and text-comment consistency.
@@ -491,6 +504,17 @@ def validate_document(doc: Document) -> list[Violation]:
                 add(si, None, "comment-format",
                     f"comment {c!r} is not one line starting with '#'")
         tokens = sent.tokens
+        # one scan of the sentence's string columns (None reads "None"); a
+        # sentence with a hit is looked at column by column
+        if breaks_column("".join([
+            f"{t.form}{t.lemma}{t.upos}{t.xpos}{t.feats}{t.deprel}{t.deps}{t.misc}" for t in tokens
+        ])):
+            for tok in tokens:
+                for name in _STRING_COLUMNS:
+                    value = getattr(tok, name)
+                    if value is not None and breaks_column(value):
+                        add(si, tok.id_str(), "column-format",
+                            f"{name} {value!r} holds a tab or a line break")
         problems = _structure_problems(tokens)
         if problems:
             # a range problem names its range; a wrong single id names no token

@@ -37,7 +37,7 @@ import struct
 from dataclasses import asdict, dataclass, field
 
 from . import modelio
-from .conllu import Document, Sentence, Token, copy_document
+from .conllu import Document, Sentence, Token, breaks_column, copy_document
 from .errors import ConfigurationError, ModelError, StageError, TrainingError
 from .memo import memo_table, remember
 
@@ -142,6 +142,9 @@ class ParserModel:
         for labels in (self.dep_labels, self.root_labels):
             if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
                 raise TypeError("labels must be a list of strings")
+            for label in labels:
+                if breaks_column(label):
+                    raise ValueError(f"label {label!r} holds a tab or a line break")
             if not labels:
                 # without both kinds of arc the decoder can be left with no move
                 raise ValueError("dep_labels and root_labels must not be empty")

@@ -27,7 +27,7 @@ from itertools import islice
 from json.encoder import encode_basestring
 
 from . import modelio
-from .conllu import Document, copy_document, misc_set
+from .conllu import Document, breaks_column, copy_document, misc_set
 from .errors import ModelError, StageError, TrainingError
 from .lexicon import Lexicon
 from .tokenizer import CLOSED_CLASS_MISC, is_closed_class_fixed
@@ -262,26 +262,34 @@ def _embedded(payload: bytes | memoryview, lexicon: Lexicon) -> bool:
 
 
 def _lookup_entry(row) -> tuple[tuple[str, str], str]:
-    """An archived [form, xpos, lemma] row as a lookup entry."""
+    """An archived [form, xpos, lemma] row as a lookup entry; the lemma, which
+    annotation writes, holds no tab or line break."""
     if type(row) is list and len(row) == 3:
         form, xpos, lemma = row
         if type(form) is type(xpos) is type(lemma) is str:
+            if breaks_column(lemma):
+                raise ValueError(f"lookup lemma {lemma!r} holds a tab or a line break")
             return (form, xpos), lemma
     raise TypeError(f"lookup row {row!r} is not [form, xpos, lemma] strings")
 
 
 def _rule(row) -> SuffixRule:
-    """An archived [form suffix, tag prefix, replacement, frequency] row."""
+    """An archived [form suffix, tag prefix, replacement, frequency] row; the
+    replacement, which annotation writes, holds no tab or line break."""
     if type(row) is list and len(row) == 4:
         form_suffix, tag_prefix, replacement, frequency = row
         strings = type(form_suffix) is type(tag_prefix) is type(replacement) is str
         if strings and type(frequency) in (int, float):
+            if breaks_column(replacement):
+                raise ValueError(f"rule replacement {replacement!r} holds a tab or a line break")
             return SuffixRule(form_suffix, tag_prefix, replacement, frequency)
     raise TypeError(f"rule row {row!r} is not [suffix, prefix, replacement, frequency]")
 
 
 def load_lemmatizer(path, lexicon: Lexicon | None = None) -> LemmatizerModel:
-    """Read a lemmatizer archive; a malformed one is a :class:`ModelError`.
+    """Read a lemmatizer archive; a malformed one, a lookup lemma or rule
+    replacement that would break a CoNLL-U column (:func:`breaks_column`)
+    included, is a :class:`ModelError`.
 
     ``lexicon`` serves a model whose archive embeds none, and is the model's
     lexicon, kept instead of an equal copy, when the embedded section's bytes

@@ -257,8 +257,17 @@ class Pipeline:
         """Run the configured stages over raw text or a parsed document.
 
         Raw text requires the tokenize task; a document input skips
-        tokenization and keeps its segmentation.  The result always passes
-        document validation, and tree validation when parsing ran.
+        tokenization and keeps its segmentation.
+
+        A document input may break any rule, so the result is validated
+        after the stages and a breach raises :class:`StageError`.  The
+        result of raw text is valid by construction and is not validated
+        again: the tokenizer's output is valid, the stages write no id,
+        form, comment or ``SpaceAfter``, and the loaders refuse a model
+        whose feats are not canonical or whose strings that annotation
+        writes would break a column (a lexicon's tags and lemmas are not
+        checked).  Parsed sentences of either input pass
+        :func:`validate_tree`.
         """
         if isinstance(source, str):
             if "tokenize" not in self.tasks:
@@ -281,9 +290,10 @@ class Pipeline:
             doc = lemmatize_document(doc, self.lemmatizer)
         if "depparse" in self.tasks:
             doc = parse_dependency(doc, self.parser)
-        problems = validate_document(doc)
-        if problems:
-            raise StageError("pipeline", f"output failed validation: {problems[0]}")
+        if not isinstance(source, str):
+            problems = validate_document(doc)
+            if problems:
+                raise StageError("pipeline", f"output failed validation: {problems[0]}")
         if "depparse" in self.tasks:
             for sent in doc.sentences:
                 tree_problems = validate_tree(sent, self.parser.schema)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 from . import modelio
-from .conllu import Document, Token, canonical_feats, copy_document, strip_annotations
+from .conllu import Document, Token, breaks_column, canonical_feats, copy_document, strip_annotations
 from .errors import ModelError, TrainingError
 from .evaluate import dev_accuracy
 from .lexicon import Lexicon
@@ -300,12 +300,15 @@ def save_tagger(model: TaggerModel, path) -> None:
 
 
 def _triple(row) -> Triple:
-    """An archived [upos, xpos, feats] row; feats is null or canonical."""
+    """An archived [upos, xpos, feats] row; feats is null or canonical, and no
+    string holds a tab or a line break."""
     if type(row) is list and len(row) == 3:
         upos, xpos, feats = row
         if type(upos) is str and type(xpos) is str and (feats is None or type(feats) is str):
             if feats is not None and canonical_feats(feats) != feats:
                 raise ValueError(f"feats {feats!r} is not in canonical form")
+            if breaks_column(upos) or breaks_column(xpos) or feats and breaks_column(feats):
+                raise ValueError(f"{row!r} holds a tab or a line break")
             return (upos, xpos, feats)
     raise TypeError(f"{row!r} is not an [upos, xpos, feats] triple of strings")
 
@@ -333,7 +336,8 @@ def _upos_feats(xpos: str, pair) -> tuple[str, str | None]:
 
 def load_tagger(path) -> TaggerModel:
     """Read a tagger archive; a malformed one, feats that are not their own
-    :func:`canonical_feats` included, is a :class:`ModelError`.
+    :func:`canonical_feats` and a string that would break a CoNLL-U column
+    (:func:`breaks_column`) included, is a :class:`ModelError`.
 
     Equal triples, and equal ``xpos_best`` pairs, are one object each."""
     meta, sections = modelio.read_archive(path, "tagger")

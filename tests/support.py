@@ -17,6 +17,17 @@ from fractions import Fraction
 from slavpipe.conllu import Document, Sentence, Token
 from slavpipe.lexicon import Lexicon
 
+# Pieces of raw text to fuzz the tokenizer and the pipeline with: URLs,
+# emoticons, control and separator characters, zero-width and combining
+# marks, and lines that look like CoNLL-U.
+FUZZ_PIECES = [
+    "Pes", "teče", "mačka", "SPI", "3,14", " ", "  ", "\n", "\r", "\r\n", "\t", "\x0b",
+    "\x1c", "\x00", "\x85", "\u2028", "\u200b", "\u200d", "\u0301", "\ufeff",
+    *".!?…,;:\"”»()", "?!", "...", ":)", ":-(", ";)", "<3", "@ana", "#novo", "ana@b.si",
+    "http://x.si/a?b=1", "WwW.primer.si", "# text = x", "# sent_id = 1",
+    "1\tPes\t_\t_\t_\t_\t_\t_\t_\t_", "1-2\tdela", "_", "=", "|",
+]
+
 # --- damaged files ----------------------------------------------------------
 
 GZIP_DAMAGE = ("magic-only", "truncated", "flipped-byte")

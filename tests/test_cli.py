@@ -453,6 +453,27 @@ def _non_canonical_feats(path, kind):
     write_archive(path, kind, meta, sections)
 
 
+def _column_break(section):
+    """A damage that puts a tab into the first archived string of ``section``
+    that annotation writes: a tagger xpos, a lemmatizer lookup lemma or rule
+    replacement, a parser label."""
+    from slavpipe.modelio import read_archive, write_archive
+
+    def damage(path, kind):
+        meta, sections = read_archive(path, kind)
+        rows = sections[section]
+        if section == "form_probs":
+            row = next(iter(rows.values()))[0]
+            row[1] = row[1][:1] + "\t" + row[1][1:]
+        elif section in ("lookup", "rules"):
+            rows[0][2] += "\t"
+        else:
+            rows[0] += "\t"
+        write_archive(path, kind, meta, sections)
+
+    return damage
+
+
 def _second_meta(path, kind):
     """A second meta section, which would record another language."""
     meta = json.dumps({"kind": kind, "language": "hr"}).encode()
@@ -472,6 +493,14 @@ def _second_meta(path, kind):
                      id="tagger-repeated-meta"),
         pytest.param("tagger", "morph", _non_canonical_feats, "is not in canonical form",
                      id="tagger-non-canonical-feats"),
+        pytest.param("tagger", "morph", _column_break("form_probs"),
+                     "holds a tab or a line break", id="tagger-xpos-tab"),
+        pytest.param("lemmatizer", "morph,lemma", _column_break("lookup"),
+                     "holds a tab or a line break", id="lemmatizer-lookup-tab"),
+        pytest.param("lemmatizer", "morph,lemma", _column_break("rules"),
+                     "holds a tab or a line break", id="lemmatizer-rule-tab"),
+        pytest.param("parser", "morph,lemma,depparse", _column_break("dep_labels"),
+                     "holds a tab or a line break", id="parser-label-tab"),
     ],
 )
 def test_malformed_model_is_one_line_model_error(

@@ -547,3 +547,23 @@ def test_comments_pass_the_validator_exactly_when_they_round_trip(comments):
     reported = {v.rule for v in validate_document(doc)}
     assert reported <= {"comment-format"}
     assert (not reported) == _round_trips(doc)
+
+
+@pytest.mark.parametrize("column", ["form", "lemma", "upos", "xpos", "feats", "deprel",
+                                    "deps", "misc"])
+@pytest.mark.parametrize("value", ["a\tb", "a\n", "\rb"])
+def test_validator_flags_a_column_holding_a_tab_or_a_line_break(column, value):
+    doc = parse_document(SIMPLE)
+    tok = doc.sentences[0].tokens[0]
+    setattr(tok, column, value)
+    assert Violation(0, "1", "1", "column-format",
+                     f"{column} {value!r} holds a tab or a line break") in validate_document(doc)
+
+
+@given(st.sampled_from(["form", "lemma", "upos", "xpos", "deprel", "deps", "misc"]),
+       st.text(alphabet="a1 =\t\n\r", max_size=6))
+def test_a_column_passes_the_column_rule_exactly_when_it_round_trips(column, value):
+    doc = parse_document(SIMPLE)
+    setattr(doc.sentences[0].tokens[-1], column, value)
+    reported = {v.rule for v in validate_document(doc)}
+    assert ("column-format" not in reported) == _round_trips(doc)

@@ -399,6 +399,10 @@ MINIMAL_SECTIONS = {
         pytest.param("root_labels", ["root", 1], id="label-number"),
         pytest.param("dep_labels", [], id="no-dep-labels"),
         pytest.param("root_labels", [], id="no-root-labels"),
+        # labels that would break a CoNLL-U column
+        pytest.param("dep_labels", ["a", "b\tc"], id="dep-label-tab"),
+        pytest.param("root_labels", ["root\n"], id="root-label-lf"),
+        pytest.param("root_labels", ["ro\rot"], id="root-label-cr"),
     ],
 )
 def test_malformed_archive_refused_at_load(tmp_path, section, value):

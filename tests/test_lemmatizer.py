@@ -236,6 +236,10 @@ MINIMAL_SECTIONS = {
         pytest.param("lexicon", {"rows": [], "prefixes": {"pronoun": 1}},
                      id="prefix-number"),
         pytest.param("lexicon", [], id="lexicon-list"),
+        # strings that annotation writes and that would break a CoNLL-U column
+        pytest.param("lookup", [["hiše", "Ncfsg", "hi\tša"]], id="lookup-lemma-tab"),
+        pytest.param("lookup", [["hiše", "Ncfsg", "hiša\n"]], id="lookup-lemma-lf"),
+        pytest.param("rules", [["e", "N", "\ra", 3]], id="replacement-cr"),
     ],
 )
 def test_malformed_archive_refused_at_load(tmp_path, section, value):

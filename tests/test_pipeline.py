@@ -3,7 +3,9 @@ import hashlib
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from slavpipe import pipeline
 from slavpipe.conllu import (
     Document,
     copy_document,
@@ -12,8 +14,10 @@ from slavpipe.conllu import (
     serialize_document,
     strip_annotations,
     text_layout,
+    validate_document,
 )
-from slavpipe.errors import ConfigurationError, ModelError, StageError
+from slavpipe.depparse import validate_tree
+from slavpipe.errors import ConfigurationError, DataError, ModelError, StageError
 from slavpipe.lexicon import Lexicon
 from slavpipe.pipeline import (
     _AVAILABLE,
@@ -31,7 +35,7 @@ from slavpipe.pipeline import (
     train_stage_tagger,
 )
 
-from support import lexicon_tsv
+from support import FUZZ_PIECES, lexicon_tsv
 
 # Availability of the six tasks per language and variety, restated row by
 # row so a regression in the module table cannot hide.
@@ -263,6 +267,108 @@ def test_annotate_refuses_an_empty_range(document_pipeline):
     tokens[:] = [tokens[1], dataclasses.replace(tokens[0], id=(2, 2), form="a"), *tokens[2:]]
     with pytest.raises(StageError, match=r"\[range-empty\] sentence 1, token 2-2"):
         document_pipeline.annotate(doc)
+
+
+def _fails(doc):
+    raise AssertionError("validate_document called")
+
+
+def test_raw_text_skips_the_document_check(document_pipeline, full_config, monkeypatch):
+    doc = parse_document(RANGE_SENTENCE)
+    monkeypatch.setattr(pipeline, "validate_document", _fails)
+    assert Pipeline(full_config).annotate("Pes laja.").sentences
+    with pytest.raises(AssertionError, match="validate_document called"):
+        document_pipeline.annotate(doc)
+
+
+@pytest.mark.parametrize(
+    "tasks, token",
+    [
+        # the lemmatizer rewrites no feats
+        pytest.param(("lemma",), "1\tpes\t_\tNOUN\tNcmsn\tNumber=Sing|Case=Nom\t_\t_\t_\t_",
+                     id="lemma-only"),
+        # the tagger and the lemmatizer keep a closed-class token as it is
+        pytest.param(("morph", "lemma"),
+                     "1\t.\t.\tPUNCT\tZ\tb=1|A=2\t_\t_\t_\tClosedClass=Yes",
+                     id="closed-class"),
+    ],
+)
+def test_a_document_input_is_validated_after_the_stages(model_dir, tasks, token):
+    pipe = Pipeline(PipelineConfig(language="sl", tasks=tasks, model_dir=model_dir))
+    doc = parse_document(token + "\n\n")
+    with pytest.raises(StageError, match=r"\[feats-order\] sentence 1, token 1"):
+        pipe.annotate(doc)
+
+
+def test_a_document_form_holding_a_tab_is_refused(document_pipeline):
+    doc = parse_document(RANGE_SENTENCE)
+    doc.sentences[0].tokens[1].form = "d\tel"
+    with pytest.raises(StageError, match=r"\[column-format\] sentence 1, token 1: form"):
+        document_pipeline.annotate(doc)
+    # unrefused, it would serialize to a line that does not read back
+    with pytest.raises(DataError, match="expected 10 tab-separated columns"):
+        parse_document(serialize_document(doc))
+
+
+FUZZ_TASKS = [
+    ("tokenize",),
+    ("tokenize", "morph"),
+    ("tokenize", "morph", "lemma"),
+    ("tokenize", "morph", "lemma", "depparse"),
+    ("tokenize", "lemma"),  # no xpos for the lemmatizer but on closed-class tokens
+    ("tokenize", "depparse"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_pipelines(model_dir, synthetic_lexicon, tmp_path_factory):
+    """One pipeline per processing type and task set, built when first asked
+    for; every type is served by the standard models."""
+    lexicon = tmp_path_factory.mktemp("fuzz") / "lexicon.tsv"
+    lexicon.write_text(lexicon_tsv(synthetic_lexicon), encoding="utf-8")
+    built = {}
+
+    def get(processing_type, tasks):
+        if (processing_type, tasks) not in built:
+            built[processing_type, tasks] = Pipeline(PipelineConfig(
+                language="sl", processing_type=processing_type, tasks=tasks,
+                model_paths={
+                    kind: model_dir / model_filename("sl", "standard", kind)
+                    for kind in ("tagger", "lemmatizer", "parser")
+                },
+                lexicon_path=lexicon,
+            ))
+        return built[processing_type, tasks]
+
+    return get
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(st.sampled_from(FUZZ_PIECES) | st.integers(0, 99), max_size=16),
+    processing_type=st.sampled_from(PROCESSING_TYPES),
+    tasks=st.sampled_from(FUZZ_TASKS),
+)
+def test_raw_text_output_is_valid_without_the_document_check(
+    fuzz_pipelines, vocab, pieces, processing_type, tasks
+):
+    # an integer piece is a word of the training vocabulary
+    words = [form for form, _, _ in vocab.all_entries()[::4]]
+    text = "".join(p if isinstance(p, str) else words[p % len(words)] for p in pieces)
+    pipe = fuzz_pipelines(processing_type, tasks)
+    try:
+        doc = pipe.annotate(text)
+    except DataError:  # StageError included
+        # only a stage whose input misses the tags it needs may refuse
+        assert "morph" not in tasks and len(tasks) > 1
+        return
+    assert validate_document(doc) == []
+    if "depparse" in tasks:
+        for sent in doc.sentences:
+            assert validate_tree(sent, pipe.parser.schema) == []
+    out = serialize_document(doc)
+    if doc.sentences:  # without one, the output is empty and parses to nothing
+        assert serialize_document(parse_document(out)) == out
 
 
 def test_annotate_without_parser(model_dir, lexicon_file, vocab):

@@ -283,6 +283,13 @@ MINIMAL_SECTIONS = {
         pytest.param("xpos_best", {"Ncfsn": ["NOUN", "=x|Case=Nom"]}, id="best-feats-empty-key"),
         pytest.param("triples", [["NOUN", "Ncfsn", "Case=Nom|Case=Acc"]], id="triple-feats-repeated"),
         pytest.param("default_triple", ["NOUN", "Ncfsn", ""], id="default-feats-empty"),
+        # strings that would break a CoNLL-U column
+        pytest.param("form_probs", {"hiša": [["NOUN", "N\tcfsn", "Case=Nom", 1.0]]},
+                     id="xpos-tab"),
+        pytest.param("suffix_counts", {"a": [["NO\nUN", "Ncfsn", None, 1]]}, id="upos-lf"),
+        pytest.param("xpos_best", {"Ncfsn\r": ["NOUN", None]}, id="best-xpos-cr"),
+        pytest.param("triples", [["NOUN", "Ncfsn", "Case=N\tom"]], id="triple-canonical-feats-tab"),
+        pytest.param("default_triple", ["NOUN", "Ncfsn\n", None], id="default-xpos-lf"),
     ],
 )
 def test_malformed_archive_refused_at_load(tmp_path, section, value):

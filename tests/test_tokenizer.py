@@ -33,6 +33,8 @@ from slavpipe.tokenizer import (
     tokenize,
 )
 
+from support import FUZZ_PIECES
+
 
 @pytest.fixture(scope="module")
 def sl_rules():
@@ -348,19 +350,8 @@ def test_tokens_are_the_split_whitespace_chunks(sl_rules, text):
             assert sent.text == sentence_text(sent)
 
 
-# URLs, emoticons, control and separator characters, zero-width and
-# combining marks, and lines that look like CoNLL-U
-_FUZZ_PIECES = [
-    "Pes", "teče", "mačka", "SPI", "3,14", " ", "  ", "\n", "\r", "\r\n", "\t", "\x0b",
-    "\x1c", "\x00", "\x85", "\u2028", "\u200b", "\u200d", "\u0301", "\ufeff",
-    *".!?…,;:\"”»()", "?!", "...", ":)", ":-(", ";)", "<3", "@ana", "#novo", "ana@b.si",
-    "http://x.si/a?b=1", "WwW.primer.si", "# text = x", "# sent_id = 1",
-    "1\tPes\t_\t_\t_\t_\t_\t_\t_\t_", "1-2\tdela", "_", "=", "|",
-]
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.sampled_from(_FUZZ_PIECES), max_size=16).map("".join))
+@given(st.lists(st.sampled_from(FUZZ_PIECES), max_size=16).map("".join))
 def test_tokenizer_output_passes_the_validator(sl_rules, text):
     for mode in TokenizerMode:
         assert validate_document(tokenize(text, mode, sl_rules)) == []
