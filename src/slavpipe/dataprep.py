@@ -188,7 +188,6 @@ class ComponentReport:
     repetitions: Decimal
     dediacritize_repetitions: Decimal
     source_sentences: int
-    source_tokens: int
     sentences_emitted: int
     tokens_emitted: int
     dediacritized_tokens: int
@@ -314,7 +313,6 @@ def build_recipe_dataset(
         rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         sentences = _select_sentences(component, corpora[component.corpus_id], rng)
         n = len(sentences)
-        source_tokens = sum(len(s.single_tokens()) for s in sentences)
 
         # which copies lose their diacritics: whole copies starting at the
         # second one, then a sentence prefix of the next copy
@@ -352,7 +350,6 @@ def build_recipe_dataset(
                 repetitions=reps,
                 dediacritize_repetitions=dedia,
                 source_sentences=n,
-                source_tokens=source_tokens,
                 sentences_emitted=emitted,
                 tokens_emitted=tokens_emitted,
                 dediacritized_tokens=dedia_tokens,

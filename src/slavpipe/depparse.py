@@ -540,7 +540,8 @@ def parse_in_place(doc: Document, model: ParserModel, language: str | None = Non
     """Attach heads and labels to every sentence of ``doc`` itself.
 
     Requires upos, xpos and lemma on all single tokens (upstream stages must
-    have run); the output of every sentence validates under the model schema.
+    have run).  Each sentence becomes a tree of the model's schema by
+    construction (:meth:`_Actions.valid`), so it is not checked.
     """
     modelio.check_language("parser", model.metadata.language, language)
     for si, sent in enumerate(doc.sentences):

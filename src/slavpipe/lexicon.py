@@ -27,6 +27,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
+from .conllu import breaks_column
 from .errors import LexiconError
 
 READ_BLOCK = 64 * 1024  # bytes of a TSV lexicon read (and decompressed) at a time
@@ -52,6 +53,8 @@ class LexiconEntry:
 
 
 class Lexicon:
+    """Forms and their entries; every row enters through :meth:`_fill`, which checks it."""
+
     def __init__(self, prefix_table: dict[str, str] | None = None):
         self._index: dict[str, tuple] = {}
         self.prefix_table = dict(
@@ -67,15 +70,21 @@ class Lexicon:
         return len(self._index)
 
     def add(self, form: str, lemma: str, xpos: str, frequency: int = 1) -> None:
-        """Insert a triple; duplicate triples accumulate their frequencies."""
-        self._version += 1
+        """Insert a triple (see :meth:`_fill`); duplicate triples accumulate their frequencies."""
         self._fill([(form, lemma, xpos, frequency)])
+        self._version += 1
 
     def _fill(self, rows) -> None:
-        """Add (form, lemma, xpos, frequency) rows without a version bump."""
+        """Add (form, lemma, xpos, frequency) rows without a version bump; a
+        lemma or tag that breaks a column (:func:`breaks_column`) raises ValueError."""
         index = self._index
         shared: dict[str, str] = {}  # one object for equal xpos and lemma strings
         for form, lemma, xpos, frequency in rows:
+            # annotation writes these two; once both are shared, both have passed
+            if (lemma not in shared or xpos not in shared) and breaks_column(lemma + xpos):
+                raise ValueError(
+                    f"form {form!r}: lemma {lemma!r} or tag {xpos!r} holds a tab or a line break"
+                )
             # 0 + frequency, as in a sum: a bool becomes an int, -0.0 becomes 0.0
             entry = (shared.setdefault(xpos, xpos), shared.setdefault(lemma, lemma), 0 + frequency)
             slot = index.setdefault(form, entry)
@@ -153,8 +162,8 @@ class Lexicon:
     ) -> Lexicon:
         """The inverse of :meth:`to_rows`.
 
-        Rows that are not [form, lemma, xpos, frequency] and a prefix table
-        that does not map strings to strings raise TypeError or ValueError.
+        Rows that are not [form, lemma, xpos, frequency] or break a column, and
+        a prefix table not mapping strings to strings, raise TypeError or ValueError.
         """
         if prefix_table is not None and not (
             isinstance(prefix_table, dict)
@@ -188,10 +197,11 @@ def load_lexicon(source: str | Path) -> Lexicon:
     """Load a lexicon from a TSV file (``form<TAB>lemma<TAB>xpos[<TAB>freq]``).
 
     Gzip-compressed files are detected by their magic bytes, without a seek,
-    so a pipe serves as well as a file.  A truncated or corrupt gzip file,
-    rows with fewer than three columns and an unreadable frequency raise
-    :class:`~slavpipe.errors.LexiconError`; a bad row is named by its line.
-    The lexicon gets the default closed-class prefixes.
+    so a pipe serves as well as a file.  A truncated or corrupt gzip file, a
+    row of fewer than three columns or an unreadable frequency (named by its
+    line) and a lemma or tag holding a CR (named by its form) raise
+    :class:`~slavpipe.errors.LexiconError`; the lexicon gets the default
+    closed-class prefixes.
     """
     path = Path(source)
     lex = Lexicon()
@@ -203,6 +213,8 @@ def load_lexicon(source: str | Path) -> Lexicon:
         raise LexiconError(f"{path}: bad gzip data: {exc}") from exc
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon {path}: {exc}") from exc
+    except ValueError as exc:  # a lemma or tag that breaks a column
+        raise LexiconError(f"{path}: {exc}") from exc
     return lex
 
 

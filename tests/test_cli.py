@@ -453,10 +453,10 @@ def _non_canonical_feats(path, kind):
     write_archive(path, kind, meta, sections)
 
 
-def _column_break(section):
-    """A damage that puts a tab into the first archived string of ``section``
-    that annotation writes: a tagger xpos, a lemmatizer lookup lemma or rule
-    replacement, a parser label."""
+def _column_break(section, char="\t"):
+    """A damage that puts ``char`` into the first archived string of
+    ``section`` that annotation writes: a tagger xpos, a lemmatizer lookup
+    lemma, rule replacement or embedded lexicon lemma, a parser label."""
     from slavpipe.modelio import read_archive, write_archive
 
     def damage(path, kind):
@@ -464,11 +464,13 @@ def _column_break(section):
         rows = sections[section]
         if section == "form_probs":
             row = next(iter(rows.values()))[0]
-            row[1] = row[1][:1] + "\t" + row[1][1:]
+            row[1] = row[1][:1] + char + row[1][1:]
         elif section in ("lookup", "rules"):
-            rows[0][2] += "\t"
+            rows[0][2] += char
+        elif section == "lexicon":
+            rows["rows"][0][1] += char
         else:
-            rows[0] += "\t"
+            rows[0] += char
         write_archive(path, kind, meta, sections)
 
     return damage
@@ -501,6 +503,12 @@ def _second_meta(path, kind):
                      "holds a tab or a line break", id="lemmatizer-rule-tab"),
         pytest.param("parser", "morph,lemma,depparse", _column_break("dep_labels"),
                      "holds a tab or a line break", id="parser-label-tab"),
+        pytest.param("lemmatizer", "morph,lemma", _column_break("lexicon", "\t"),
+                     "holds a tab or a line break", id="lemmatizer-lexicon-lemma-tab"),
+        pytest.param("lemmatizer", "morph,lemma", _column_break("lexicon", "\n"),
+                     "holds a tab or a line break", id="lemmatizer-lexicon-lemma-lf"),
+        pytest.param("lemmatizer", "morph,lemma", _column_break("lexicon", "\r"),
+                     "holds a tab or a line break", id="lemmatizer-lexicon-lemma-cr"),
     ],
 )
 def test_malformed_model_is_one_line_model_error(
@@ -912,6 +920,22 @@ def test_damaged_gzip_lexicon_is_one_line_data_error(tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {blob}: bad gzip data: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("line", ["psa\tpe\rs\tNcmsg\t2\n", "psa\tpes\tNcmsg\r"])
+def test_a_lexicon_lemma_or_tag_holding_a_cr_is_one_line_data_error(
+    tmp_path, model_dir, capsys, line
+):
+    lexicon = write(tmp_path, "lexicon.tsv", "pes\tpes\tNcmsn\t3\n" + line)
+    src = write(tmp_path, "in.txt", "Vidim psa.")
+    for args in (["annotate", "--lang", "sl", "--tasks", "tokenize,morph,lemma",
+                  "--model-dir", str(model_dir), "--in", str(src)], ["lexicon", "load"]):
+        assert main([*args, "--lexicon", str(lexicon)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {lexicon}: form 'psa': ")
+        assert "holds a tab or a line break" in captured.err
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # --- argument handling ------------------------------------------------------

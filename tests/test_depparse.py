@@ -150,19 +150,44 @@ def test_parse_output_validates(trained, dev_doc):
         assert validate_tree(sent, TreeSchema.UD) == []
 
 
-def test_parse_always_yields_valid_trees_on_random_input(trained):
+@pytest.fixture(scope="module")
+def jos_trained(multi_root_doc):
+    train = Document(
+        sentences=[copy_document(multi_root_doc).sentences[0] for _ in range(20)]
+    )
+    return train_parser(train, TreeSchema.JOS, seed=3, epochs=6)
+
+
+# annotate does not check parses: the decoder builds a tree of either schema,
+# also with scrambled weights, which choose among its valid moves at random
+@pytest.mark.parametrize("schema", list(TreeSchema))
+def test_parse_always_yields_valid_trees_on_random_input(request, schema):
+    fixture = {TreeSchema.UD: "trained", TreeSchema.JOS: "jos_trained"}[schema]
+    trained = request.getfixturevalue(fixture)
+    assert trained.schema is schema
     rng = random.Random(99)
+    scrambled = ParserModel(
+        weights={f: {a: rng.uniform(-1, 1) for a in row} for f, row in trained.weights.items()},
+        dep_labels=trained.dep_labels, root_labels=trained.root_labels, schema=schema,
+    )
+    # "X" and the tags of the JOS training sentence, on which that model
+    # attaches tokens to the root before the buffer is empty
+    tags = [("X", "X"), ("NOUN", "Ncfsn"), ("VERB", "Vmpr3s"), ("ADP", "Sl"), ("PUNCT", "Z")]
     alphabet = "abcdefghijklmnop"
     doc = Document()
     for _ in range(60):
         tokens = []
         for i in range(1, rng.randint(2, 12) + 1):
             form = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 7)))
-            tokens.append(Token(id=i, form=form, lemma=form, upos="X", xpos="X"))
+            upos, xpos = rng.choice(tags)
+            tokens.append(Token(id=i, form=form, lemma=form, upos=upos, xpos=xpos))
         doc.sentences.append(Sentence(comments=[], tokens=tokens))
-    parsed = parse_dependency(doc, trained)
-    for sent in parsed.sentences:
-        assert validate_tree(sent, trained.schema) == []
+    for model in (trained, scrambled):
+        roots = []
+        for sent in parse_dependency(doc, model).sentences:
+            assert validate_tree(sent, schema) == []
+            roots.append(sum(tok.head == 0 for tok in sent.single_tokens()))
+        assert (max(roots) > 1) == schema.allows_multiple_roots
 
 
 def test_single_token_sentence(trained):
@@ -180,14 +205,10 @@ def test_single_token_sentence(trained):
     assert tok.deprel in trained.root_labels
 
 
-def test_jos_training_on_multi_root_trees(multi_root_doc):
-    train = Document(
-        sentences=[copy_document(multi_root_doc).sentences[0] for _ in range(20)]
-    )
-    model = train_parser(train, TreeSchema.JOS, seed=3, epochs=6)
-    parsed = parsed_arcs(model, train.sentences[0])
-    gold = {t.id: (t.head, t.deprel) for t in train.sentences[0].single_tokens()}
-    assert parsed == gold
+def test_jos_training_on_multi_root_trees(jos_trained, multi_root_doc):
+    sent = multi_root_doc.sentences[0]
+    gold = {t.id: (t.head, t.deprel) for t in sent.single_tokens()}
+    assert parsed_arcs(jos_trained, sent) == gold
 
 
 def test_ud_training_rejects_multi_root_gold(multi_root_doc):

@@ -240,6 +240,12 @@ MINIMAL_SECTIONS = {
         pytest.param("lookup", [["hiše", "Ncfsg", "hi\tša"]], id="lookup-lemma-tab"),
         pytest.param("lookup", [["hiše", "Ncfsg", "hiša\n"]], id="lookup-lemma-lf"),
         pytest.param("rules", [["e", "N", "\ra", 3]], id="replacement-cr"),
+        pytest.param("lexicon", {"rows": [["hiši", "hi\tša", "Ncfsd", 2]], "prefixes": {}},
+                     id="lexicon-lemma-tab"),
+        pytest.param("lexicon", {"rows": [["hiši", "hiša", "Ncfsd\n", 2]], "prefixes": {}},
+                     id="lexicon-xpos-lf"),
+        pytest.param("lexicon", {"rows": [["hiši", "\rhiša", "Ncfsd", 2]], "prefixes": {}},
+                     id="lexicon-lemma-cr"),
     ],
 )
 def test_malformed_archive_refused_at_load(tmp_path, section, value):
@@ -417,6 +423,14 @@ TEXT = st.text(
     st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\tžђ'), st.characters(exclude_categories=("Cs",))),
     max_size=6,
 )
+# a lemma or tag, which a lexicon refuses when it holds a tab or a line break
+COLUMN_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7fžђ'),
+        st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"),
+    ),
+    max_size=6,
+)
 FREQUENCY = st.one_of(
     st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.just(True), st.just(-0.0)
 )
@@ -432,8 +446,8 @@ def lexicons(draw):
     ))
     prefixes = draw(st.none() | st.dictionaries(TEXT, TEXT, max_size=3))
     lex = Lexicon(prefixes)
-    for form, lemma, xpos, freq in draw(st.lists(st.tuples(TEXT, TEXT, TEXT, FREQUENCY),
-                                                 max_size=min(n, 8))):
+    rows = st.tuples(TEXT, COLUMN_TEXT, COLUMN_TEXT, FREQUENCY)
+    for form, lemma, xpos, freq in draw(st.lists(rows, max_size=min(n, 8))):
         lex.add(form, lemma, xpos, freq)
     i = 0
     while len(lex) < n:

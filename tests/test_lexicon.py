@@ -223,13 +223,13 @@ LF_ONLY = (
     "\r\n"
     "ps\u2028u\tp\u2028es\tNcmsd\t2\n"
     "pa\x0bs\tpes\tNc\x1cmsn\t4\r\n"
-    "psu\tpes\tNcmsl\r"  # a bare CR, not followed by LF, stays in its field
+    "ps\ru\tpes\tNcmsl"  # a bare CR stays in its field; the last line has no LF
 )
 
 
 LF_ONLY_ROWS = [
     ["pa\x0bs", "pes", "Nc\x1cmsn", 7],
-    ["psu", "pes", "Ncmsl\r", 1],
+    ["ps\ru", "pes", "Ncmsl", 1],
     ["ps\u2028u", "p\u2028es", "Ncmsd", 2],
     ["p\x85sa", "pes", "Ncmsg", 1],
 ]
@@ -244,6 +244,21 @@ def test_tsv_lines_end_at_lf_only(tmp_path):
     assert load_lexicon(packed).to_rows() == LF_ONLY_ROWS
     with pytest.raises(LexiconError, match="line 7: expected at least 3"):
         loaded(LF_ONLY + "\nbad")
+    # a bare CR at the end of a last line without LF stays in the tag, which
+    # annotation would write into a column
+    with pytest.raises(LexiconError, match=r"lex.tsv: form 'psu': .* 'Ncmsl\\r' holds"):
+        loaded(LF_ONLY + "\npsu\tpes\tNcmsl\r")
+
+
+@pytest.mark.parametrize("lemma, xpos", [("pe\ts", "Ncmsn"), ("pes", "Nc\nmsn"), ("pes", "\r")])
+def test_add_refuses_a_lemma_or_tag_that_breaks_a_column(lemma, xpos):
+    lex = build([("pes", "pes", "Ncmsn", 3)])
+    version = lex._version
+    with pytest.raises(ValueError, match="holds a tab or a line break"):
+        lex.add("psa", lemma, xpos)
+    assert lex.to_rows() == [["pes", "pes", "Ncmsn", 3]] and lex._version == version
+    with pytest.raises(ValueError, match="holds a tab or a line break"):
+        Lexicon.from_rows([["psa", lemma, xpos, 1]])
 
 
 # --- the TSV read in blocks -------------------------------------------------
@@ -277,6 +292,8 @@ def test_errors_in_later_blocks_are_those_of_a_whole_read(tmp_path, monkeypatch,
         ("bad line\n", "line 21: expected at least 3 tab-separated columns, found 1"),
         ("a\tb\tX\t1\textra\r\n", "line 21: expected at most 4 columns, found 5"),
         ("a\tb\tX\tmany\n", "line 21: frequency 'many' is not an integer"),
+        ("a\tb\r\tX\n", "form 'a': lemma 'b\\r' or tag 'X' holds a tab or a line break"),
+        ("a\tb\tX\rY\t2\n", "form 'a': lemma 'b' or tag 'X\\rY' holds a tab or a line break"),
     ):
         path.write_bytes((good + bad + SPLIT).encode("utf-8"))
         with pytest.raises(LexiconError) as caught:
