@@ -150,10 +150,12 @@ class RecipeComponent:
             "dediacritize_repetitions",
             _as_repetitions(self.dediacritize_repetitions, "dediacritize repetitions", "0"),
         )
-        if self.dediacritize_repetitions > self.repetitions:
+        dedia = self.dediacritize_repetitions
+        if dedia > 0 and dedia > self.repetitions - 1:
             raise RecipeError(
-                f"component {self.corpus_id}: cannot dediacritize "
-                f"{self.dediacritize_repetitions} of {self.repetitions} repetitions"
+                f"component {self.corpus_id}: dediacritizing {dedia} of "
+                f"{self.repetitions} repetitions would leave some sentences without a "
+                "diacritic-preserving copy; keep at least one repetition intact"
             )
         frac = _recipe_number(
             self.sample_fraction, f"component {self.corpus_id}: sample fraction"
@@ -283,8 +285,8 @@ def build_recipe_dataset(
     """Assemble the combined dataset described by ``recipe``.
 
     ``corpora`` maps corpus ids to documents.  A component that dediacritizes
-    must leave at least one full repetition untouched and needs a
-    ``diacritic_map``; violations are refused with :class:`RecipeError`.
+    needs a ``diacritic_map``; without one it is refused with
+    :class:`RecipeError`.
     Copy ``k`` of a sentence has its ``sent_id`` suffixed with ``-r<k>``; a
     dediacritized copy has its ``# text =`` comment regenerated.
     """
@@ -297,18 +299,11 @@ def build_recipe_dataset(
             raise RecipeError(f"recipe names unknown corpus {component.corpus_id!r}")
         reps = component.repetitions
         dedia = component.dediacritize_repetitions
-        if dedia > 0:
-            if dedia > reps - 1:
-                raise RecipeError(
-                    f"component {component.corpus_id}: dediacritizing {dedia} of "
-                    f"{reps} repetitions would leave some sentences without a "
-                    "diacritic-preserving copy; keep at least one repetition intact"
-                )
-            if diacritic_map is None:
-                raise RecipeError(
-                    f"component {component.corpus_id} dediacritizes but no "
-                    "diacritic map was provided"
-                )
+        if dedia > 0 and diacritic_map is None:
+            raise RecipeError(
+                f"component {component.corpus_id} dediacritizes but no "
+                "diacritic map was provided"
+            )
 
         rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         sentences = _select_sentences(component, corpora[component.corpus_id], rng)

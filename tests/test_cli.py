@@ -15,7 +15,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import slavpipe
 from slavpipe.cli import EXIT_BROKEN_PIPE, build_parser, main
-from slavpipe.conllu import parse_document, serialize_document, text_layout
+from slavpipe.conllu import (
+    Document, parse_document, serialize_document, text_layout, validate_document,
+)
 from slavpipe.pipeline import Pipeline, PipelineConfig, model_filename
 
 from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section
@@ -169,10 +171,17 @@ def test_annotate_writes_the_library_text_with_a_plain_or_gzipped_crlf_lexicon(
     assert outputs == [serialize_document(pipe.annotate(text))] * 4
 
 
+_RANGE_LINE = "1-2\tPesa\t_\t_\t_\t_\t_\t_\t_\t_"
+
+
 def test_annotate_pretokenized_subset(tmp_path, model_dir, dev_doc):
     from slavpipe.conllu import strip_annotations
 
-    src = write(tmp_path, "in.conllu", serialize_document(strip_annotations(dev_doc)))
+    # a multiword range line comes out unchanged
+    ranged = (f"{_RANGE_LINE}\n1\tPes\t_\t_\t_\t_\t_\t_\t_\t_\n"
+              "2\ta\t_\t_\t_\t_\t_\t_\t_\tSpaceAfter=No\n3\t.\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    src = write(tmp_path, "in.conllu",
+                serialize_document(strip_annotations(dev_doc)) + ranged)
     out = tmp_path / "out.conllu"
     code = main([
         "annotate", "--lang", "sl", "--tasks", "morph,lemma",
@@ -180,9 +189,11 @@ def test_annotate_pretokenized_subset(tmp_path, model_dir, dev_doc):
         "--in", str(src), "--out", str(out),
     ])
     assert code == 0
-    doc = parse_document(out.read_text(encoding="utf-8"))
+    written = out.read_text(encoding="utf-8")
+    doc = parse_document(written)
     assert all(t.upos is not None for s in doc.sentences for t in s.single_tokens())
     assert all(t.head is None for s in doc.sentences for t in s.single_tokens())
+    assert _RANGE_LINE in written.splitlines()
 
 
 def test_annotate_missing_model_is_exit_3(tmp_path, capsys):
@@ -476,6 +487,10 @@ def _column_break(section, char="\t"):
     return damage
 
 
+def _extra_byte(path, kind):
+    path.write_bytes(path.read_bytes() + b"x")
+
+
 def _second_meta(path, kind):
     """A second meta section, which would record another language."""
     meta = json.dumps({"kind": kind, "language": "hr"}).encode()
@@ -493,6 +508,8 @@ def _second_meta(path, kind):
                      "malformed parser model", id="parser-morph,lemma,depparse"),
         pytest.param("tagger", "morph", _second_meta, "repeated section 'meta'",
                      id="tagger-repeated-meta"),
+        pytest.param("tagger", "morph", _extra_byte, "extra bytes after the last section: 1",
+                     id="tagger-extra-byte"),
         pytest.param("tagger", "morph", _non_canonical_feats, "is not in canonical form",
                      id="tagger-non-canonical-feats"),
         pytest.param("tagger", "morph", _column_break("form_probs"),
@@ -667,6 +684,33 @@ def test_feats_ending_in_a_bar_train_a_tagger_that_annotates(tmp_path, capsys):
     assert code == 0, captured.err
     [token] = parse_document(captured.out).sentences[0].tokens
     assert (token.upos, token.xpos, token.feats) == ("NOUN", "Ncmsn", "Case=Nom")
+
+
+def test_a_form_missing_from_training_takes_its_lemma_from_the_trained_lexicon(
+    tmp_path, capsys
+):
+    lexicon = write(tmp_path, "lexicon.tsv", "pes\tpes\tNcmsn\t3\npsa\tpes\tNcmsg\t2\n")
+    train_f = write(
+        tmp_path, "train.conllu",
+        "1\tPes\tpes\tNOUN\tNcmsn\t_\t2\tnsubj\t_\t_\n"
+        "2\tlaja\tlajati\tVERB\tVmpr3s\t_\t0\troot\t_\tSpaceAfter=No\n"
+        "3\t.\t.\tPUNCT\tZ\t_\t2\tpunct\t_\t_\n\n"
+        "1\tVidim\tvideti\tVERB\tVmpr1s\t_\t0\troot\t_\t_\n"
+        "2\tmačko\tmačka\tNOUN\tNcfsa\t_\t1\tobj\t_\tSpaceAfter=No\n"
+        "3\t.\t.\tPUNCT\tZ\t_\t1\tpunct\t_\t_\n\n",
+    )
+    models = tmp_path / "models"
+    for stage in ("tagger", "lemmatizer"):
+        assert main(["train", stage, "--lang", "sl", "--lexicon", str(lexicon),
+                     "--train", str(train_f), "--model-dir", str(models)]) == 0
+    src = write(tmp_path, "in.txt", "Vidim psa.\n")
+    capsys.readouterr()
+    code = main(["annotate", "--lang", "sl", "--tasks", "tokenize,morph,lemma",
+                 "--lexicon", str(lexicon), "--model-dir", str(models), "--in", str(src)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    line = "2\tpsa\tpes\tNOUN\tNcmsg\t_\t_\t_\t_\tSpaceAfter=No|Lemmatizer=lexicon"
+    assert line in captured.out.splitlines()
 
 
 def test_unwritable_model_path_is_data_error(tmp_path, train_doc, capsys):
@@ -868,22 +912,27 @@ def test_prep_refused_recipe_is_data_error(tmp_path, capsys):
     corpus_f = write(
         tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
     )
-    recipe_f = write(tmp_path, "mix.recipe", "component id=c reps=1 dedia=1\n")
-    code = main([
-        "prep", str(recipe_f), "--lang", "sl", "--corpus", f"c={corpus_f}",
-    ])
-    assert code == 2
-    assert "keep at least one repetition intact" in capsys.readouterr().err
+    for line, message in [("reps=1 dedia=1", "keep at least one repetition intact"),
+                          ("reps=nan", "'nan' is not a decimal number")]:
+        recipe_f = write(tmp_path, "mix.recipe", f"component id=c {line}\n")
+        code = main([
+            "prep", str(recipe_f), "--lang", "sl", "--corpus", f"c={corpus_f}",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert err.count("\n") == 1
 
 
 # --- lexicon ----------------------------------------------------------------
 
 
-def test_lexicon_load_summary(lexicon_file, capsys):
+def test_lexicon_load_summary(lexicon_file, vocab, capsys):
     assert main(["lexicon", "load", "--lexicon", str(lexicon_file)]) == 0
     out = capsys.readouterr().out
-    assert "forms:" in out
-    assert "entries:" in out
+    entries = vocab.all_entries()
+    forms = {form for form, _, _ in entries}
+    assert out.startswith(f"forms: {len(forms)}\nentries: {len(entries)}\n")
     assert "closed class particle:" in out
 
 
@@ -1088,6 +1137,81 @@ def test_every_flag_of_every_command_is_read_by_its_handler(
     for words, command in parser.commands.items():
         flags = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
         assert flags - reads[words] == set(), words
+
+
+# --- damaged input files ----------------------------------------------------
+
+_CELL_DAMAGE = ["_", "", "0", "-1", "1-2", "2-1", "1.1", "\x00", "\ufeff", "Case=Nom|"]
+_LINE_DAMAGE = ["cell", "head", "delete", "duplicate", "swap", "truncate", "comment", "blank"]
+
+
+@st.composite
+def _damaged(draw, lines):
+    """The text of ``lines`` after one to three damages: a cell replaced, a
+    random head, a line deleted, duplicated, swapped or truncated, a comment
+    or a blank line inserted."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        line = lines[at]
+        damage = draw(st.sampled_from(_LINE_DAMAGE))
+        if damage in ("cell", "head"):
+            cells = line.split("\t")
+            if damage == "head" and len(cells) == 10:
+                cells[6] = str(draw(st.integers(0, 12)))
+            else:
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_CELL_DAMAGE))
+            lines[at] = "\t".join(cells)
+        elif damage == "delete" and len(lines) > 1:
+            del lines[at]
+        elif damage == "duplicate":
+            lines.insert(at, line)
+        elif damage == "swap":
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], line
+        elif damage == "truncate":
+            lines[at] = line[: draw(st.integers(0, len(line)))]
+        elif damage in ("comment", "blank"):
+            comment = st.sampled_from(["#", "# x = y", "# text = x", "# sent_id = 1"])
+            lines.insert(at, draw(comment) if damage == "comment" else "")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_damaged_input_ends_in_valid_output_or_one_error_line(
+    tmp_path, capsys, model_dir, dev_doc, synthetic_lexicon, data
+):
+    clean = serialize_document(Document(sentences=dev_doc.sentences[:4]))
+    corpus = str(write(tmp_path, "corpus.conllu", data.draw(_damaged(clean.splitlines()))))
+    rows = lexicon_tsv(synthetic_lexicon).splitlines()[::5]
+    lexicon = str(write(tmp_path, "lexicon.tsv", data.draw(_damaged(rows))))
+    gold = str(write(tmp_path, "gold.conllu", clean))
+    recipe = str(write(tmp_path, "mix.recipe", "component id=c reps=2 dedia=1\n"))
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    train = ["--lang", "sl", "--train", corpus, "--model-out", str(tmp_path / "model.slm")]
+    argv = data.draw(st.sampled_from([
+        ["train", "tagger", *train, "--lexicon", lexicon],
+        ["train", "lemmatizer", *train, "--lexicon", lexicon],
+        ["train", "parser", *train, "--epochs", "1"],
+        ["train", "parser", *train, "--epochs", "1", "--schema", "jos"],
+        ["evaluate", "--gold", gold, "--in", corpus, "--out", str(out)],
+        ["evaluate", "--gold", corpus, "--in", gold, "--out", str(out)],
+        ["annotate", "--lang", "sl", "--tasks", "morph,lemma,depparse", "--model-dir",
+         str(model_dir), "--lexicon", lexicon, "--in", corpus, "--out", str(out)],
+        ["prep", recipe, "--lang", "sl", "--corpus", f"c={corpus}", "--out", str(out)],
+        ["lexicon", "load", "--lexicon", lexicon],
+    ]))
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), err
+    if code:
+        assert err.count("\n") == 1, err
+    elif argv[0] == "annotate":
+        assert validate_document(parse_document(out.read_text(encoding="utf-8"))) == []
 
 
 # --- last resort and closed pipes -------------------------------------------

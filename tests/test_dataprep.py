@@ -226,7 +226,7 @@ def test_component_validation():
         RecipeComponent("c", "0")
     with pytest.raises(RecipeError, match="not a decimal"):
         RecipeComponent("c", "lots")
-    with pytest.raises(RecipeError, match="cannot dediacritize"):
+    with pytest.raises(RecipeError, match="keep at least one repetition intact"):
         RecipeComponent("c", Decimal("2"), dediacritize_repetitions=Decimal("3"))
     with pytest.raises(RecipeError, match="outside"):
         RecipeComponent("c", Decimal("1"), sample_fraction=Decimal("0"))
@@ -239,13 +239,8 @@ def test_component_validation():
 def test_dediacritization_must_keep_one_intact_copy():
     corpora = {"c": small_doc(4)}
     mapping = default_diacritic_map("sl")
-    refused = Recipe(
-        components=(
-            RecipeComponent("c", Decimal("2"), dediacritize_repetitions=Decimal("1.5")),
-        )
-    )
     with pytest.raises(RecipeError, match="keep at least one repetition intact"):
-        build_recipe_dataset(refused, corpora, mapping)
+        RecipeComponent("c", Decimal("2"), dediacritize_repetitions=Decimal("1.5"))
     # d == r - 1 is the boundary case and passes
     allowed = Recipe(
         components=(
