@@ -142,34 +142,26 @@ class RecipeComponent:
     group: str = ""
 
     def __post_init__(self):
+        named = f"component {self.corpus_id}"
         object.__setattr__(
-            self, "repetitions", _as_repetitions(self.repetitions, "repetitions", "0.1")
+            self, "repetitions", _as_repetitions(self.repetitions, f"{named}: repetitions", "0.1")
         )
-        object.__setattr__(
-            self,
-            "dediacritize_repetitions",
-            _as_repetitions(self.dediacritize_repetitions, "dediacritize repetitions", "0"),
+        dedia = _as_repetitions(
+            self.dediacritize_repetitions, f"{named}: dediacritize repetitions", "0"
         )
-        dedia = self.dediacritize_repetitions
+        object.__setattr__(self, "dediacritize_repetitions", dedia)
         if dedia > 0 and dedia > self.repetitions - 1:
             raise RecipeError(
-                f"component {self.corpus_id}: dediacritizing {dedia} of "
+                f"{named}: dediacritizing {dedia} of "
                 f"{self.repetitions} repetitions would leave some sentences without a "
                 "diacritic-preserving copy; keep at least one repetition intact"
             )
-        frac = _recipe_number(
-            self.sample_fraction, f"component {self.corpus_id}: sample fraction"
-        )
+        frac = _recipe_number(self.sample_fraction, f"{named}: sample fraction")
         if not (0 < frac <= 1):
-            raise RecipeError(
-                f"component {self.corpus_id}: sample fraction {frac} "
-                "is outside (0, 1]"
-            )
+            raise RecipeError(f"{named}: sample fraction {frac} is outside (0, 1]")
         object.__setattr__(self, "sample_fraction", frac)
         if self.sample_filter is not None and self.sample_filter[0] not in ("include", "exclude"):
-            raise RecipeError(
-                f"component {self.corpus_id}: unknown filter mode {self.sample_filter[0]!r}"
-            )
+            raise RecipeError(f"{named}: unknown filter mode {self.sample_filter[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -429,8 +421,8 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
             raise RecipeError(
                 f"{name}: line {lineno}: unknown component keys {sorted(unknown)}"
             )
-        components.append(
-            RecipeComponent(
+        try:
+            component = RecipeComponent(
                 corpus_id=kv["id"],
                 repetitions=kv["reps"],
                 dediacritize_repetitions=kv.get("dedia", "0"),
@@ -438,7 +430,9 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
                 sample_filter=sample_filter,
                 group=kv.get("group", ""),
             )
-        )
+        except RecipeError as exc:
+            raise RecipeError(f"{name}: line {lineno}: {exc}") from exc
+        components.append(component)
     return Recipe(components=tuple(components), target_ratio=target_ratio)
 
 

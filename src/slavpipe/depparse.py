@@ -14,10 +14,18 @@ smallest index, i.e. the smallest name, so parsing is reproducible as well.
 
 The decoder memoises, per model (:mod:`slavpipe.memo`), what one token's
 (form, upos, xpos) fixes: the scores after the bias and its s0 features, and
-its rows as s1, as first buffer token and as second.  Only the six pair
-features are looked up per transition.  Each score is still the same
-sequence of float additions in feature order, so a warm, cold or capped memo
-gives the same parses.
+its rows as s1, as first buffer token and as second, each kind as one flat
+tuple of (action, weight) pairs.  Tokens whose form no unary feature names
+share the entry of their (upos, xpos).  The decoder joins the buffer rows
+once per buffer position and finds the six pair features by their two
+values, formatting no string.  At load each pair feature ``T=R`` is entered
+once for every bar in ``R``, under the text before that bar and the text
+after it.  That is exact: ``f"{T}={a}|{b}"`` is ``T=R`` exactly when
+``a + "|" + b == R``, that is when ``(a, b)`` is one of those splits, so
+values that hold bars find the rows their strings would, and no two
+features share a split.  Each score is still the same sequence of float
+additions in feature order, so a warm, cold or capped memo gives the same
+parses.
 
 Training builds each sentence's static-oracle transcript once and replays it
 every epoch: per configuration 16 interned feature ids, the kind of its valid
@@ -44,11 +52,16 @@ from .memo import memo_table, remember
 ROOT = 0
 _NONE = "<none>"
 _BIAS = ("bias",)
+_FORM_FEATURES = ("s0f=", "s1f=", "b0f=")  # the unary features of a form (see _unary)
 _FEATURES = 16  # per configuration: bias, s0 ×3, s1 ×3, b0 ×2, b1u, 6 pairs
 _CONFIGURATION = struct.Struct(f"{_FEATURES + 2}I")  # then its valid kind and gold action
 # the width of a packed training weight; the codes of those wide enough for a score
 _FIELD_BITS = 64
 _FIELD_CODES = {16: "H", 32: "I", 64: "Q"}
+# the names of the six pair features, in scoring order: ``s0u|s1f`` is
+# f"s0u|s1f={upos of s0}|{form of s1}", b0 being the first buffer token;
+# ``_Context.pairs`` formats them and ``_decode`` looks them up by value
+_PAIR_TEMPLATES = ("s0u|s1u", "s0x|s1x", "s0u|b0u", "s1u|b0u", "s0f|s1u", "s0u|s1f")
 
 
 class TreeSchema(enum.Enum):
@@ -152,7 +165,11 @@ class ParserModel:
         if not isinstance(self.weights, dict):
             raise TypeError("weights must map features to rows")
         index = self._actions.index
+        # a pair feature goes only into ``_pair_rows``, every other one only
+        # into ``_rows``: a unary feature's name (before its first "=") is
+        # never a pair template's, as none holds a bar
         self._rows: dict[str, tuple[tuple[int, float], ...]] = {}
+        pair_rows: dict[str, dict] = {name: {} for name in _PAIR_TEMPLATES}
         for feat, row in self.weights.items():
             if not isinstance(row, dict):
                 raise TypeError(f"weight row {feat!r} is not a mapping of actions")
@@ -163,9 +180,24 @@ class ParserModel:
                 if type(weight) not in (int, float):
                     raise TypeError(f"weight {feat!r}/{action!r} is not a number")
                 pairs.append((index[action], weight))
-            self._rows[feat] = tuple(pairs)
+            pairs = tuple(pairs)
+            name, sep, joined = feat.partition("=")
+            by_left = pair_rows.get(name) if sep else None
+            if by_left is None:
+                self._rows[feat] = pairs
+                continue
+            # under every split at a bar: (a, b) then finds this row exactly
+            # when ``_Context.pairs`` formats ``feat`` (see the module doc)
+            at = joined.find("|")
+            while at >= 0:
+                by_left.setdefault(joined[:at], {})[joined[at + 1 :]] = pairs
+                at = joined.find("|", at + 1)
+        self._pair_rows = tuple(pair_rows.values())
+        # the forms some unary row names; any other form leaves a memo entry
+        # to its upos and xpos alone
+        self._named_forms = {feat[4:] for feat in self._rows if feat[:4] in _FORM_FEATURES}
         self._bias_scores = [0.0] * len(self._actions.names)
-        _add_rows(self._bias_scores, _found(self._rows, _BIAS))
+        _add_rows(self._bias_scores, _flat(self._rows, _BIAS))
 
 
 class _Actions:
@@ -256,30 +288,31 @@ class _Context:
         ]
 
     def pairs(self, s0: int, s1: int, pos: int) -> tuple[str, ...]:
+        uu, xx, ub, sb, fu, uf = _PAIR_TEMPLATES
         s0f, s0u, s0x = self.values[s0]
         s1f, s1u, s1x = self.values[s1]
         b0u = self.values[pos + 1][1]
         return (
-            f"s0u|s1u={s0u}|{s1u}",
-            f"s0x|s1x={s0x}|{s1x}",
-            f"s0u|b0u={s0u}|{b0u}",
-            f"s1u|b0u={s1u}|{b0u}",
-            f"s0f|s1u={s0f}|{s1u}",
-            f"s0u|s1f={s0u}|{s1f}",
+            f"{uu}={s0u}|{s1u}",
+            f"{xx}={s0x}|{s1x}",
+            f"{ub}={s0u}|{b0u}",
+            f"{sb}={s1u}|{b0u}",
+            f"{fu}={s0f}|{s1u}",
+            f"{uf}={s0u}|{s1f}",
         )
 
 
-def _found(rows: dict, feats) -> list:
-    return [row for row in map(rows.get, feats) if row]
+def _flat(rows: dict, feats) -> tuple[tuple[int, float], ...]:
+    """The rows of ``feats`` found in ``rows``, joined in feature order."""
+    return tuple(pair for row in map(rows.get, feats) if row for pair in row)
 
 
-def _add_rows(scores: list[float], rows) -> None:
+def _add_rows(scores: list[float], pairs) -> None:
     # one += per (feature, action) in feature order, so every score is the
     # same sequence of float additions on every Python version; builtin
     # sum() of floats is compensated from 3.12 on and would change results
-    for row in rows:
-        for action, weight in row:
-            scores[action] += weight
+    for action, weight in pairs:
+        scores[action] += weight
 
 
 def _apply(
@@ -485,53 +518,83 @@ def _entry(model: ParserModel, values: tuple[str, str, str]) -> tuple:
     """The parser memo's entry for one position's values.
 
     It holds the scores after the bias and the s0 features, then the
-    position's s1 rows, b0 rows and b1u row, in feature order.  Only tuples,
-    which the collector stops tracking, so a full memo does not lengthen its
+    position's s1 rows, b0 rows and b1u row, each kind joined into one flat
+    tuple of (action, weight) pairs in feature order.  Only tuples, which
+    the collector stops tracking, so a full memo does not lengthen its
     full passes.
     """
     rows = model._rows
-    s0, s1, b0, b1u = _unary(values)
+    s0, s1, b0, (b1u,) = _unary(values)
     prefix = model._bias_scores[:]
-    _add_rows(prefix, _found(rows, s0))
-    return (
-        tuple(prefix),
-        tuple(_found(rows, s1)),
-        tuple(_found(rows, b0)),
-        tuple(_found(rows, b1u)),
-    )
+    _add_rows(prefix, _flat(rows, s0))
+    return tuple(prefix), _flat(rows, s1), _flat(rows, b0), rows.get(b1u, ())
 
 
 def _decode(model: ParserModel, tokens: list[Token]) -> list[tuple[int, str]]:
-    """Greedy decode of one sentence's single tokens; each one's (head, deprel)."""
+    """Greedy decode of one sentence's single tokens; each one's (head, deprel).
+
+    One loop over buffer positions with the transition system inlined (see
+    :meth:`_Actions.valid` and :func:`_apply`).  Each score is summed as
+    :func:`_add_rows` does, in the feature order of :class:`_Context`.
+    """
     ctx = _Context(tokens)
     n = ctx.n
-    actions = model._actions
-    rows = model._rows
+    values = ctx.values
     memo = memo_table(model, ())
+    named = model._named_forms
     entries = []
-    for values in ctx.values:
-        entry = memo.get(values)
+    for at in values:
+        key = at if at[0] in named else (None, at[1], at[2])
+        entry = memo.get(key)
         if entry is None:
-            entry = remember(memo, values, _entry(model, values))
+            entry = remember(memo, key, _entry(model, at))
         entries.append(entry)
+    valid_sets = model._actions._valid
+    moves = model._actions.moves
+    uu, xx, ub, sb, fu, uf = model._pair_rows
+    nowhere: dict = {}
 
     stack = [ROOT]
-    pos = 0
-    heads: dict[int, int] = {}
-    labels: dict[int, str] = {}
-    while len(stack) > 1 or pos < n:
-        valid = actions.valid(stack, pos < n)
-        move = valid[0]
-        if len(valid) > 1:  # a forced move needs no scores
-            # a one-item stack only shifts, so a scored move has an s1
-            s0, s1 = stack[-1], stack[-2]
-            scores = list(entries[s0][0])
-            pairs = _found(rows, ctx.pairs(s0, s1, pos))
-            _add_rows(
-                scores, [*entries[s1][1], *entries[pos + 1][2], *entries[pos + 2][3], *pairs]
-            )
-            move = max(valid, key=scores.__getitem__)
-        pos += _apply(actions.moves[move], stack, pos, heads, labels)
+    heads = [ROOT] * (n + 1)
+    labels = [""] * (n + 1)
+    for pos in range(n + 1):
+        valid = valid_sets[pos < n]
+        b0u = values[pos + 1][1]
+        buffer_rows = entries[pos + 1][2] + entries[pos + 2][3]
+        while len(stack) > 1:
+            s0 = stack[-1]
+            s1 = stack[-2]
+            choices = valid[1] if s1 != ROOT else valid[2]
+            move = choices[0]
+            if len(choices) > 1:  # a forced move needs no scores
+                scores = [*entries[s0][0]]
+                for action, weight in entries[s1][1]:
+                    scores[action] += weight
+                for action, weight in buffer_rows:
+                    scores[action] += weight
+                # the pair rows by value, as ``_Context.pairs`` formats them
+                s0f, s0u, s0x = values[s0]
+                s1f, s1u, s1x = values[s1]
+                for row in (
+                    uu.get(s0u, nowhere).get(s1u, ()),
+                    xx.get(s0x, nowhere).get(s1x, ()),
+                    ub.get(s0u, nowhere).get(b0u, ()),
+                    sb.get(s1u, nowhere).get(b0u, ()),
+                    fu.get(s0f, nowhere).get(s1u, ()),
+                    uf.get(s0u, nowhere).get(s1f, ()),
+                ):
+                    for action, weight in row:
+                        scores[action] += weight
+                move = max(choices, key=scores.__getitem__)
+            slot, label = moves[move]
+            if slot is None:
+                break
+            dep = stack.pop(slot)
+            heads[dep] = stack[-1]
+            labels[dep] = label
+        # a shift, the only move of a one-item stack, ends the loop; so
+        # does the end of the buffer, after which the pushed slot is unread
+        stack.append(pos + 1)
     ids = [ROOT, *(t.id for t in tokens)]
     return [(ids[heads[p]], labels[p]) for p in range(1, n + 1)]
 

@@ -1,7 +1,9 @@
 """Bounded memo tables for the stages' per-form decisions.
 
 A stage's decision for one form (the tokenizer's split of a chunk, the
-tagger's triple, the parser's scoring rows of a token's (form, upos, xpos))
+tagger's triple, the parser's scoring rows of a token's (form, upos, xpos),
+kept under its upos and xpos alone when no single-token feature names
+the form)
 depends only on a few objects: the model or rules, and the lexicon or closed
 table it consults.
 The memo lives on the model or rules as a private attribute, so it is freed
@@ -15,7 +17,7 @@ objects, or after a version has moved, replaces the memo with an empty one,
 so an owner never holds more than one memo and never keeps a replaced
 lexicon alive.  A memo that reaches :data:`CAP` entries is cleared, which
 bounds its memory: a few megabytes for the tokenizer and the tagger, about
-30 MB for the parser (about 0.9 KB an entry).  Values should be tuples of
+34 MB for the parser (about 1.0 KB an entry).  Values should be tuples of
 atoms and tuples, which the collector stops tracking: a full memo of lists
 makes every full collection walk each of them.
 """

@@ -924,6 +924,26 @@ def test_prep_refused_recipe_is_data_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("reps=nan", "component c: repetitions 'nan' is not a decimal number"),
+        ("reps=1 dedia=1", "component c: dediacritizing 1 of 1 repetitions"),
+        ("fraction=0 reps=1", "component c: sample fraction 0 is outside (0, 1]"),
+    ],
+    ids=["nan", "dedia", "fraction"],
+)
+def test_prep_refused_component_names_file_line_and_id(tmp_path, capsys, line, message):
+    corpus_f = write(tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    recipe = f"# a mix\ncomponent id=c reps=1\ncomponent id=c {line}\n"
+    recipe_f = write(tmp_path, "mix.recipe", recipe)
+    code = main(["prep", str(recipe_f), "--lang", "sl", "--corpus", f"c={corpus_f}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {recipe_f}: line 3: {message}")
+    assert err.count("\n") == 1
+
+
 # --- lexicon ----------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -544,3 +546,100 @@ def test_ties_resolve_to_the_smallest_action_name(schema, expected):
     # order and "Z" is both a dependent and a root label
     model = ParserModel(dep_labels=["a", "Z"], root_labels=["root", "Z"], schema=schema)
     assert parsed_arcs(model, sentence([(None, None)] * 3)) == expected
+
+
+# --- decoding by value --------------------------------------------------------
+# The decoder finds pair rows by their two values, without formatting a
+# feature string; a reference that sums ``model.weights`` rows by string must
+# give the same parses, also for values that hold the bar the pair features
+# join their values with.
+
+BARRED = ["a", "b", "|", "a|b", "a||b", "|b", "a|"]
+DECODE_LABELS = ["Z", "a", "root"]
+
+
+def reference_decode(model, tokens):
+    """Greedy decoding by feature strings: each score is 0.0 plus the rows of
+    ``model.weights``, one += per (feature, action), in feature order."""
+    ctx = depparse._Context(tokens)
+    actions = model._actions
+    stack, pos, heads, labels = [depparse.ROOT], 0, {}, {}
+    while len(stack) > 1 or pos < ctx.n:
+        valid = actions.valid(stack, pos < ctx.n)
+        move = valid[0]
+        if len(valid) > 1:
+            s0, s1 = stack[-1], stack[-2]
+            feats = [*depparse._BIAS]
+            for kind, at in enumerate((s0, s1, pos + 1, pos + 2)):
+                feats += depparse._unary(ctx.values[at])[kind]
+            scores = [0.0] * len(actions.names)
+            for feat in (*feats, *ctx.pairs(s0, s1, pos)):
+                for action, weight in model.weights.get(feat, {}).items():
+                    scores[actions.index[action]] += weight
+            move = max(valid, key=scores.__getitem__)
+        pos += depparse._apply(actions.moves[move], stack, pos, heads, labels)
+    return [(heads[p], labels[p]) for p in range(1, ctx.n + 1)]
+
+
+# -1e16 + 1.0 + 1e16 is 0.0 but -1e16 + 1e16 + 1.0 is 1.0: such weights tell
+# orders of addition apart
+DECODE_WEIGHTS = [1.0, -1.0, 0.5, 0.1, 1e16, -1e16]
+
+
+@st.composite
+def barred_models(draw):
+    """A hand-built ``ParserModel`` and sentences whose values hold bars."""
+    # few tags, so that tokens of other forms share a memo entry
+    form, tag = st.sampled_from(BARRED), st.sampled_from(BARRED[2:5])
+    sentences = [
+        [Token(id=i, form=f, upos=u, xpos=x) for i, (f, u, x) in enumerate(values, 1)]
+        for values in draw(st.lists(
+            st.lists(st.tuples(form, tag, tag), max_size=8), min_size=1, max_size=3
+        ))
+    ]
+    dep_labels = draw(st.lists(st.sampled_from(DECODE_LABELS), min_size=1, unique=True))
+    root_labels = draw(st.lists(st.sampled_from(DECODE_LABELS), min_size=1, unique=True))
+    schema = draw(st.sampled_from(TreeSchema))
+    names = depparse._Actions(dep_labels, root_labels, schema).names
+    # every feature string the sentences can be scored with, and strings
+    # that look like pair features but lack the "=" or the bar
+    feats = set(depparse._BIAS)
+    for tokens in sentences:
+        ctx = depparse._Context(tokens)
+        for values in ctx.values:
+            feats.update(f for u in depparse._unary(values) for f in u)
+        at = range(ctx.n + 1)
+        feats.update(f for s0 in at for s1 in at for pos in at for f in ctx.pairs(s0, s1, pos))
+    near_misses = [
+        f"{name}{sep}{v}"
+        for name in depparse._PAIR_TEMPLATES
+        for sep in ("=", "", "|")
+        for v in BARRED
+    ]
+    feats.update(draw(st.lists(st.sampled_from(near_misses), max_size=6)))
+    rnd = draw(st.randoms(use_true_random=True))
+    weights = {
+        feat: {
+            action: rnd.choice(DECODE_WEIGHTS) if rnd.random() < 0.9 else rnd.uniform(-5, 5)
+            for action in rnd.sample(names, rnd.randint(1, min(3, len(names))))
+        }
+        for feat in sorted(feats)
+        if rnd.random() < 0.5
+    }
+    model = ParserModel(
+        weights=weights, dep_labels=dep_labels, root_labels=root_labels, schema=schema
+    )
+    return model, sentences
+
+
+@settings(max_examples=300, deadline=None)
+@given(barred_models())
+def test_decode_by_value_matches_the_string_keyed_reference(drawn):
+    model, sentences = drawn
+    expected = [reference_decode(model, tokens) for tokens in sentences]
+    assert [depparse._decode(model, tokens) for tokens in sentences] == expected  # cold
+    assert [depparse._decode(model, tokens) for tokens in sentences] == expected  # warm
+    capped = dataclasses.replace(model)
+    with mock.patch.object(memo, "CAP", 2):
+        assert [depparse._decode(capped, tokens) for tokens in sentences] == expected
+        assert len(vars(capped)["_memo"][2]) <= 2
