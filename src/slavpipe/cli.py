@@ -175,13 +175,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     dev_doc = _read_document(args.dev) if args.dev else Document()
     (model, filled, score), save, score_name = args.trainer(args, train_doc, dev_doc)
     model_out = args.model_out
-    if model_out is None:
-        Path(args.model_dir).mkdir(parents=True, exist_ok=True)
-        model_out = str(Path(args.model_dir) / model_filename(lang, args.variety, args.stage))
     try:
+        if model_out is None:
+            Path(args.model_dir).mkdir(parents=True, exist_ok=True)
+            model_out = str(Path(args.model_dir) / model_filename(lang, args.variety, args.stage))
         save(model, model_out)
     except OSError as exc:
-        raise _write_error(model_out, exc) from exc
+        raise _write_error(args.model_dir if model_out is None else model_out, exc) from exc
     if args.dev:
         _write_text(args.dev_out or f"{model_out}.dev.conllu", serialize_sentences(filled))
     shown = "n/a" if score is None else f"{score:.4f}"

@@ -599,14 +599,13 @@ def _decode(model: ParserModel, tokens: list[Token]) -> list[tuple[int, str]]:
     return [(ids[heads[p]], labels[p]) for p in range(1, n + 1)]
 
 
-def parse_in_place(doc: Document, model: ParserModel, language: str | None = None) -> None:
+def parse_in_place(doc: Document, model: ParserModel) -> None:
     """Attach heads and labels to every sentence of ``doc`` itself.
 
     Requires upos, xpos and lemma on all single tokens (upstream stages must
     have run).  Each sentence becomes a tree of the model's schema by
     construction (:meth:`_Actions.valid`), so it is not checked.
     """
-    modelio.check_language("parser", model.metadata.language, language)
     for si, sent in enumerate(doc.sentences):
         tokens = sent.single_tokens()
         for tok in tokens:
@@ -625,8 +624,9 @@ def parse_dependency(
     doc: Document, model: ParserModel, language: str | None = None
 ) -> Document:
     """A parsed copy of ``doc``; see :func:`parse_in_place`."""
+    modelio.check_language("parser", model.metadata.language, language)
     out = copy_document(doc)
-    parse_in_place(out, model, language)
+    parse_in_place(out, model)
     return out
 
 

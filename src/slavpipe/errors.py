@@ -23,17 +23,22 @@ class DataError(SlavpipeError):
 
 
 def read_text(source: str | Path) -> str:
-    """Read a UTF-8 text file, or standard input for ``-``.
+    """Read a UTF-8 text file, or standard input for ``-``, without a leading
+    byte order mark.
 
     A missing, unreadable or undecodable input is a :class:`DataError`.
     """
     try:
         if source == "-":
-            return sys.stdin.read()
-        return Path(source).read_text(encoding="utf-8")
+            # strict, also where the interpreter's UTF-8 mode reads stdin with surrogateescape
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            text = sys.stdin.read()
+        else:
+            text = Path(source).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         name = "standard input" if source == "-" else source
         raise DataError(f"cannot read {name}: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 class ConlluParseError(DataError):

@@ -147,17 +147,12 @@ def train_lemmatizer(
     )
 
 
-def lemmatize_in_place(
-    doc: Document,
-    model: LemmatizerModel,
-    language: str | None = None,
-) -> None:
+def lemmatize_in_place(doc: Document, model: LemmatizerModel) -> None:
     """Assign a lemma to every single token of ``doc`` itself.
 
     A single token without xpos is a stage error naming the token; running
     the lemmatizer on its own output changes nothing.
     """
-    modelio.check_language("lemmatizer", model.metadata.language, language)
     for si, sent in enumerate(doc.sentences):
         for tok in sent.tokens:
             if isinstance(tok.id, tuple):  # a range
@@ -198,8 +193,9 @@ def lemmatize_document(
     language: str | None = None,
 ) -> Document:
     """A lemmatized copy of ``doc``; see :func:`lemmatize_in_place`."""
+    modelio.check_language("lemmatizer", model.metadata.language, language)
     out = copy_document(doc)
-    lemmatize_in_place(out, model, language)
+    lemmatize_in_place(out, model)
     return out
 
 

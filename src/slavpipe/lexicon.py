@@ -222,9 +222,13 @@ def _lines(stream, name: str) -> Iterator[str]:
     """The lines of a UTF-8 byte stream, read :data:`READ_BLOCK` bytes at a
     time.  Lines end at LF only (``str.splitlines`` would also end them at
     U+0085 and other characters a field may hold); CRLF is read as LF, and a
-    bare CR stays, also at the end of a last line without LF."""
+    bare CR stays, also at the end of a last line without LF.  A leading byte
+    order mark is dropped."""
     decoder = codecs.getincrementaldecoder("utf-8")()
-    read = 0  # bytes read so far
+    head = stream.read(len(codecs.BOM_UTF8))
+    read = len(head)  # bytes read so far
+    if head != codecs.BOM_UTF8:
+        decoder.setstate((head, 0))  # decoded with the first block
     pieces: list[str] = []  # the text after the last LF so far
     while True:
         block = stream.read(READ_BLOCK)
@@ -239,14 +243,14 @@ def _lines(stream, name: str) -> Iterator[str]:
                 exc.reason,
             )
             raise LexiconError(f"{name}: not valid UTF-8: {whole}") from whole
-        if not block:
-            break
         if "\n" in text:
             lines = "".join([*pieces, text]).replace("\r\n", "\n").split("\n")
             pieces = [lines.pop()]
             yield from lines
         else:  # a line longer than a block is joined once, when it ends
             pieces.append(text)
+        if not block:
+            break
     if last := "".join(pieces):
         yield last
 

@@ -249,10 +249,6 @@ class Pipeline:
         modelio.check_language(kind, model.metadata.language, self.config.language)
         return model
 
-    @property
-    def closed_class_table(self) -> ClosedClassTable | None:
-        return self.rules.closed_class if self.rules is not None else None
-
     def annotate(self, source: str | Document) -> Document:
         """Run the configured stages over raw text or a parsed document.
 
@@ -282,7 +278,7 @@ class Pipeline:
                 doc,
                 self.tagger,
                 lexicon=self._tagger_lexicon,
-                closed_table=self.closed_class_table,
+                closed_table=self.rules.closed_class,
             )
         if "lemma" in self.tasks:
             doc = lemmatize_document(doc, self.lemmatizer)

@@ -231,19 +231,15 @@ def tag_in_place(
     model: TaggerModel,
     lexicon: Lexicon | None = None,
     closed_table: ClosedClassTable | None = None,
-    language: str | None = None,
 ) -> None:
     """Assign upos/xpos/feats to every single token of ``doc`` itself.
 
     Closed-class-fixed tokens keep their tags.  A token whose form the
     closed table lists is fixed by :meth:`ClosedClassEntry.fix`, on the token
-    the document holds.  When ``language`` is given it must match the
-    language recorded in the model metadata.  The triple of each other form
-    is memoised on the model per lexicon and closed table; since listed
-    forms never reach the memo, a form added to the table takes effect at
-    once and drops no memo.
+    the document holds.  The triple of each other form is memoised on the
+    model per lexicon and closed table; since listed forms never reach the
+    memo, a form added to the table takes effect at once and drops no memo.
     """
-    modelio.check_language("tagger", model.metadata.language, language)
     decided = memo_table(model, (lexicon, closed_table))
     closed = closed_table.entries if closed_table is not None else {}
     for sent in doc.sentences:
@@ -274,8 +270,9 @@ def tag_document(
     language: str | None = None,
 ) -> Document:
     """A tagged copy of ``doc``; see :func:`tag_in_place`."""
+    modelio.check_language("tagger", model.metadata.language, language)
     out = copy_document(doc)
-    tag_in_place(out, model, lexicon, closed_table, language)
+    tag_in_place(out, model, lexicon, closed_table)
     return out
 
 

@@ -433,12 +433,9 @@ def _segment(forms: list[str], spaced: list[bool], mode: TokenizerMode) -> list[
         ends = [i + 1 for i in terminals]
     else:
         ends = []
-        j = -1
-        for i in terminals:
-            if i <= j:  # already pulled into the sentence before
-                continue
-            j = i
-            # closing quotes and brackets that hug the mark close the sentence too
+        for j in terminals:
+            # closing quotes and brackets that hug the mark close the sentence
+            # too; no terminal form is a closing one, so none is passed over
             while (
                 j + 1 < n
                 and not spaced[j]

@@ -131,6 +131,46 @@ def test_non_utf8_standard_input_is_data_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: cannot read standard input: ")
     assert err.count("\n") == 1
+    # as the interpreter opens it in the C or POSIX locale
+    lenient = io.TextIOWrapper(io.BytesIO(b"\xff\n"), "utf-8", errors="surrogateescape")
+    monkeypatch.setattr(sys, "stdin", lenient)
+    assert main(["tokenize", "--lang", "sl", "--in", "-"]) == 2
+    assert capsys.readouterr().err.startswith("data error: cannot read standard input: ")
+
+
+_BOM_TEXT = "Danes dežuje. Jutri ne bo.\n"
+_BOM_LEXICON = "pes\tpes\tNcmsn\t3\npsa\tpes\tNcmsg\t2\n"
+_BOM_GOLD = (
+    "# text = Pes.\n1\tPes\tpes\tNOUN\tNcmsn\t_\t0\troot\t_\tSpaceAfter=No\n"
+    "2\t.\t.\tPUNCT\tZ\t_\t1\tpunct\t_\t_\n\n"
+)
+
+
+@pytest.mark.parametrize(
+    "case", ["tokenize", "tokenize-stdin", "lexicon", "lexicon-gzip", "evaluate"]
+)
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys, monkeypatch, case):
+    text = {"lexicon": _BOM_LEXICON, "lexicon-gzip": _BOM_LEXICON, "evaluate": _BOM_GOLD}.get(
+        case, _BOM_TEXT
+    )
+    path, plain = tmp_path / "input", write(tmp_path, "plain", text)
+    query = ["lexicon", "query", "--lexicon", str(path), "--form", "pes"]
+    argv = {
+        "tokenize": ["tokenize", "--lang", "sl", "--in", str(path)],
+        "tokenize-stdin": ["tokenize", "--lang", "sl", "--in", "-"],
+        "lexicon": query,
+        "lexicon-gzip": query,
+        "evaluate": ["evaluate", "--gold", str(path), "--in", str(plain), "--report", "kv"],
+    }[case]
+    outputs = []
+    for prefix in ("", "\ufeff"):
+        blob = (prefix + text).encode("utf-8")
+        path.write_bytes(gzip.compress(blob) if case == "lexicon-gzip" else blob)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(blob), "utf-8"))
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[1] == outputs[0]
+    assert "\ufeff" not in outputs[0].out and "(no entry)" not in outputs[0].out
 
 
 # --- annotate ---------------------------------------------------------------
@@ -668,6 +708,16 @@ def test_train_tagger_writes_model_and_dev(tmp_path, train_doc, dev_doc, capsys)
     )
     assert all(t.upos is not None for s in filled.sentences for t in s.single_tokens())
     assert "dev accuracy:" in capsys.readouterr().err
+    # the closed class of a --rules file fixes the dev tokens it lists
+    first = filled.sentences[0].single_tokens()[0].form
+    rules = write(tmp_path, "own.rules", f"[CLOSED_SYM]\n{first}\n")
+    dev_out = tmp_path / "own.dev.conllu"
+    assert main([
+        "train", "tagger", "--lang", "sl", "--train", str(train_f), "--dev", str(dev_f),
+        "--model-out", str(tmp_path / "own.slm"), "--rules", str(rules), "--dev-out", str(dev_out),
+    ]) == 0
+    tok = parse_document(dev_out.read_text(encoding="utf-8")).sentences[0].single_tokens()[0]
+    assert (tok.upos, tok.xpos, tok.lemma) == ("SYM", "X", first)
 
 
 def test_feats_ending_in_a_bar_train_a_tagger_that_annotates(tmp_path, capsys):
@@ -726,6 +776,22 @@ def test_unwritable_model_path_is_data_error(tmp_path, train_doc, capsys):
     assert err.startswith(f"data error: cannot write {taken}")
     assert err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["taken", "train.conllu"]
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub"])
+def test_a_model_dir_that_cannot_be_made_is_data_error(tmp_path, train_doc, capsys, where):
+    train_f = write(tmp_path, "train.conllu", serialize_document(train_doc))
+    write(tmp_path, "file", "not a directory\n")
+    target = tmp_path / where
+    code = main([
+        "train", "tagger", "--lang", "sl", "--train", str(train_f), "--model-dir", str(target),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "train.conllu"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory\n"
 
 
 def test_model_out_into_a_missing_directory_names_the_target_and_the_reason(

@@ -496,6 +496,10 @@ def test_document_text_joins_sentences():
     assert text_layout(doc)[0] == "A B"
     doc.sentences[0].tokens[0].misc = "SpaceAfter=No"
     assert text_layout(doc)[0] == "AB"
+    # a sentence without tokens is one space, and no span
+    doc.sentences[0].tokens[0].misc = None
+    doc.sentences.insert(1, Sentence(comments=[], tokens=[]))
+    assert text_layout(doc) == ("A  B", [(0, 1), (3, 4)], [(0, 1), (3, 4)])
 
 
 # --- comments ----------------------------------------------------------------

@@ -16,6 +16,7 @@ from slavpipe.conllu import (
 from slavpipe.dataprep import (
     Recipe,
     RecipeComponent,
+    RecipeReport,
     build_recipe_dataset,
     compute_repetition_ratio,
     dediacritize_text,
@@ -344,6 +345,10 @@ def test_ratio_fallback_for_two_plain_components():
     _, report = build_recipe_dataset(recipe, corpora)
     assert report.ratio_groups == ("a", "b")
     assert report.ratio_tokens == (15, 30)
+    # no tokens in the second group give no ratio; none at all, no dediacritized share
+    assert RecipeReport(ratio_tokens=(15, 0)).achieved_ratio is None
+    empty = RecipeReport()
+    assert (empty.achieved_ratio, empty.dediacritized_fraction_combined) == (None, 0.0)
 
 
 def test_report_format_mentions_both_fractions():

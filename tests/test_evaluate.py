@@ -106,6 +106,9 @@ def test_tokenization_mismatch_points_to_span_f1():
     pred = doc_of(sent("a", "b"))
     with pytest.raises(EvaluationError, match="use span_f1"):
         micro_f1(gold, pred, "upos")
+    # one more predicted sentence, after sentences that agree
+    with pytest.raises(EvaluationError, match="use span_f1"):
+        micro_f1(doc_of(sent("a")), doc_of(sent("a"), sent("b")), "upos")
 
 
 def test_field_oracle_equivalence_on_random_pairs():
@@ -297,6 +300,8 @@ def test_evaluate_documents_detects_fields():
     assert set(report.scores) == {"lemma", "upos", "xpos", "morph-pooled", "morph-strict"}
     assert all(v == 1.0 for v in report.scores.values())
     assert ("upos", "NOUN") in report.per_label
+    gold.sentences[0].tokens[1].misc = "SRL=Agent"
+    assert "srl" in evaluate_documents(gold, copy_document(gold)).scores
 
 
 def test_evaluate_documents_adds_las_when_parsed():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import tracemalloc
 
 import pytest
@@ -449,6 +450,10 @@ def lexicons(draw):
     rows = st.tuples(TEXT, COLUMN_TEXT, COLUMN_TEXT, FREQUENCY)
     for form, lemma, xpos, freq in draw(st.lists(rows, max_size=min(n, 8))):
         lex.add(form, lemma, xpos, freq)
+    # frequencies that JSON writes as names (Infinity, NaN), not as numbers
+    special = st.sampled_from([math.inf, -math.inf, math.nan])
+    for freq in draw(st.lists(special, max_size=max(0, min(3, n - len(lex))))):
+        lex.add(f"n{freq}", "x", "Ncmsn", freq)
     i = 0
     while len(lex) < n:
         i += 1

@@ -1,3 +1,4 @@
+import codecs
 import gzip
 import math
 import os
@@ -311,6 +312,33 @@ def test_errors_in_later_blocks_are_those_of_a_whole_read(tmp_path, monkeypatch,
         assert (cause.start, cause.end, cause.reason) == (
             whole.value.start, whole.value.end, whole.value.reason
         )
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 64 * 1024])
+def test_a_leading_byte_order_mark_is_dropped_at_any_block_size(tmp_path, monkeypatch, size):
+    monkeypatch.setattr(lexicon, "READ_BLOCK", size)
+    # a mark after the first character is a character of the form
+    later = [SPLIT_ROWS[0], SPLIT_ROWS[2], ["\ufeffžaba", "žaba", "Ncfsn", 2], SPLIT_ROWS[3]]
+    for text, want in (
+        ("\ufeff" + SPLIT, SPLIT_ROWS), ("\n\ufeff" + SPLIT, later),
+        ("\ufeff", []), ("", []), ("\n", []), ("\n\n", []),
+    ):
+        blob = text.encode("utf-8")
+        for name, data in (("lex.tsv", blob), ("lex.tsv.gz", gzip.compress(blob))):
+            (tmp_path / name).write_bytes(data)
+            assert load_lexicon(tmp_path / name).to_rows() == want
+    # the positions of a decoding error are those of a whole read, mark included
+    path = tmp_path / "lex.tsv"
+    path.write_bytes(b"a\tb")  # a file no longer than a mark is read too
+    with pytest.raises(LexiconError, match="line 1: expected at least 3 tab-separated"):
+        load_lexicon(path)
+    for blob in (codecs.BOM_UTF8 + b"a\tb\tX\n\xc5x", codecs.BOM_UTF8[:2] + b"a\tb\tX\n"):
+        path.write_bytes(blob)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            blob.decode("utf-8")
+        with pytest.raises(LexiconError) as caught:
+            load_lexicon(path)
+        assert str(caught.value) == f"{path}: not valid UTF-8: {whole.value}"
 
 
 @pytest.mark.parametrize("packed", [False, True], ids=["plain", "gzip"])

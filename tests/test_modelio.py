@@ -89,6 +89,12 @@ def test_truncated_payload(tmp_path, archive):
     bad.write_bytes(blob[: len(blob) - 5])
     with pytest.raises(ModelError):
         read_archive(bad, "tagger")
+    # a section header cut short, and a section name that is not UTF-8
+    head = MAGIC + struct.pack(">HH", FORMAT_VERSION, 1)
+    for blob in (head + b"\x00", head + struct.pack(">H", 2) + b"\xff\xfe" + struct.pack(">Q", 0)):
+        bad.write_bytes(blob)
+        with pytest.raises(ModelError, match=f"{bad}: corrupt model archive: "):
+            read_archive(bad, "tagger")
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))

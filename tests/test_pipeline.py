@@ -696,7 +696,7 @@ def test_in_place_stages_match_their_copying_wrappers(model_dir, dev_doc):
     )
     for copying, in_place, stage_model in stages:
         expected = serialize_document(copying(doc, stage_model, language="sl"))
-        assert in_place(doc, stage_model, language="sl") is None
+        assert in_place(doc, stage_model) is None
         assert serialize_document(doc) == expected
 
 
@@ -718,3 +718,5 @@ def test_dev_scores_skip_unannotated_gold(train_doc, dev_doc):
     _, _, las = train_stage_parser(small, arc_gold, language="sl", epochs=2)
     # 65 of the 130 dev tokens keep their gold lemma, 65 their gold arc
     assert (lemma_acc, las) == (64 / 65, 45 / 65)
+    _, _, tag_acc = train_stage_tagger(small, _half_cleared(dev_doc, "upos", "xpos"), "sl")
+    assert tag_acc == 52 / 65  # 65 keep their gold tags

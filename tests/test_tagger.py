@@ -344,6 +344,7 @@ def listing(*xpos):
         pytest.param([ADJ, VERB], NOUN, ["Ncmsn", "Vmr3s"], VERB, id="allowed-by-rank"),
         pytest.param([ADJ, VERB], NOUN, ["Ncmsn"], NOUN, id="lexicon-tag"),
         pytest.param([ADJ, VERB], NOUN, ["Rgp"], ("ADV", "Rgp", None), id="lexicon-tag-unseen"),
+        pytest.param([ADJ, VERB], NOUN, ["Css"], ("SCONJ", "Css", None), id="lexicon-tag-cs"),
         pytest.param([PUNCT, ADJ, VERB], NOUN, ["Z"], ADJ, id="lexicon-tag-vetoed"),
         pytest.param([PUNCT, PRON], NOUN, ["Z"], NOUN, id="all-vetoed-default"),
         pytest.param([PUNCT, PRON], PUNCT, ["Z"], ("X", "X", None), id="all-vetoed-x"),

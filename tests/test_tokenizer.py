@@ -178,6 +178,8 @@ def test_unknown_language_refused():
 def test_rules_parser_rejects_bad_section():
     with pytest.raises(DataError, match="line 1"):
         parse_rules("[WHAT]\n")
+    with pytest.raises(DataError, match="line 2: entry before any section header"):
+        parse_rules("# comment\ndr.\n[ABBREV]\n")
 
 
 def test_rules_parser_sections():
