@@ -74,12 +74,24 @@ def _write_text(target: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` of text to ``target`` (``-``: standard output) as
     they come, so that a document's text is never held whole."""
     if target == "-":
+        if sys.stdout is None:  # what the interpreter sets for a closed descriptor
+            raise DataError("cannot write standard output: it is closed")
         sys.stdout.writelines(chunks)
         return
     try:
         write_atomic(target, (chunk.encode("utf-8") for chunk in chunks))
     except OSError as exc:
         raise _write_error(target, exc) from exc
+
+
+def _check_directory(target: str, directory: str | Path, made: bool = False) -> None:
+    """Refuse ``target`` before any work when ``directory``, which is to hold
+    it, is a file or under one, or is missing and not ``made`` on writing."""
+    try:
+        os.stat(os.path.join(directory, ""))  # the trailing separator: ENOTDIR for a file
+    except OSError as exc:
+        if not (made and isinstance(exc, FileNotFoundError)):
+            raise _write_error(target, exc) from exc
 
 
 def _write_error(target: str, exc: OSError) -> DataError:
@@ -171,6 +183,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigurationError("exactly one of --model-out or --model-dir is required")
     if args.dev_out and not args.dev:
         raise ConfigurationError("--dev-out needs --dev")
+    # settle where the model and the dev split go before reading or training
+    if args.model_out is None:
+        _check_directory(args.model_dir, args.model_dir, made=True)
+    else:
+        _check_directory(args.model_out, Path(args.model_out).parent)
+    if args.dev_out:
+        _check_directory(args.dev_out, Path(args.dev_out).parent)
     train_doc = _read_document(_require(args, "train", "--train"))
     dev_doc = _read_document(args.dev) if args.dev else Document()
     (model, filled, score), save, score_name = args.trainer(args, train_doc, dev_doc)
@@ -252,10 +271,10 @@ def _cmd_prep(args: argparse.Namespace) -> int:
 
 def _cmd_lexicon_load(args: argparse.Namespace) -> int:
     lex = load_lexicon(_require(args, "lexicon", "--lexicon"))
-    print(f"forms: {lex.form_count}")
-    print(f"entries: {len(lex)}")
-    for category in sorted(lex.prefix_table):
-        print(f"closed class {category}: {len(lex.closed_class_forms(category))}")
+    lines = [f"forms: {lex.form_count}", f"entries: {len(lex)}"]
+    lines += [f"closed class {category}: {len(lex.closed_class_forms(category))}"
+              for category in sorted(lex.prefix_table)]
+    _write_text("-", (f"{line}\n" for line in lines))
     return 0
 
 
@@ -264,17 +283,14 @@ def _cmd_lexicon_query(args: argparse.Namespace) -> int:
     form = _require(args, "form", "--form")
     if args.xpos:
         lemma = lex.lookup_lemma(form, args.xpos)
-        print(lemma if lemma is not None else "(no entry)")
-        return 0
-    entries = lex.entries(form)
-    if not entries:
-        print("(no entry)")
-        return 0
-    for entry in sorted(entries, key=lambda e: (-e.frequency, e.xpos, e.lemma)):
-        print(f"{entry.xpos}\t{entry.lemma}\t{entry.frequency}")
-    categories = [c for c in sorted(lex.prefix_table) if lex.in_closed_class(c, form)]
-    if categories:
-        print("closed classes: " + ", ".join(categories))
+        lines = [lemma if lemma is not None else "(no entry)"]
+    else:
+        entries = sorted(lex.entries(form), key=lambda e: (-e.frequency, e.xpos, e.lemma))
+        lines = [f"{e.xpos}\t{e.lemma}\t{e.frequency}" for e in entries] or ["(no entry)"]
+        categories = [c for c in sorted(lex.prefix_table) if lex.in_closed_class(c, form)]
+        if entries and categories:
+            lines.append("closed classes: " + ", ".join(categories))
+    _write_text("-", (f"{line}\n" for line in lines))
     return 0
 
 
@@ -365,7 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(parser, sys.argv[1:] if argv is None else argv)
         status = args.func(args)
-        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        if sys.stdout is not None:  # None: closed, and only files were written
+            sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return status
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -173,6 +173,11 @@ class Recipe:
         object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise RecipeError("recipe has no components")
+        groups = {c.group for c in self.components} - {""}
+        for group in self.target_ratio or ():
+            if group not in groups:
+                ratio = ":".join(self.target_ratio)
+                raise RecipeError(f"ratio {ratio} names group {group!r}, which no component has")
 
 
 @dataclass
@@ -182,18 +187,24 @@ class ComponentReport:
     repetitions: Decimal
     dediacritize_repetitions: Decimal
     source_sentences: int
-    sentences_emitted: int
-    tokens_emitted: int
-    dediacritized_tokens: int
+    sentences_emitted: int = 0
+    tokens_emitted: int = 0
+    dediacritized_tokens: int = 0
 
 
 @dataclass
 class RecipeReport:
     components: list[ComponentReport] = field(default_factory=list)
-    total_tokens: int = 0
-    total_dediacritized_tokens: int = 0
     ratio_groups: tuple[str, str] | None = None
     ratio_tokens: tuple[int, int] | None = None
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(c.tokens_emitted for c in self.components)
+
+    @property
+    def total_dediacritized_tokens(self) -> int:
+        return sum(c.dediacritized_tokens for c in self.components)
 
     @property
     def achieved_ratio(self) -> float | None:
@@ -256,10 +267,8 @@ def _select_sentences(
     sentences = list(corpus.sentences)
     if component.sample_filter is not None:
         mode, tag = component.sample_filter
-        if mode == "include":
-            sentences = [s for s in sentences if s.comment("source") == tag]
-        else:
-            sentences = [s for s in sentences if s.comment("source") != tag]
+        include = mode == "include"
+        sentences = [s for s in sentences if (s.comment("source") == tag) == include]
     if rng is not None:
         rng.shuffle(sentences)
     if component.sample_fraction != 1:
@@ -279,95 +288,59 @@ def build_recipe_dataset(
     ``corpora`` maps corpus ids to documents.  A component that dediacritizes
     needs a ``diacritic_map``; without one it is refused with
     :class:`RecipeError`.
-    Copy ``k`` of a sentence has its ``sent_id`` suffixed with ``-r<k>``; a
-    dediacritized copy has its ``# text =`` comment regenerated.
+    The ``k``-th copy of a ``sent_id`` value in the whole recipe gets the suffix
+    ``-r<k>``; a dediacritized copy has its ``# text =`` comment regenerated.
     """
     report = RecipeReport()
     out = Document()
-    group_tokens: dict[str, int] = {}
-
+    table = {ord(k): v for k, v in diacritic_map.items()} if diacritic_map else {}
+    copies_of: dict[str, int] = {}  # sent_id -> copies emitted so far
     for component in recipe.components:
         if component.corpus_id not in corpora:
             raise RecipeError(f"recipe names unknown corpus {component.corpus_id!r}")
-        reps = component.repetitions
-        dedia = component.dediacritize_repetitions
-        if dedia > 0 and diacritic_map is None:
+        if component.dediacritize_repetitions > 0 and diacritic_map is None:
             raise RecipeError(
                 f"component {component.corpus_id} dediacritizes but no "
                 "diacritic map was provided"
             )
-
         rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
         sentences = _select_sentences(component, corpora[component.corpus_id], rng)
-        n = len(sentences)
-
-        # which copies lose their diacritics: whole copies starting at the
-        # second one, then a sentence prefix of the next copy
-        full_dedia = int(dedia)
-        frac_dedia = dedia - full_dedia
-        dedia_prefix = int(round_half_up(frac_dedia * n)) if frac_dedia else 0
-
-        table = (
-            {ord(k): v for k, v in diacritic_map.items()} if diacritic_map else {}
-        )
-        emitted = tokens_emitted = dedia_tokens = 0
-        for copy_index, count in enumerate(_copy_plan(n, reps), start=1):
+        stats = ComponentReport(component.corpus_id, component.group, component.repetitions,
+                                component.dediacritize_repetitions, len(sentences))
+        report.components.append(stats)
+        # copy k + 1 (k >= 1) loses the diacritics of its first plain[k - 1]
+        # sentences: whole copies from the second one on, then a prefix
+        plain = _copy_plan(len(sentences), component.dediacritize_repetitions)
+        for k, count in enumerate(_copy_plan(len(sentences), component.repetitions)):
+            dedia = plain[k - 1] if 1 <= k <= len(plain) else 0
             copies = copy_document(Document(sentences=sentences[:count])).sentences
             for si, copy in enumerate(copies):
                 sent_id = copy.comment("sent_id")
                 if sent_id is not None:
-                    set_comment(copy, "sent_id", f"{sent_id}-r{copy_index}")
-                dediacritize_this = 2 <= copy_index <= 1 + full_dedia or (
-                    copy_index == 2 + full_dedia and si < dedia_prefix
-                )
-                if dediacritize_this:
+                    copies_of[sent_id] = copies_of.get(sent_id, 0) + 1
+                    set_comment(copy, "sent_id", f"{sent_id}-r{copies_of[sent_id]}")
+                tokens = len(copy.single_tokens())
+                if si < dedia:
                     for tok in copy.tokens:
                         tok.form = tok.form.translate(table)
                     if copy.text is not None:
                         set_comment(copy, "text", sentence_text(copy))
-                    dedia_tokens += len(copy.single_tokens())
-                tokens_emitted += len(copy.single_tokens())
-                emitted += 1
+                    stats.dediacritized_tokens += tokens
+                stats.sentences_emitted += 1
+                stats.tokens_emitted += tokens
                 out.sentences.append(copy)
 
-        report.components.append(
-            ComponentReport(
-                corpus_id=component.corpus_id,
-                group=component.group,
-                repetitions=reps,
-                dediacritize_repetitions=dedia,
-                source_sentences=n,
-                sentences_emitted=emitted,
-                tokens_emitted=tokens_emitted,
-                dediacritized_tokens=dedia_tokens,
-            )
-        )
-        report.total_tokens += tokens_emitted
-        report.total_dediacritized_tokens += dedia_tokens
-        if component.group:
-            group_tokens[component.group] = (
-                group_tokens.get(component.group, 0) + tokens_emitted
-            )
-
-    ratio_groups = recipe.target_ratio
-    if ratio_groups is None:
-        if len(group_tokens) == 2:
-            ratio_groups = tuple(group_tokens)  # first-appearance order
-        elif len(report.components) == 2 and not group_tokens:
-            report.ratio_groups = (
-                report.components[0].corpus_id,
-                report.components[1].corpus_id,
-            )
-            report.ratio_tokens = (
-                report.components[0].tokens_emitted,
-                report.components[1].tokens_emitted,
-            )
-    if ratio_groups is not None:
-        report.ratio_groups = ratio_groups
-        report.ratio_tokens = (
-            group_tokens.get(ratio_groups[0], 0),
-            group_tokens.get(ratio_groups[1], 0),
-        )
+    # the ratio's sides: the recipe's or the only two groups, else two ungrouped components
+    groups: dict[str, int] = {}
+    for c in report.components:
+        if c.group:
+            groups[c.group] = groups.get(c.group, 0) + c.tokens_emitted
+    sides = (
+        [(name, groups[name]) for name in recipe.target_ratio or groups] if groups
+        else [(c.corpus_id, c.tokens_emitted) for c in report.components]
+    )
+    if len(sides) == 2:
+        report.ratio_groups, report.ratio_tokens = (tuple(side) for side in zip(*sides))
     return out, report
 
 
@@ -383,6 +356,7 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
     """
     components: list[RecipeComponent] = []
     target_ratio: tuple[str, str] | None = None
+    ratio_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -392,7 +366,7 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
             if len(fields) != 2 or ":" not in fields[1]:
                 raise RecipeError(f"{name}: line {lineno}: expected 'ratio a:b'")
             a, _, b = fields[1].partition(":")
-            target_ratio = (a, b)
+            target_ratio, ratio_line = (a, b), lineno
             continue
         if fields[0] != "component":
             raise RecipeError(
@@ -433,7 +407,11 @@ def parse_recipe(text: str, name: str = "<recipe>") -> Recipe:
         except RecipeError as exc:
             raise RecipeError(f"{name}: line {lineno}: {exc}") from exc
         components.append(component)
-    return Recipe(components=tuple(components), target_ratio=target_ratio)
+    try:
+        return Recipe(components=tuple(components), target_ratio=target_ratio)
+    except RecipeError as exc:
+        at = f"line {ratio_line}: " if components else ""  # with components, only the ratio fails
+        raise RecipeError(f"{name}: {at}{exc}") from exc
 
 
 def load_recipe(path: str | Path) -> Recipe:

@@ -26,8 +26,11 @@ def read_text(source: str | Path) -> str:
     """Read a UTF-8 text file, or standard input for ``-``, without a leading
     byte order mark.
 
-    A missing, unreadable or undecodable input is a :class:`DataError`.
+    A missing, unreadable or undecodable input is a :class:`DataError`, and
+    so is a closed standard input, which the interpreter sets to None.
     """
+    if source == "-" and sys.stdin is None:
+        raise DataError("cannot read standard input: it is closed")
     try:
         if source == "-":
             # strict, also where the interpreter's UTF-8 mode reads stdin with surrogateescape

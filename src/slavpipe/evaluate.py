@@ -88,15 +88,11 @@ _SCALAR_VALUES = {
 
 
 def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts:
-    total = correct = 0
     if fieldname == "morph-pooled":
-        for _, _, gtoks, ptoks in _aligned(gold, pred):
-            total += 3 * len(gtoks)
-            for gtok, ptok in zip(gtoks, ptoks):
-                correct += (gtok.upos or "_") == (ptok.upos or "_")
-                correct += (gtok.xpos or "_") == (ptok.xpos or "_")
-                correct += canonical_feats(gtok.feats) == canonical_feats(ptok.feats)
-        return MetricCounts(total, total, correct)
+        parts = [micro_counts(gold, pred, name) for name in ("upos", "xpos", "feats")]
+        total = sum(c.gold for c in parts)
+        return MetricCounts(total, total, sum(c.correct for c in parts))
+    total = correct = 0
     extract = _SCALAR_VALUES.get(fieldname)
     if extract is None:
         raise ConfigurationError(f"unknown evaluation field {fieldname!r}")

@@ -794,6 +794,34 @@ def test_a_model_dir_that_cannot_be_made_is_data_error(tmp_path, train_doc, caps
     assert (tmp_path / "file").read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "flags, target",
+    [
+        (["--model-out", "file/x.slm"], "file/x.slm"),
+        (["--model-out", "file/sub/x.slm"], "file/sub/x.slm"),
+        (["--model-dir", "file"], "file"),
+        (["--model-dir", "file/sub"], "file/sub"),
+        (["--model-dir", "new", "--dev", "train.conllu", "--dev-out", "file/dev.conllu"],
+         "file/dev.conllu"),
+    ],
+    ids=["model-out", "model-out-deeper", "model-dir", "model-dir-under", "dev-out"],
+)
+def test_an_unwritable_target_is_refused_before_training(
+    tmp_path, train_doc, capsys, monkeypatch, flags, target
+):
+    def never(*args, **kwargs):
+        raise AssertionError("the tagger was trained")
+
+    monkeypatch.setattr("slavpipe.cli.train_stage_tagger", never)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "train.conllu", serialize_document(train_doc))
+    write(tmp_path, "file", "not a directory\n")
+    code = main(["train", "tagger", "--lang", "sl", "--train", "train.conllu", *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: cannot write {target}: Not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "train.conllu"]
+
+
 def test_model_out_into_a_missing_directory_names_the_target_and_the_reason(
     tmp_path, train_doc, capsys
 ):
@@ -979,7 +1007,11 @@ def test_prep_refused_recipe_is_data_error(tmp_path, capsys):
         tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n"
     )
     for line, message in [("reps=1 dedia=1", "keep at least one repetition intact"),
-                          ("reps=nan", "'nan' is not a decimal number")]:
+                          ("reps=nan", "'nan' is not a decimal number"),
+                          ("reps=1 group=std\nratio std:web", "line 2: ratio std:web names "
+                           "group 'web', which no component has"),
+                          ("reps=1 group=std\nratio :std", "line 2: ratio :std names "
+                           "group '', which no component has")]:
         recipe_f = write(tmp_path, "mix.recipe", f"component id=c {line}\n")
         code = main([
             "prep", str(recipe_f), "--lang", "sl", "--corpus", f"c={corpus_f}",
@@ -1300,7 +1332,7 @@ def test_any_damaged_input_ends_in_valid_output_or_one_error_line(
         assert validate_document(parse_document(out.read_text(encoding="utf-8"))) == []
 
 
-# --- last resort and closed pipes -------------------------------------------
+# --- last resort and closed streams -----------------------------------------
 
 
 def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monkeypatch):
@@ -1313,6 +1345,66 @@ def test_unexpected_exception_is_one_line_internal_error(tmp_path, capsys, monke
     captured = capsys.readouterr()
     assert captured.err == "internal error: RuntimeError: first line second line\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tokenize", "--lang", "sl"], ["evaluate", "--gold", "gold.conllu"],
+     ["train", "parser", "--lang", "sl", "--train", "-", "--model-out", "p.slm"]],
+    ids=["tokenize", "evaluate", "train"],
+)
+def test_a_closed_standard_input_is_data_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "gold.conllu", "1\tEna\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    monkeypatch.setattr(sys, "stdin", None)  # the interpreter's value for a closed descriptor
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "data error: cannot read standard input: it is closed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.conllu"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tokenize", "--lang", "sl", "--in", "in.txt"],
+     ["tokenize", "--lang", "sl", "--in", "in.txt", "--out", "-"],
+     ["evaluate", "--gold", "gold.conllu", "--in", "gold.conllu"],
+     ["prep", "mix.recipe", "--corpus", "c=gold.conllu"],
+     ["lexicon", "load", "--lexicon", "lex.tsv"],
+     ["lexicon", "query", "--lexicon", "lex.tsv", "--form", "pes"]],
+    ids=["tokenize", "tokenize-dash", "evaluate", "prep", "lexicon-load", "lexicon-query"],
+)
+def test_results_for_a_closed_standard_output_are_data_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "in.txt", "Ena.")
+    write(tmp_path, "gold.conllu", "1\tEna\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    write(tmp_path, "mix.recipe", "component id=c reps=1\n")
+    write(tmp_path, "lex.tsv", "pes\tpes\tNcmsn\t10\n")
+    monkeypatch.setattr(sys, "stdout", None)  # the interpreter's value for a closed descriptor
+    assert main(argv) == 2
+    assert capsys.readouterr().err.endswith(
+        "data error: cannot write standard output: it is closed\n"
+    )
+
+
+def test_a_command_writing_only_files_ignores_a_closed_standard_output(
+    tmp_path, capsys, monkeypatch
+):
+    src = write(tmp_path, "in.txt", "Ena.")
+    out = tmp_path / "out.conllu"
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["tokenize", "--lang", "sl", "--in", str(src), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    doc = parse_document(out.read_text(encoding="utf-8"))
+    assert [t.form for t in doc.single_tokens()] == ["Ena", "."]
+
+
+def test_a_really_closed_standard_input_is_data_error(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(slavpipe.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "slavpipe.cli", "tokenize", "--lang", "sl"],
+        preexec_fn=lambda: os.close(0), capture_output=True, env=env, timeout=120,
+    )
+    assert done.stderr == b"data error: cannot read standard input: it is closed\n"
+    assert (done.returncode, done.stdout) == (2, b"")
 
 
 @pytest.mark.parametrize("sentences", [1, 5000])  # flushed at the end / while writing

@@ -9,6 +9,7 @@ from slavpipe.conllu import (
     Document,
     Sentence,
     Token,
+    copy_document,
     sentence_text,
     serialize_document,
     set_comment,
@@ -17,6 +18,7 @@ from slavpipe.dataprep import (
     Recipe,
     RecipeComponent,
     RecipeReport,
+    _copy_plan,
     build_recipe_dataset,
     compute_repetition_ratio,
     dediacritize_text,
@@ -192,6 +194,42 @@ def test_oversample_count_matches_the_ratio(n, tenths):
         assert abs(compute_repetition_ratio(expected, n) - reps) <= Decimal("0.1")
 
 
+@given(
+    n=st.integers(min_value=0, max_value=40),
+    tenths=st.integers(min_value=1, max_value=60),
+    data=st.data(),
+)
+def test_the_copy_plan_decides_which_copies_lose_their_diacritics(n, tenths, data):
+    reps = Decimal(tenths) / 10
+    dedia = Decimal(data.draw(st.integers(min_value=0, max_value=max(tenths - 10, 0)))) / 10
+    doc = Document()
+    for i in range(n):
+        sent = Sentence(comments=[f"# sent_id = s{i}"], tokens=[Token(1, f"š{i}"), Token(2, "č")])
+        set_comment(sent, "text", sentence_text(sent))
+        doc.sentences.append(sent)
+    recipe = Recipe(components=(RecipeComponent("c", reps, dediacritize_repetitions=dedia),))
+    out, report = build_recipe_dataset(recipe, {"c": doc}, default_diacritic_map("sl"))
+
+    plan = _copy_plan(n, reps)
+    assert [int(s.sent_id.rpartition("-r")[2]) for s in out.sentences] == [
+        copy for copy, count in enumerate(plan, start=1) for _ in range(count)
+    ]
+    # copies 2 .. 1 + whole(dedia) in full, then a prefix of the next copy
+    whole = int(dedia)
+    prefix = int(round_half_up((dedia - whole) * n))
+    dediacritized = 0
+    for sent in out.sentences:
+        copy = int(sent.sent_id.rpartition("-r")[2])
+        position = int(sent.sent_id[1:].partition("-")[0])
+        expected = 2 <= copy <= 1 + whole or (copy == 2 + whole and position < prefix)
+        assert [t.form for t in sent.tokens] == (
+            [f"s{position}", "c"] if expected else [f"š{position}", "č"]
+        )
+        assert sent.text == sentence_text(sent)
+        dediacritized += 2 * expected
+    assert report.components[0].dediacritized_tokens == dediacritized
+
+
 # --- splits -----------------------------------------------------------------
 
 
@@ -308,6 +346,40 @@ def test_recipe_counts_and_dediacritized_copies():
     assert all("š" not in s.tokens[0].form for s in by_copy["r2"])
     flags = ["š" not in s.tokens[0].form for s in by_copy["r3"]]
     assert flags == [True] * 5 + [False] * 5
+
+
+def test_sent_ids_stay_unique_when_a_corpus_is_named_twice():
+    doc = small_doc(2, prefix="c")
+    doc.sentences.append(copy_document(Document(sentences=doc.sentences[:1])).sentences[0])
+    recipe = parse_recipe(
+        "component id=c reps=1\ncomponent id=c reps=2.5 dedia=1 group=x\n"
+    )
+    dataset, report = build_recipe_dataset(recipe, {"c": doc}, default_diacritic_map("sl"))
+    ids = [s.sent_id for s in dataset.sentences]
+    # the k-th copy of a sent_id value in the whole recipe, also of one the corpus repeats
+    assert ids == [
+        "c.1-r1", "c.2-r1", "c.1-r2",  # the first component
+        "c.1-r3", "c.2-r2", "c.1-r4",
+        "c.1-r5", "c.2-r3", "c.1-r6",
+        "c.1-r7", "c.2-r4",  # half of 3 sentences, rounded half up
+    ]
+    # which copies lose their diacritics stays per component: the second
+    # component's own copy 2
+    plain = ["š" in s.tokens[0].form for s in dataset.sentences]
+    assert plain == [True] * 6 + [False] * 3 + [True] * 2
+    assert [c.dediacritized_tokens for c in report.components] == [0, 15]
+
+
+@pytest.mark.parametrize("ratio, group", [("std:web", "web"), ("std:", ""), (":std", "")])
+def test_a_ratio_must_name_groups_the_recipe_has(ratio, group):
+    text = f"component id=a reps=1 group=std\ncomponent id=b reps=1\nratio {ratio}\n"
+    message = f"mix.recipe: line 3: ratio {ratio} names group {group!r}, which no component has"
+    with pytest.raises(RecipeError) as refused:
+        parse_recipe(text, name="mix.recipe")
+    assert str(refused.value) == message
+    with pytest.raises(RecipeError, match="which no component has"):
+        Recipe(components=(RecipeComponent("a", Decimal(1), group="std"),),
+               target_ratio=tuple(ratio.split(":")))
 
 
 def test_recipe_filters_and_fractions():
