@@ -74,14 +74,18 @@ def _write_text(target: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` of text to ``target`` (``-``: standard output) as
     they come, so that a document's text is never held whole."""
     if target == "-":
-        if sys.stdout is None:  # what the interpreter sets for a closed descriptor
-            raise DataError("cannot write standard output: it is closed")
-        sys.stdout.writelines(chunks)
+        _stdout().writelines(chunks)
         return
     try:
         write_atomic(target, (chunk.encode("utf-8") for chunk in chunks))
     except OSError as exc:
         raise _write_error(target, exc) from exc
+
+
+def _stdout():
+    if sys.stdout is None:  # what the interpreter sets for a closed descriptor
+        raise DataError("cannot write standard output: it is closed")
+    return sys.stdout
 
 
 def _check_directory(target: str, directory: str | Path, made: bool = False) -> None:
@@ -183,24 +187,31 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ConfigurationError("exactly one of --model-out or --model-dir is required")
     if args.dev_out and not args.dev:
         raise ConfigurationError("--dev-out needs --dev")
+    model_out = args.model_out
+    if model_out is None:
+        model_out = str(Path(args.model_dir) / model_filename(lang, args.variety, args.stage))
+    if args.dev_out and os.path.realpath(args.dev_out) == os.path.realpath(model_out):
+        raise ConfigurationError(f"--dev-out names the model's own file {model_out}")
     # settle where the model and the dev split go before reading or training
     if args.model_out is None:
         _check_directory(args.model_dir, args.model_dir, made=True)
     else:
         _check_directory(args.model_out, Path(args.model_out).parent)
-    if args.dev_out:
+    if args.dev_out == "-":
+        _stdout()
+    elif args.dev_out:
         _check_directory(args.dev_out, Path(args.dev_out).parent)
     train_doc = _read_document(_require(args, "train", "--train"))
     dev_doc = _read_document(args.dev) if args.dev else Document()
     (model, filled, score), save, score_name = args.trainer(args, train_doc, dev_doc)
-    model_out = args.model_out
+    target = args.model_dir
     try:
-        if model_out is None:
-            Path(args.model_dir).mkdir(parents=True, exist_ok=True)
-            model_out = str(Path(args.model_dir) / model_filename(lang, args.variety, args.stage))
+        if target is not None:
+            Path(target).mkdir(parents=True, exist_ok=True)
+        target = model_out
         save(model, model_out)
     except OSError as exc:
-        raise _write_error(args.model_dir if model_out is None else model_out, exc) from exc
+        raise _write_error(target, exc) from exc
     if args.dev:
         _write_text(args.dev_out or f"{model_out}.dev.conllu", serialize_sentences(filled))
     shown = "n/a" if score is None else f"{score:.4f}"

@@ -87,20 +87,27 @@ _SCALAR_VALUES = {
 }
 
 
+def _counts(gold: Document, pred: Document, value: Callable[[Token], object]) -> MetricCounts:
+    """Count the aligned gold tokens whose ``value`` is not None, and the matched ones."""
+    total = correct = 0
+    for _, _, gtoks, ptoks in _aligned(gold, pred):
+        for gtok, ptok in zip(gtoks, ptoks):
+            expected = value(gtok)
+            if expected is not None:
+                total += 1
+                correct += value(ptok) == expected
+    return MetricCounts(total, total, correct)
+
+
 def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts:
     if fieldname == "morph-pooled":
         parts = [micro_counts(gold, pred, name) for name in ("upos", "xpos", "feats")]
         total = sum(c.gold for c in parts)
         return MetricCounts(total, total, sum(c.correct for c in parts))
-    total = correct = 0
     extract = _SCALAR_VALUES.get(fieldname)
     if extract is None:
         raise ConfigurationError(f"unknown evaluation field {fieldname!r}")
-    for _, _, gtoks, ptoks in _aligned(gold, pred):
-        total += len(gtoks)
-        for gtok, ptok in zip(gtoks, ptoks):
-            correct += extract(gtok) == extract(ptok)
-    return MetricCounts(total, total, correct)
+    return _counts(gold, pred, extract)
 
 
 def dev_accuracy(
@@ -111,14 +118,8 @@ def dev_accuracy(
     Gold tokens whose ``value`` is None are not scored; with none scored the
     result is None.  Needs identical tokenization.
     """
-    total = correct = 0
-    for _, _, gtoks, ptoks in _aligned(gold, pred):
-        for gtok, ptok in zip(gtoks, ptoks):
-            expected = value(gtok)
-            if expected is not None:
-                total += 1
-                correct += value(ptok) == expected
-    return correct / total if total else None
+    counts = _counts(gold, pred, value)
+    return counts.accuracy if counts.gold else None
 
 
 def micro_f1(gold: Document, pred: Document, fieldname: str) -> float:
@@ -165,8 +166,15 @@ def span_f1(gold: Document, pred: Document, unit: str = "token") -> float:
 # --- attachment ------------------------------------------------------------
 
 
-def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
+def arc(tok: Token) -> tuple[int, str] | None:
+    """A token's attachment, ``(head, deprel)``, or None without both."""
     if tok.head is None or tok.deprel is None:
+        return None
+    return (tok.head, tok.deprel)
+
+
+def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
+    if arc(tok) is None:
         where = sent.sent_id or f"sentence {si + 1}"
         raise EvaluationError(
             f"token {tok.id_str()} ({tok.form!r}) in {where} of the {which} "
@@ -175,14 +183,11 @@ def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
 
 
 def las_counts(gold: Document, pred: Document) -> MetricCounts:
-    total = correct = 0
     for si, gsent, gtoks, ptoks in _aligned(gold, pred):
         for gtok, ptok in zip(gtoks, ptoks):
             _require_arc(gtok, gsent, si, "gold")
             _require_arc(ptok, gsent, si, "predicted")
-            total += 1
-            correct += gtok.head == ptok.head and gtok.deprel == ptok.deprel
-    return MetricCounts(total, total, correct)
+    return _counts(gold, pred, arc)
 
 
 def las_score(gold: Document, pred: Document) -> float:
@@ -262,9 +267,7 @@ def _detected_fields(gold: Document) -> list[str]:
 
 def _fully_parsed(doc: Document) -> bool:
     tokens = doc.single_tokens()
-    return bool(tokens) and all(
-        t.head is not None and t.deprel is not None for t in tokens
-    )
+    return bool(tokens) and all(arc(t) is not None for t in tokens)
 
 
 def evaluate_documents(

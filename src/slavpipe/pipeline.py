@@ -19,7 +19,7 @@ from operator import attrgetter
 from pathlib import Path
 
 from . import modelio
-from .conllu import Document, Token, copy_document, validate_document
+from .conllu import Document, copy_document, validate_document
 from .conllu import strip_annotations  # noqa: F401 (bench/spans.py times it under this name)
 from .depparse import (
     TreeSchema,
@@ -30,7 +30,7 @@ from .depparse import (
 )
 from .depparse import validate_tree  # noqa: F401 (bench/spans.py times it under this name)
 from .errors import ConfigurationError, ModelError, StageError
-from .evaluate import dev_accuracy
+from .evaluate import arc, dev_accuracy
 from .lemmatizer import (
     lemmatize_document,
     lemmatize_in_place,
@@ -306,12 +306,6 @@ def _cleared(doc: Document, *fields: str) -> Document:
     return out
 
 
-def _arc(tok: Token) -> tuple[int, str] | None:
-    if tok.head is None or tok.deprel is None:
-        return None
-    return (tok.head, tok.deprel)
-
-
 def train_stage_tagger(
     train: Document,
     dev: Document,
@@ -363,4 +357,4 @@ def train_stage_parser(
     )
     filled = _cleared(dev, "head", "deprel")
     parse_in_place(filled, model)
-    return model, filled, dev_accuracy(dev, filled, _arc)
+    return model, filled, dev_accuracy(dev, filled, arc)

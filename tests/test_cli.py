@@ -822,6 +822,51 @@ def test_an_unwritable_target_is_refused_before_training(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "train.conllu"]
 
 
+def _never_trained(*args, **kwargs):
+    raise AssertionError("the tagger was trained")
+
+
+def test_dev_out_to_a_closed_standard_output_is_refused_before_training(
+    tmp_path, train_doc, capsys, monkeypatch
+):
+    monkeypatch.setattr("slavpipe.cli.train_stage_tagger", _never_trained)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "train.conllu", serialize_document(train_doc))
+    monkeypatch.setattr(sys, "stdout", None)  # the interpreter's value for a closed descriptor
+    code = main(["train", "tagger", "--lang", "sl", "--train", "train.conllu",
+                 "--dev", "train.conllu", "--dev-out", "-", "--model-out", "m.slm"])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: cannot write standard output: it is closed\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.conllu"]
+
+
+@pytest.mark.parametrize(
+    "flags, model",
+    [
+        (["--model-out", "m.slm", "--dev-out", "m.slm"], "m.slm"),
+        (["--model-out", "m.slm", "--dev-out", "./m.slm"], "m.slm"),
+        (["--model-out", "m.slm", "--dev-out", "link.slm"], "m.slm"),
+        (["--model-dir", "models", "--dev-out", "models/sl_standard_tagger.slm"],
+         "models/sl_standard_tagger.slm"),
+    ],
+    ids=["model-out", "model-out-dot", "model-out-symlink", "model-dir"],
+)
+def test_dev_out_naming_the_model_is_refused_before_training(
+    tmp_path, train_doc, capsys, monkeypatch, flags, model
+):
+    monkeypatch.setattr("slavpipe.cli.train_stage_tagger", _never_trained)
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "train.conllu", serialize_document(train_doc))
+    (tmp_path / "link.slm").symlink_to("m.slm")
+    code = main(["train", "tagger", "--lang", "sl", "--train", "train.conllu",
+                 "--dev", "train.conllu", *flags])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: --dev-out names the model's own file {model}\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.slm", "train.conllu"]
+
+
 def test_model_out_into_a_missing_directory_names_the_target_and_the_reason(
     tmp_path, train_doc, capsys
 ):

@@ -18,6 +18,7 @@ from slavpipe.conllu import (
 )
 from slavpipe.depparse import validate_tree
 from slavpipe.errors import ConfigurationError, DataError, ModelError, StageError
+from slavpipe.evaluate import arc, las_counts, micro_counts
 from slavpipe.lexicon import Lexicon
 from slavpipe.pipeline import (
     _AVAILABLE,
@@ -720,3 +721,14 @@ def test_dev_scores_skip_unannotated_gold(train_doc, dev_doc):
     assert (lemma_acc, las) == (64 / 65, 45 / 65)
     _, _, tag_acc = train_stage_tagger(small, _half_cleared(dev_doc, "upos", "xpos"), "sl")
     assert tag_acc == 52 / 65  # 65 keep their gold tags
+
+
+def test_a_stage_dev_score_is_the_evaluate_count(train_doc, dev_doc):
+    # every dev token carries a lemma and an arc, so all are scored
+    assert all(t.lemma is not None and arc(t) is not None for t in dev_doc.single_tokens())
+    small = Document(sentences=train_doc.sentences[:2])
+    _, lemmatized, lemma_acc = train_stage_lemmatizer(small, dev_doc, language="sl")
+    _, parsed, las = train_stage_parser(small, dev_doc, language="sl", epochs=2)
+    assert lemma_acc == micro_counts(dev_doc, lemmatized, "lemma").accuracy
+    assert las == las_counts(dev_doc, parsed).accuracy
+    assert lemma_acc < 1 and las < 1  # a small training set leaves errors to count
