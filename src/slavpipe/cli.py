@@ -26,7 +26,7 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .conllu import Document, parse_document, serialize_sentences
+from .conllu import Document, parse_document, serialize_sentence, serialize_sentences
 from .dataprep import (
     build_recipe_dataset,
     default_diacritic_map,
@@ -39,6 +39,7 @@ from .errors import (
     DataError,
     EvaluationError,
     ModelError,
+    read_blocks,
     read_text,
 )
 from .evaluate import evaluate_documents, evaluate_spans, format_report
@@ -175,9 +176,11 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_annotate(args: argparse.Namespace) -> int:
     pipe = Pipeline(_pipeline_config(args))
-    raw = read_text(args.infile)
-    source = raw if "tokenize" in pipe.tasks else parse_document(raw)
-    _write_text(args.outfile, serialize_sentences(pipe.annotate(source)))
+    if "tokenize" in pipe.tasks:
+        sentences = pipe.annotate_stream(read_blocks(args.infile))
+    else:
+        sentences = pipe.annotate(_read_document(args.infile)).sentences
+    _write_text(args.outfile, map(serialize_sentence, sentences))
     return 0
 
 
@@ -190,8 +193,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model_out = args.model_out
     if model_out is None:
         model_out = str(Path(args.model_dir) / model_filename(lang, args.variety, args.stage))
-    if args.dev_out and os.path.realpath(args.dev_out) == os.path.realpath(model_out):
-        raise ConfigurationError(f"--dev-out names the model's own file {model_out}")
+    _check_outputs(args, model_out)
     # settle where the model and the dev split go before reading or training
     if args.model_out is None:
         _check_directory(args.model_dir, args.model_dir, made=True)
@@ -217,6 +219,25 @@ def _cmd_train(args: argparse.Namespace) -> int:
     shown = "n/a" if score is None else f"{score:.4f}"
     print(f"{score_name}: {shown}", file=sys.stderr)
     return 0
+
+
+def _check_outputs(args: argparse.Namespace, model_out: str) -> None:
+    """Refuse a ``train`` whose model or dev split would overwrite the other
+    or one of its inputs; paths are compared after ``os.path.realpath``."""
+    real = os.path.realpath
+    if args.dev_out and real(args.dev_out) == real(model_out):
+        raise ConfigurationError(f"--dev-out names the model's own file {model_out}")
+    outputs = [("--model-out" if args.model_out else "--model-dir", model_out)]
+    if args.dev:
+        outputs.append(("--dev-out", args.dev_out) if args.dev_out
+                       else ("the default --dev-out", f"{model_out}.dev.conllu"))
+    for name, target in outputs:
+        if target == "-":
+            continue
+        for flag in ("train", "dev", "lexicon", "rules"):
+            source = getattr(args, flag, None)  # a stage has only the flags it reads
+            if source and source != "-" and real(source) == real(target):
+                raise ConfigurationError(f"{name} names the --{flag} file {source}")
 
 
 def _train_tagger(args: argparse.Namespace, train_doc: Document, dev_doc: Document):

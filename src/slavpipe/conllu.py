@@ -406,10 +406,14 @@ def _format_token_line(tok: Token) -> str:
     ))
 
 
+def serialize_sentence(sent: Sentence) -> str:
+    """The CoNLL-U text of ``sent``, its blank line included."""
+    return "\n".join([*sent.comments, *map(_format_token_line, sent.tokens), "\n"])
+
+
 def serialize_sentences(doc: Document) -> Iterator[str]:
     """The CoNLL-U text of each sentence of ``doc``, its blank line included."""
-    for sent in doc.sentences:
-        yield "\n".join([*sent.comments, *map(_format_token_line, sent.tokens), "\n"])
+    return map(serialize_sentence, doc.sentences)
 
 
 def serialize_document(doc: Document) -> str:

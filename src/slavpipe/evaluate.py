@@ -2,7 +2,10 @@
 
 Token-level metrics (micro F1 per field, pooled and strict morphosyntax,
 labeled attachment, per-label accuracy) require identical tokenization and
-compare single (non-range) tokens position by position.  When tokenization
+compare single (non-range) tokens position by position in the document, so
+the two may split the tokens into sentences differently; only labeled
+attachment, whose heads count within a sentence, needs the same sentences
+on both sides.  When tokenization
 itself is under evaluation, :func:`span_f1` matches surface tokens or
 sentences by exact character offsets in the reconstructed raw text.
 
@@ -62,17 +65,30 @@ class EvalReport:
 
 
 def _aligned(gold: Document, pred: Document):
-    """Yield per-sentence single-token lists, refusing mismatched tokenization."""
-    if len(gold.sentences) != len(pred.sentences):
-        raise EvaluationError(_MISMATCH_MESSAGE)
-    for si, (gsent, psent) in enumerate(zip(gold.sentences, pred.sentences)):
+    """Yield each gold sentence's index, the sentence, its single tokens and
+    the predicted single tokens at the same places in the document, refusing
+    mismatched tokenization.  The two documents may split the same tokens
+    into sentences differently."""
+    predicted = pred.single_tokens()
+    start = 0
+    for si, gsent in enumerate(gold.sentences):
         gtoks = gsent.single_tokens()
-        ptoks = psent.single_tokens()
+        ptoks = predicted[start : start + len(gtoks)]
         if len(gtoks) != len(ptoks) or any(
             g.form != p.form for g, p in zip(gtoks, ptoks)
         ):
             raise EvaluationError(_MISMATCH_MESSAGE)
+        start += len(gtoks)
         yield si, gsent, gtoks, ptoks
+    if start != len(predicted):
+        raise EvaluationError(_MISMATCH_MESSAGE)
+
+
+def _same_sentences(gold: Document, pred: Document) -> bool:
+    """Whether the two documents split their single tokens into sentences alike."""
+    return [len(s.single_tokens()) for s in gold.sentences] == [
+        len(s.single_tokens()) for s in pred.sentences
+    ]
 
 
 _SCALAR_VALUES = {
@@ -183,10 +199,16 @@ def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
 
 
 def las_counts(gold: Document, pred: Document) -> MetricCounts:
+    """Count the tokens whose head and label the prediction matches; a head
+    counts within its sentence, so both documents need the same sentences."""
     for si, gsent, gtoks, ptoks in _aligned(gold, pred):
         for gtok, ptok in zip(gtoks, ptoks):
             _require_arc(gtok, gsent, si, "gold")
             _require_arc(ptok, gsent, si, "predicted")
+    if not _same_sentences(gold, pred):
+        raise EvaluationError(
+            "attachment scores need the same sentence boundaries in both documents"
+        )
     return _counts(gold, pred, arc)
 
 
@@ -276,8 +298,8 @@ def evaluate_documents(
     """Score every applicable metric; fields default to what gold carries.
 
     Attachment scores and the deprel accuracy table are included when both
-    documents are fully parsed; the upos accuracy table whenever upos is
-    evaluated.
+    documents are fully parsed into the same sentences; the upos accuracy
+    table whenever upos is evaluated.
     """
     report = EvalReport()
     chosen = _detected_fields(gold) if fields is None else list(fields)
@@ -288,7 +310,10 @@ def evaluate_documents(
     if "upos" in chosen:
         for label, acc in per_label_accuracy(gold, pred, "upos").items():
             report.per_label[("upos", label)] = acc
-    if fields is None and _fully_parsed(gold) and _fully_parsed(pred):
+    if (
+        fields is None and _fully_parsed(gold) and _fully_parsed(pred)
+        and _same_sentences(gold, pred)
+    ):
         counts = las_counts(gold, pred)
         report.counts["las"] = counts
         report.scores["las"] = counts.accuracy

@@ -20,7 +20,6 @@ one object (66,281 rows take about 100 bytes each, form strings included).
 
 from __future__ import annotations
 
-import codecs
 import gzip
 import zlib
 from collections.abc import Iterator
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .conllu import breaks_column
-from .errors import LexiconError
+from .errors import LexiconError, utf8_blocks
 
 READ_BLOCK = 64 * 1024  # bytes of a TSV lexicon read (and decompressed) at a time
 
@@ -224,33 +223,17 @@ def _lines(stream, name: str) -> Iterator[str]:
     U+0085 and other characters a field may hold); CRLF is read as LF, and a
     bare CR stays, also at the end of a last line without LF.  A leading byte
     order mark is dropped."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    head = stream.read(len(codecs.BOM_UTF8))
-    read = len(head)  # bytes read so far
-    if head != codecs.BOM_UTF8:
-        decoder.setstate((head, 0))  # decoded with the first block
     pieces: list[str] = []  # the text after the last LF so far
-    while True:
-        block = stream.read(READ_BLOCK)
-        start = read - len(decoder.getstate()[0])  # file offset of the bytes decoded now
-        read += len(block)
-        try:
-            text = decoder.decode(block, final=not block)
-        except UnicodeDecodeError as exc:
-            # the error that decoding the whole file raises, positions included
-            whole = UnicodeDecodeError(
-                exc.encoding, bytes(start) + exc.object, start + exc.start, start + exc.end,
-                exc.reason,
-            )
-            raise LexiconError(f"{name}: not valid UTF-8: {whole}") from whole
-        if "\n" in text:
-            lines = "".join([*pieces, text]).replace("\r\n", "\n").split("\n")
-            pieces = [lines.pop()]
-            yield from lines
-        else:  # a line longer than a block is joined once, when it ends
-            pieces.append(text)
-        if not block:
-            break
+    try:
+        for text in utf8_blocks(stream, READ_BLOCK):
+            if "\n" in text:
+                lines = "".join([*pieces, text]).replace("\r\n", "\n").split("\n")
+                pieces = [lines.pop()]
+                yield from lines
+            else:  # a line longer than a block is joined once, when it ends
+                pieces.append(text)
+    except UnicodeDecodeError as exc:
+        raise LexiconError(f"{name}: not valid UTF-8: {exc}") from exc
     if last := "".join(pieces):
         yield last
 

@@ -14,12 +14,14 @@ stage's output, so later stages can never peek at gold annotations.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
 
 from . import modelio
-from .conllu import Document, copy_document, validate_document
+from .conllu import Document, Sentence, copy_document, set_comment, validate_document
 from .conllu import strip_annotations  # noqa: F401 (bench/spans.py times it under this name)
 from .depparse import (
     TreeSchema,
@@ -40,6 +42,7 @@ from .lemmatizer import (
 from .lexicon import Lexicon, load_lexicon
 from .tagger import load_tagger, tag_dev, tag_document, train_tagger
 from .tokenizer import (
+    BLANK_LINE,
     ClosedClassTable,
     TokenizerMode,
     TokenizerRules,
@@ -94,6 +97,9 @@ _STAGE_VARIANTS: dict[str, dict[str, str]] = {
 }
 
 _MODEL_KINDS = {"morph": "tagger", "lemma": "lemmatizer", "depparse": "parser"}
+
+# a line feed and then whitespace only, up to the end: a blank line may go on
+_OPEN_LINE = re.compile(r"\n[^\S\n]*\Z")
 
 
 def task_available(language: str, variety: str, task: str) -> bool:
@@ -289,6 +295,48 @@ class Pipeline:
             if problems:
                 raise StageError("pipeline", f"output failed validation: {problems[0]}")
         return doc
+
+    def annotate_stream(self, blocks: Iterable[str]) -> Iterator[Sentence]:
+        """Annotate raw text given as any iterable of string ``blocks`` and
+        yield its sentences, each as soon as its paragraph is complete.
+
+        They serialize to the bytes of ``annotate("".join(blocks))``: no
+        sentence crosses a blank line, so the complete paragraphs of each
+        block go through one :meth:`annotate` call, whose ``sent_id``
+        numbering is made to run on.  Memory is bounded by the longest
+        paragraph, so a text without a blank line is held whole.
+        """
+        number = 0  # sentences yielded so far
+        for text in _paragraphs(blocks):
+            for sent in self.annotate(text).sentences:
+                number += 1
+                set_comment(sent, "sent_id", str(number))
+                yield sent
+
+
+def _paragraphs(blocks: Iterable[str]) -> Iterator[str]:
+    """The text of ``blocks`` in pieces that each end at a blank line, but
+    the last: each block's complete paragraphs with the unfinished one
+    before them.  Only the unfinished paragraph is kept between blocks, and
+    each block is searched once, so a long paragraph is not searched again."""
+    pending: list[str] = []  # the unfinished paragraph
+    open_line = False  # whether pending ends as _OPEN_LINE matches
+    for block in blocks:
+        # a blank line that pending opened is found as one that starts at a
+        # line feed put before the block
+        probe = "\n" + block if open_line else block
+        cut = None  # the end in ``block`` of its last blank line
+        for match in BLANK_LINE.finditer(probe):
+            cut = match.end() - (len(probe) - len(block))
+        open_line = _OPEN_LINE.search(probe) is not None
+        if cut is None:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        text = "".join(pending)
+        pending = [block[cut:]]  # before the yield: the pieces are not kept beside the text
+        yield text
+    yield "".join(pending)
 
 
 # --- training workflows -----------------------------------------------------

@@ -7,18 +7,24 @@ closing quotes that hug a terminal punctuation mark into the sentence they
 close.  *Nonstandard* mode is aimed at user-generated text: it additionally
 recognizes URLs, e-mail addresses, @-mentions, #-hashtags and emoticons as
 single tokens, and opens a new sentence after every terminal punctuation
-token.
+token.  In both modes a blank line ends a sentence: a line feed, then any
+whitespace other than a line feed, then a line feed (:data:`BLANK_LINE`; so
+CRLF line ends count too).  No sentence crosses one, so a text tokenizes to
+the sentences of its paragraphs, one after another.
 
 Abbreviation lists, emoticon inventories and the closed-class table for
 punctuation and symbols live in per-language rule files (see
 :func:`load_rules` for the format); the files shipped with the package are
 available through :func:`default_rules`.
 
-:func:`tokenize` makes one pass over the chunks ``text.split()`` yields.
-``_scan`` returns the forms of the whole text and a parallel list of flags,
-true where whitespace (or the end of the text) follows a form; each chunk's
-split is memoised on the rules.  ``_segment`` returns the end index of each
-sentence in those lists, and ``tokenize`` builds each token once from them.
+:func:`tokenize` makes one pass over the chunks ``str.split()`` yields.
+``_scan`` returns the forms of the whole text, a parallel list of flags,
+true where whitespace (or the end of the text) follows a form, and the
+paragraph breaks in the forms; a text without a line feed is one paragraph
+and is not searched for blank lines.  A chunk of letters and digits only is
+one form; the split of any other chunk is memoised on the rules.
+``_segment`` returns the end index of each sentence in those lists, and
+``tokenize`` builds each token once from them.
 """
 
 from __future__ import annotations
@@ -402,31 +408,50 @@ def _split_internal(core: str) -> list[str]:
 _SPACE_AFTER_NO = "SpaceAfter=No"
 
 
+BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+
+
 def _scan(
     text: str, mode: TokenizerMode, rules: TokenizerRules
-) -> tuple[list[str], list[bool]]:
-    """The forms of ``text`` and, for each, whether whitespace follows it.
+) -> tuple[list[str], list[bool], list[int]]:
+    """The forms of ``text``, for each whether whitespace follows it, and
+    the paragraph breaks: the number of forms before each paragraph that
+    some form precedes (a number repeats after a paragraph without forms).
 
-    Chunks are the runs ``str.split()`` yields, split by :func:`_split_chunk`
-    and memoised per chunk; the last form of a chunk is followed by
-    whitespace or by the end of the document, which counts as whitespace.
+    Paragraphs are the pieces :data:`BLANK_LINE` separates, and chunks the
+    runs ``str.split()`` yields in them, split by :func:`_split_chunk` and
+    memoised per chunk, except that a chunk of letters and digits only is
+    one form; the last form of a chunk is followed by whitespace or by the
+    end of the document, which counts as whitespace.
     """
     splits = memo_table(rules, (mode,))
     forms: list[str] = []
     spaced: list[bool] = []
-    for chunk in text.split():
-        pieces = splits.get(chunk)
-        if pieces is None:
-            pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
-        forms += pieces
-        if len(pieces) > 1:
-            spaced += [False] * (len(pieces) - 1)
-        spaced.append(True)
-    return forms, spaced
+    breaks: list[int] = []
+    for paragraph in BLANK_LINE.split(text) if "\n" in text else (text,):
+        if forms:
+            breaks.append(len(forms))
+        for chunk in paragraph.split():
+            if chunk.isalnum():  # one form: _split_chunk cuts only at punctuation and symbols
+                forms.append(chunk)
+                spaced.append(True)
+                continue
+            pieces = splits.get(chunk)
+            if pieces is None:
+                pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
+            forms += pieces
+            if len(pieces) > 1:
+                spaced += [False] * (len(pieces) - 1)
+            spaced.append(True)
+    return forms, spaced, breaks
 
 
-def _segment(forms: list[str], spaced: list[bool], mode: TokenizerMode) -> list[int]:
-    """The end index of each sentence in ``forms``, in order."""
+def _segment(
+    forms: list[str], spaced: list[bool], mode: TokenizerMode, breaks: list[int]
+) -> list[int]:
+    """The end index of each sentence in ``forms``, in order: after a
+    terminal mark as the mode has it, at each of the paragraph ``breaks``
+    and at the end."""
     n = len(forms)
     terminals = [i for i, form in enumerate(forms) if _is_terminal_form(form)]
     if mode is TokenizerMode.NONSTANDARD:
@@ -449,24 +474,28 @@ def _segment(forms: list[str], spaced: list[bool], mode: TokenizerMode) -> list[
                     ends.append(j + 1)
     if n and (not ends or ends[-1] != n):
         ends.append(n)
+    if breaks:
+        ends = sorted({*ends, *breaks})
     return ends
 
 
 def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
     """Tokenize and sentence-split raw text into a CoNLL-U document.
 
-    Sentences receive ``sent_id`` and ``text`` comments; tokens that were not
+    A sentence ends after a terminal mark, as the mode has it, and at a
+    blank line.  Sentences receive ``sent_id`` (numbered from 1 across
+    paragraphs) and ``text`` comments; tokens that were not
     followed by whitespace in the source carry ``SpaceAfter=No``.  Forms
     listed in the closed-class table come out already tagged and marked
     ``ClosedClass=Yes`` (after ``SpaceAfter=No`` when both apply) by
     :meth:`ClosedClassEntry.fix`.  Empty or whitespace-only input yields a
     document with zero sentences.
     """
-    forms, spaced = _scan(text, mode, rules)
+    forms, spaced, breaks = _scan(text, mode, rules)
     closed = rules.closed_class.entries
     doc = Document()
     start = 0
-    for si, end in enumerate(_segment(forms, spaced, mode), start=1):
+    for si, end in enumerate(_segment(forms, spaced, mode, breaks), start=1):
         tokens = []
         surface = []  # each form with the space after it: the sentence_text
         for ti, (form, space) in enumerate(zip(forms[start:end], spaced[start:end]), 1):

@@ -9,13 +9,15 @@ package under test.
 
 from __future__ import annotations
 
+import copy
 import gzip
 import random
 import struct
 from fractions import Fraction
 
-from slavpipe.conllu import Document, Sentence, Token
+from slavpipe.conllu import Document, Sentence, Token, set_comment
 from slavpipe.lexicon import Lexicon
+from slavpipe.tokenizer import BLANK_LINE
 
 # Pieces of raw text to fuzz the tokenizer and the pipeline with: URLs,
 # emoticons, control and separator characters, zero-width and combining
@@ -27,6 +29,25 @@ FUZZ_PIECES = [
     "http://x.si/a?b=1", "WwW.primer.si", "# text = x", "# sent_id = 1",
     "1\tPes\t_\t_\t_\t_\t_\t_\t_\t_", "1-2\tdela", "_", "=", "|",
 ]
+
+
+def without_blank_lines(text: str) -> str:
+    """``text`` with each blank line made one line feed, until none is left."""
+    while BLANK_LINE.search(text):
+        text = BLANK_LINE.sub("\n", text)
+    return text
+
+
+def renumbered(*docs: Document) -> Document:
+    """Copies of the sentences of ``docs`` in one document, ``sent_id``
+    running on from 1."""
+    out = Document()
+    for doc in docs:
+        for sent in doc.sentences:
+            sent = copy.deepcopy(sent)
+            set_comment(sent, "sent_id", str(len(out.sentences) + 1))
+            out.sentences.append(sent)
+    return out
 
 # --- damaged files ----------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import argparse
+import codecs
 import gzip
 import io
 import json
@@ -8,6 +9,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ from slavpipe.cli import EXIT_BROKEN_PIPE, build_parser, main
 from slavpipe.conllu import (
     Document, parse_document, serialize_document, text_layout, validate_document,
 )
+from slavpipe.errors import TEXT_BLOCK, DataError, read_blocks, read_text, utf8_blocks
 from slavpipe.pipeline import Pipeline, PipelineConfig, model_filename
 
 from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section
@@ -209,6 +212,110 @@ def test_annotate_writes_the_library_text_with_a_plain_or_gzipped_crlf_lexicon(
         outputs.append(capsys.readouterr().out)
     pipe = Pipeline(PipelineConfig(language="sl", model_dir=model_dir, lexicon_path=lexicon_file))
     assert outputs == [serialize_document(pipe.annotate(text))] * 4
+
+
+def _paragraphs(vocab, count):
+    """Raw text of ``count`` paragraphs of vocabulary words, some without a final
+    mark, separated by blank lines of LF, CRLF and whitespace."""
+    words = [form for form, _, _ in vocab.all_entries()]
+    blanks = ["\n\n", "\r\n\r\n", "\n \t\n", "\n\n\n"]
+    paragraphs = []
+    for i in range(count):
+        sentence = " ".join(words[(i * 7 + k) % len(words)] for k in range(i % 9 + 2))
+        paragraphs.append(sentence.capitalize() + ("." if i % 3 else "") + blanks[i % 4])
+    return "".join(paragraphs)
+
+
+@pytest.mark.parametrize("target", ["file", "stdout"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_annotate_streams_an_input_of_several_blocks(
+    tmp_path, model_dir, lexicon_file, vocab, capsys, monkeypatch, source, target
+):
+    text = "Čaša žganja.\n\n" + _paragraphs(vocab, 900)
+    blob = text.encode("utf-8")
+    assert len(blob) > 4 * TEXT_BLOCK
+    src = tmp_path / "in.txt"
+    src.write_bytes(blob)
+    out = tmp_path / "out.conllu"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(blob), "utf-8"))
+    argv = ["annotate", "--lang", "sl", "--model-dir", str(model_dir),
+            "--lexicon", str(lexicon_file), "--in", str(src) if source == "file" else "-",
+            "--out", str(out) if target == "file" else "-"]
+    assert main(argv) == 0
+    written = out.read_text(encoding="utf-8") if target == "file" else capsys.readouterr().out
+    pipe = Pipeline(PipelineConfig(language="sl", model_dir=model_dir, lexicon_path=lexicon_file))
+    assert written == serialize_document(pipe.annotate(text))
+    assert written.count("# sent_id") == 901
+
+
+def test_an_undecodable_byte_after_the_first_block_leaves_the_output_as_it_was(
+    tmp_path, vocab, capsys
+):
+    blob = _paragraphs(vocab, 900).encode("utf-8")
+    position = 3 * TEXT_BLOCK + 5
+    src = tmp_path / "in.txt"
+    src.write_bytes(blob[:position] + b"\xff" + blob[position:])
+    out = write(tmp_path, "out.conllu", "earlier output\n")
+    assert main(["tokenize", "--lang", "sl", "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: cannot read {src}: 'utf-8' codec can't decode byte 0xff "
+        f"in position {position}: invalid start byte\n"
+    )
+    assert out.read_text(encoding="utf-8") == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.txt", "out.conllu"]
+
+
+@given(
+    blob=st.lists(
+        st.sampled_from([b"a", b" ", b"\n", "č".encode(), "€".encode(), "🙂".encode(),
+                         codecs.BOM_UTF8, b"\xff", b"\xe2\x82", b"\xc4", b"\x80"]),
+        max_size=30,
+    ).map(b"".join),
+    size=st.integers(1, 7),
+)
+def test_utf8_blocks_decode_as_the_whole_stream(blob, size):
+    try:
+        whole = blob.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        with pytest.raises(UnicodeDecodeError) as raised:
+            list(utf8_blocks(io.BytesIO(blob), size))
+        assert str(raised.value) == str(exc)
+        assert (raised.value.start, raised.value.end) == (exc.start, exc.end)
+    else:
+        assert "".join(utf8_blocks(io.BytesIO(blob), size)) == whole
+
+
+def test_an_undecodable_byte_late_in_a_stream_costs_no_copy_of_what_came_before(tmp_path):
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"a " * 500_000 + b"\xff")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="in position 1000000: invalid start byte"):
+            for _ in read_blocks(path):  # each block dropped as the next is read
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 1024
+
+
+def test_crlf_and_cr_line_ends_are_read_as_lf_across_blocks(tmp_path):
+    path = tmp_path / "in.txt"
+    # the CR of a CRLF falls on each side of the first block's end in turn
+    for pad in range(TEXT_BLOCK - 2, TEXT_BLOCK + 6):
+        path.write_bytes(b"x" * pad + b"\r\nb\rc\r")
+        assert read_text(path) == "x" * pad + "\nb\nc\n"
+    path.write_bytes(_BOM_GOLD.replace("\n", "\r\n").encode("utf-8"))
+    assert read_text(path) == _BOM_GOLD
+
+
+def test_tokenize_ends_a_sentence_at_a_blank_line(tmp_path, capsys):
+    src = write(tmp_path, "in.txt", "Naslov članka\r\n\r\nDanes dežuje")
+    assert main(["tokenize", "--lang", "sl", "--in", str(src)]) == 0
+    doc = parse_document(capsys.readouterr().out)
+    assert [(s.sent_id, s.text) for s in doc.sentences] == [
+        ("1", "Naslov članka"), ("2", "Danes dežuje"),
+    ]
 
 
 _RANGE_LINE = "1-2\tPesa\t_\t_\t_\t_\t_\t_\t_\t_"
@@ -865,6 +972,47 @@ def test_dev_out_naming_the_model_is_refused_before_training(
         f"configuration error: --dev-out names the model's own file {model}\n"
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.slm", "train.conllu"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--model-out", "train.conllu"], "--model-out names the --train file train.conllu"),
+        (["--model-out", "./dev.conllu", "--dev", "dev.conllu"],
+         "--model-out names the --dev file dev.conllu"),
+        (["--model-out", "lexicon.tsv", "--lexicon", "lexicon.tsv"],
+         "--model-out names the --lexicon file lexicon.tsv"),
+        (["--model-out", "rules.txt", "--rules", "link.txt"],
+         "--model-out names the --rules file link.txt"),
+        (["--model-dir", ".", "--train", "sl_standard_tagger.slm"],
+         "--model-dir names the --train file sl_standard_tagger.slm"),
+        (["--model-out", "m.slm", "--dev", "dev.conllu", "--dev-out", "train.conllu"],
+         "--dev-out names the --train file train.conllu"),
+        (["--model-out", "m.slm", "--dev", "m.slm.dev.conllu"],
+         "the default --dev-out names the --dev file m.slm.dev.conllu"),
+    ],
+    ids=["model-train", "model-dev", "model-lexicon", "model-rules-symlink", "model-dir-train",
+         "dev-out-train", "default-dev-out-dev"],
+)
+def test_an_output_that_is_an_input_is_refused_before_reading(
+    tmp_path, train_doc, capsys, monkeypatch, flags, message
+):
+    monkeypatch.setattr("slavpipe.cli.train_stage_tagger", _never_trained)
+    monkeypatch.chdir(tmp_path)
+    corpus = serialize_document(train_doc)
+    inputs = {name: corpus for name in ("train.conllu", "dev.conllu", "m.slm.dev.conllu",
+                                         "sl_standard_tagger.slm")}
+    inputs.update({"lexicon.tsv": "pes\tpes\tNcmsn\t3\n", "rules.txt": "[ABBREV]\nnpr.\n"})
+    for name, text in inputs.items():
+        write(tmp_path, name, text)
+    (tmp_path / "link.txt").symlink_to("rules.txt")
+    if "--train" not in flags:
+        flags = ["--train", "train.conllu", *flags]
+    assert main(["train", "tagger", "--lang", "sl", *flags]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    for name, text in inputs.items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*inputs, "link.txt"])
 
 
 def test_model_out_into_a_missing_directory_names_the_target_and_the_reason(

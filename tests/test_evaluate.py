@@ -13,6 +13,7 @@ from slavpipe.evaluate import (
     evaluate_documents,
     evaluate_spans,
     format_report,
+    las_counts,
     las_score,
     micro_counts,
     micro_f1,
@@ -20,6 +21,7 @@ from slavpipe.evaluate import (
     relative_error_reduction,
     span_f1,
 )
+from slavpipe.tokenizer import TokenizerMode, default_rules, tokenize
 
 from support import (
     oracle_las,
@@ -338,3 +340,34 @@ def test_format_report_styles():
     assert "upos:VERB = n/a" in kv
     with pytest.raises(ConfigurationError, match="unknown report style"):
         format_report(report, style="json")
+
+
+# --- sentences that differ at a blank line ----------------------------------
+
+_ACROSS_A_BLANK_LINE = (
+    "# sent_id = 1\n# text = Naslov članka Danes dežuje.\n"
+    "1\tNaslov\tnaslov\tNOUN\tNcmsn\t_\t4\tnsubj\t_\t_\n"
+    "2\tčlanka\tčlanek\tNOUN\tNcmsg\t_\t1\tnmod\t_\t_\n"
+    "3\tDanes\tdanes\tADV\tRgp\t_\t4\tadvmod\t_\t_\n"
+    "4\tdežuje\tdeževati\tVERB\tVmpr3s\t_\t0\troot\t_\tSpaceAfter=No\n"
+    "5\t.\t.\tPUNCT\tZ\t_\t4\tpunct\t_\t_\n\n"
+)
+
+
+def test_a_gold_sentence_across_a_blank_line_is_scored_against_the_split():
+    gold = parse_document(_ACROSS_A_BLANK_LINE)
+    pred = tokenize("Naslov članka\n\nDanes dežuje.", TokenizerMode.STANDARD,
+                    default_rules("sl"))
+    assert [len(s.tokens) for s in pred.sentences] == [2, 3]
+    for gtok, ptok in zip(gold.single_tokens(), pred.single_tokens()):
+        ptok.lemma, ptok.upos = gtok.lemma, "NOUN"
+        ptok.head, ptok.deprel = 0, "root"
+    spans = evaluate_spans(gold, pred)
+    assert spans.scores == {"tokens": 1.0, "sentences": 0.0}
+    report = evaluate_documents(gold, pred)
+    assert report.scores["lemma"] == 1.0
+    assert report.counts["upos"] == MetricCounts(5, 5, 2)
+    # a head counts within its sentence: no attachment score across boundaries
+    assert "las" not in report.scores
+    with pytest.raises(EvaluationError, match="the same sentence boundaries"):
+        las_counts(gold, pred)

@@ -12,6 +12,7 @@ from slavpipe.conllu import (
     misc_value,
     parse_document,
     serialize_document,
+    serialize_sentence,
     strip_annotations,
     text_layout,
     validate_document,
@@ -36,7 +37,7 @@ from slavpipe.pipeline import (
     train_stage_tagger,
 )
 
-from support import FUZZ_PIECES, lexicon_tsv
+from support import FUZZ_PIECES, lexicon_tsv, renumbered, without_blank_lines
 
 # Availability of the six tasks per language and variety, restated row by
 # row so a regression in the module table cannot hide.
@@ -732,3 +733,92 @@ def test_a_stage_dev_score_is_the_evaluate_count(train_doc, dev_doc):
     assert lemma_acc == micro_counts(dev_doc, lemmatized, "lemma").accuracy
     assert las == las_counts(dev_doc, parsed).accuracy
     assert lemma_acc < 1 and las < 1  # a small training set leaves errors to count
+
+
+# --- paragraphs and streams -------------------------------------------------
+
+_EVERY_TASK = ("tokenize", "morph", "lemma", "depparse")
+
+
+def _raw_text(vocab, pieces):
+    # an integer piece is a word of the training vocabulary
+    words = [form for form, _, _ in vocab.all_entries()[::4]]
+    return "".join(p if isinstance(p, str) else words[p % len(words)] for p in pieces)
+
+
+_TEXT_PIECES = st.lists(
+    st.sampled_from([*FUZZ_PIECES, "\n ", " \n", "\r\n\t", "\n\n", ".\r\n\r\n"])
+    | st.integers(0, 99),
+    max_size=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_TEXT_PIECES, b=_TEXT_PIECES, processing_type=st.sampled_from(PROCESSING_TYPES))
+def test_annotate_ends_a_sentence_at_a_blank_line(fuzz_pipelines, vocab, a, b, processing_type):
+    pipe = fuzz_pipelines(processing_type, _EVERY_TASK)
+    a, b = without_blank_lines(_raw_text(vocab, a)), without_blank_lines(_raw_text(vocab, b))
+    joined = pipe.annotate(a + "\n\n" + b)
+    assert serialize_document(joined) == serialize_document(
+        renumbered(pipe.annotate(a), pipe.annotate(b))
+    )
+
+
+def _streamed(pipe, blocks):
+    return "".join(map(serialize_sentence, pipe.annotate_stream(blocks)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pieces=_TEXT_PIECES,
+    cuts=st.lists(st.integers(0, 400), max_size=6),
+    processing_type=st.sampled_from(PROCESSING_TYPES),
+)
+def test_any_split_into_blocks_streams_the_bytes_of_the_whole(
+    fuzz_pipelines, vocab, pieces, cuts, processing_type
+):
+    pipe = fuzz_pipelines(processing_type, _EVERY_TASK)
+    text = _raw_text(vocab, pieces)
+    bounds = [0, *sorted(min(cut, len(text)) for cut in cuts), len(text)]
+    blocks = [text[i:j] for i, j in zip(bounds, bounds[1:])]
+    assert _streamed(pipe, blocks) == serialize_document(pipe.annotate(text))
+
+
+@pytest.mark.parametrize("text", [
+    "Pes teče.\r\n\r\nmačka spi\r\n \r\n\r\nSPI",
+    "a\n\n\nb\n \n\n c\n\n",
+    "\n\n x \r\n\t\ny\n\n",
+    "spi\n\npes\nteče \n mačka",
+])
+def test_every_two_cuts_stream_the_bytes_of_the_whole(text):
+    # cuts inside a CRLF, inside a blank line, between two of them and next
+    # to a line feed that ends no paragraph
+    pipe = Pipeline(PipelineConfig(language="sl", tasks=("tokenize",)))
+    whole = serialize_document(pipe.annotate(text))
+    assert whole.count("# sent_id") >= 2
+    for i in range(len(text) + 1):
+        for j in range(i, len(text) + 1):
+            assert _streamed(pipe, [text[:i], text[i:j], text[j:]]) == whole
+
+
+def test_annotate_stream_yields_a_paragraph_before_reading_on():
+    pipe = Pipeline(PipelineConfig(language="sl", tasks=("tokenize",)))
+    read = []
+
+    def blocks():
+        # the first blank line spans three blocks
+        for block in ["Naslov članka\n", " \t", "\nDanes ", "dežuje.", "\n\nJutri ne bo."]:
+            read.append(block)
+            yield block
+
+    stream = pipe.annotate_stream(blocks())
+    first = next(stream)
+    assert (first.sent_id, first.text, len(read)) == ("1", "Naslov članka", 3)
+    assert [(s.sent_id, s.text) for s in stream] == [("2", "Danes dežuje."), ("3", "Jutri ne bo.")]
+    assert len(read) == 5
+
+
+def test_annotate_stream_needs_the_tokenize_task(model_dir):
+    pipe = Pipeline(PipelineConfig(language="sl", tasks=("morph",), model_dir=model_dir))
+    with pytest.raises(ConfigurationError, match="raw text input needs the tokenize task"):
+        list(pipe.annotate_stream([]))

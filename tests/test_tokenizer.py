@@ -10,6 +10,7 @@ from slavpipe.conllu import (
     Token,
     parse_document,
     sentence_text,
+    serialize_document,
     text_layout,
     validate_document,
 )
@@ -23,6 +24,7 @@ from slavpipe.tokenizer import (
     TERMINAL_CHARS,
     ClosedClassEntry,
     TokenizerMode,
+    _is_punct_or_sym,
     _is_terminal_form,
     _may_hold_special,
     _Specials,
@@ -33,7 +35,7 @@ from slavpipe.tokenizer import (
     tokenize,
 )
 
-from support import FUZZ_PIECES
+from support import FUZZ_PIECES, renumbered, without_blank_lines
 
 
 @pytest.fixture(scope="module")
@@ -357,3 +359,51 @@ def test_tokens_are_the_split_whitespace_chunks(sl_rules, text):
 def test_tokenizer_output_passes_the_validator(sl_rules, text):
     for mode in TokenizerMode:
         assert validate_document(tokenize(text, mode, sl_rules)) == []
+
+
+# --- blank lines ------------------------------------------------------------
+
+
+_PARAGRAPH_PIECES = st.sampled_from([*FUZZ_PIECES, "\n ", " \n", "\r\n\t"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.lists(_PARAGRAPH_PIECES, max_size=12).map("".join).map(without_blank_lines),
+    b=st.lists(_PARAGRAPH_PIECES, max_size=12).map("".join).map(without_blank_lines),
+)
+def test_a_blank_line_ends_a_sentence(sl_rules, a, b):
+    for mode in TokenizerMode:
+        joined = tokenize(a + "\n\n" + b, mode, sl_rules)
+        apart = renumbered(tokenize(a, mode, sl_rules), tokenize(b, mode, sl_rules))
+        assert serialize_document(joined) == serialize_document(apart)
+
+
+@pytest.mark.parametrize("mode", list(TokenizerMode))
+@pytest.mark.parametrize("blank", ["\n\n", "\r\n\r\n", "\n \t\n", "\n\n\n\n"])
+def test_a_heading_is_a_sentence_of_its_own(sl_rules, mode, blank):
+    doc = tokenize(f"Naslov članka{blank}Danes dežuje.", mode, sl_rules)
+    assert [(s.sent_id, s.text) for s in doc.sentences] == [
+        ("1", "Naslov članka"), ("2", "Danes dežuje."),
+    ]
+
+
+@pytest.mark.parametrize("mode", list(TokenizerMode))
+def test_whitespace_between_line_feeds_is_no_blank_line(sl_rules, mode):
+    # a line feed, another line break (U+2028, U+0085) and no second line feed
+    doc = tokenize("Naslov članka\n \x85danes dežuje.", mode, sl_rules)
+    assert len(doc.sentences) == 1
+
+
+def test_no_letter_or_digit_is_punctuation_or_a_symbol():
+    # _split_chunk cuts only at punctuation and symbols, so tokenize takes a
+    # chunk that str.isalnum accepts whole, without asking _split_chunk
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert not [ch for ch in chars if ch.isalnum() and _is_punct_or_sym(ch)]
+
+
+@given(st.text(alphabet=st.characters(categories=("L", "N")), min_size=1))
+def test_a_chunk_of_letters_and_digits_is_one_form(sl_rules, chunk):
+    assert chunk.isalnum()
+    for mode in TokenizerMode:
+        assert _split_chunk(chunk, mode, sl_rules) == [chunk]
