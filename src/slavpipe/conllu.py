@@ -20,6 +20,10 @@ comments), which the parser accepts.
 Comments of the form ``# key = value`` are read with :meth:`Sentence.comment`
 and written with :func:`set_comment`; feats strings are read by
 :func:`_read_feats` alone.
+
+Equal column values of one :func:`parse_document` call (``id`` and ``head``
+aside) are one string object, so a parsed corpus holds each distinct lemma,
+tag, feats or misc value once.
 """
 
 from __future__ import annotations
@@ -279,29 +283,23 @@ def _parse_id(raw: str, lineno: int) -> int | tuple[int, int]:
     return tid
 
 
-def _parse_token_line(line: str, lineno: int) -> Token:
+def _parse_token_line(line: str, lineno: int, one) -> Token:
+    """The token of one line; ``one`` is the ``setdefault`` of the parse's
+    shared values, which maps ``_`` to None and gives each other column value
+    its first copy (a form ``_`` stays ``"_"``)."""
     cols = line.split("\t")
     if len(cols) != N_COLUMNS:
         raise ConlluParseError(
             f"expected {N_COLUMNS} tab-separated columns, found {len(cols)}", lineno
         )
-    tid = _parse_id(cols[0], lineno)
-    unset = lambda v: None if v == "_" else v
-    head_raw = cols[6]
+    id_raw, form, lemma, upos, xpos, feats, head_raw, deprel, deps, misc = cols
+    tid = _parse_id(id_raw, lineno)
     head = None if head_raw == "_" else _decimal(head_raw)
     if head is None and head_raw != "_":
         raise ConlluParseError(f"malformed head value {head_raw!r}", lineno)
     return Token(
-        id=tid,
-        form=cols[1],
-        lemma=unset(cols[2]),
-        upos=unset(cols[3]),
-        xpos=unset(cols[4]),
-        feats=unset(cols[5]),
-        head=head,
-        deprel=unset(cols[7]),
-        deps=unset(cols[8]),
-        misc=unset(cols[9]),
+        tid, one(form, form) or form, one(lemma, lemma), one(upos, upos), one(xpos, xpos),
+        one(feats, feats), head, one(deprel, deprel), one(deps, deps), one(misc, misc),
     )
 
 
@@ -350,6 +348,8 @@ def parse_document(text: str) -> Document:
 
     Raises :class:`ConlluParseError` (with a 1-based line number) on any
     departure from the accepted grammar described in the module docstring.
+    Equal column values of one parse (``id`` and ``head`` aside) are one
+    string object.
     """
     if "\r" in text:
         raise ConlluParseError(
@@ -364,6 +364,7 @@ def parse_document(text: str) -> Document:
     sentences: list[Sentence] = []
     comments: list[str] = []
     tokens: list[Token] = []
+    one = {"_": None}.setdefault
     for lineno, line in enumerate(lines, start=1):
         if line == "":
             if not (comments or tokens):
@@ -380,7 +381,7 @@ def parse_document(text: str) -> Document:
                 raise ConlluParseError("comment line after token lines", lineno)
             comments.append(line)
         else:
-            tokens.append(_parse_token_line(line, lineno))
+            tokens.append(_parse_token_line(line, lineno, one))
     if comments or tokens:
         raise ConlluParseError("missing blank line after the last sentence", len(lines))
     if not sentences:

@@ -15,7 +15,10 @@ bytes     content
 The sections run to the end of the file, and no two share a name.  A writer
 may hand over a section's payload already encoded, as a non-empty list of
 ``bytes`` blocks (never a JSON value): their summed length is written, then
-each block as it is.  A section that a reader asks for
+each block as it is.  :func:`mapping_blocks` encodes a mapping a run of
+keys at a time into blocks that join to its JSON: the tagger's
+``form_probs`` and ``suffix_counts`` sections are written in such blocks,
+so the encoding of a whole section is never held.  A section that a reader asks for
 ``raw`` comes back undecoded, as a view of the file's bytes, which keeps
 those bytes alive while it is held.
 
@@ -34,19 +37,34 @@ import json
 import os
 import stat
 import struct
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .errors import ModelError
 
 MAGIC = b"SLPM"
 FORMAT_VERSION = 1
+# keys of a mapping encoded at a time by mapping_blocks
+BLOCK_KEYS = 1024
 
 
 def _dumps(obj: object) -> bytes:
     return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
+
+
+def mapping_blocks(mapping: dict, value: Callable[[object], object]) -> list[bytes]:
+    """``_dumps`` of ``mapping`` with each value replaced by ``value(v)``, as
+    the blocks of a section: ``_dumps`` of :data:`BLOCK_KEYS` sorted keys at a
+    time without its outer braces, the runs joined by commas and braced."""
+    keys = sorted(mapping)
+    blocks = [b"{"]
+    for start in range(0, len(keys), BLOCK_KEYS):
+        run = _dumps({k: value(mapping[k]) for k in keys[start : start + BLOCK_KEYS]})
+        blocks.append((b"," if start else b"") + run[1:-1])
+    blocks.append(b"}")
+    return blocks
 
 
 def write_archive(

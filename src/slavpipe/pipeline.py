@@ -43,6 +43,7 @@ from .lexicon import Lexicon, load_lexicon
 from .tagger import load_tagger, tag_dev, tag_document, train_tagger
 from .tokenizer import (
     BLANK_LINE,
+    LINE_END,
     ClosedClassTable,
     TokenizerMode,
     TokenizerRules,
@@ -98,8 +99,8 @@ _STAGE_VARIANTS: dict[str, dict[str, str]] = {
 
 _MODEL_KINDS = {"morph": "tagger", "lemma": "lemmatizer", "depparse": "parser"}
 
-# a line feed and then whitespace only, up to the end: a blank line may go on
-_OPEN_LINE = re.compile(r"\n[^\S\n]*\Z")
+# a line end and then whitespace only, up to the end: a blank line may go on
+_OPEN_LINE = re.compile(LINE_END + r"[^\S\r\n]*\Z")
 
 
 def task_available(language: str, variety: str, task: str) -> bool:
@@ -318,10 +319,16 @@ def _paragraphs(blocks: Iterable[str]) -> Iterator[str]:
     """The text of ``blocks`` in pieces that each end at a blank line, but
     the last: each block's complete paragraphs with the unfinished one
     before them.  Only the unfinished paragraph is kept between blocks, and
-    each block is searched once, so a long paragraph is not searched again."""
+    each block is searched once, so a long paragraph is not searched again.
+    A CR that ends a block waits for the next one, so a CRLF split between
+    blocks is still one line end."""
     pending: list[str] = []  # the unfinished paragraph
     open_line = False  # whether pending ends as _OPEN_LINE matches
+    held = ""  # the CR that ended the last block
     for block in blocks:
+        block = held + block
+        held = "\r" if block.endswith("\r") else ""
+        block = block[: len(block) - len(held)]
         # a blank line that pending opened is found as one that starts at a
         # line feed put before the block
         probe = "\n" + block if open_line else block
@@ -336,7 +343,7 @@ def _paragraphs(blocks: Iterable[str]) -> Iterator[str]:
         text = "".join(pending)
         pending = [block[cut:]]  # before the yield: the pieces are not kept beside the text
         yield text
-    yield "".join(pending)
+    yield "".join(pending) + held
 
 
 # --- training workflows -----------------------------------------------------

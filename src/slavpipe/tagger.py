@@ -12,6 +12,12 @@ its closed-class prefix table keeps closed-class tags away from unlisted
 forms.  A closed-class table (the tokenizer's punctuation/symbol inventory)
 pins listed forms to their fixed tags and prevents PUNCT/SYM assignments to
 anything else.
+
+:func:`save_tagger` writes the large ``form_probs`` and ``suffix_counts``
+sections in blocks of keys (:func:`slavpipe.modelio.mapping_blocks`), never
+encoding a section whole, and :func:`load_tagger` decodes one section at a
+time.  A model trained from a parsed corpus keys its tables by strings that
+the parse holds once (:func:`slavpipe.conllu.parse_document`).
 """
 
 from __future__ import annotations
@@ -280,20 +286,21 @@ def tag_document(
 
 
 def save_tagger(model: TaggerModel, path) -> None:
+    """Write ``model`` as a tagger archive; ``form_probs`` and
+    ``suffix_counts`` are encoded in blocks (:func:`modelio.mapping_blocks`)."""
     sections = {
-        "form_probs": {
-            form: [[*t, p] for t, p in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
-            for form, slot in model.form_probs.items()
-        },
-        "suffix_counts": {
-            sfx: [[*t, c] for t, c in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
-            for sfx, slot in model.suffix_counts.items()
-        },
+        "form_probs": modelio.mapping_blocks(model.form_probs, _rows),
+        "suffix_counts": modelio.mapping_blocks(model.suffix_counts, _rows),
         "xpos_best": {x: [u, f] for x, (u, f) in model.xpos_best.items()},
         "triples": [list(t) for t in model.triples],
         "default_triple": list(model.default_triple),
     }
     modelio.write_archive(path, "tagger", asdict(model.metadata), sections)
+
+
+def _rows(slot: dict[Triple, float]) -> list[list]:
+    """The archived [upos, xpos, feats, number] rows of a form or suffix."""
+    return [[*t, n] for t, n in sorted(slot.items(), key=lambda kv: _triple_key(kv[0]))]
 
 
 def _triple(row) -> Triple:
@@ -331,31 +338,39 @@ def _upos_feats(xpos: str, pair) -> tuple[str, str | None]:
     return (upos, feats)
 
 
+_SECTIONS = ("form_probs", "suffix_counts", "xpos_best", "triples", "default_triple")
+
+
 def load_tagger(path) -> TaggerModel:
     """Read a tagger archive; a malformed one, feats that are not their own
     :func:`canonical_feats` and a string that would break a CoNLL-U column
     (:func:`breaks_column`) included, is a :class:`ModelError`.
 
-    Equal triples, and equal ``xpos_best`` pairs, are one object each."""
-    meta, sections = modelio.read_archive(path, "tagger")
+    Equal triples, and equal ``xpos_best`` pairs, are one object each.  The
+    sections are decoded one at a time, each as its part of the model is
+    built, so no two decoded sections are held at once."""
+    meta, sections = modelio.read_archive(path, "tagger", raw=_SECTIONS)
     shared: dict[tuple, tuple] = {}
 
     def one(value: tuple) -> tuple:
         return shared.setdefault(value, value)
 
+    def decoded(name: str):
+        return modelio.decode_payload(path, sections.pop(name))
+
     try:
         model = TaggerModel(
             form_probs={
                 form: dict(map(_weighted, rows, repeat(shared)))
-                for form, rows in sections["form_probs"].items()
+                for form, rows in decoded("form_probs").items()
             },
             suffix_counts={
                 sfx: dict(map(_weighted, rows, repeat(shared)))
-                for sfx, rows in sections["suffix_counts"].items()
+                for sfx, rows in decoded("suffix_counts").items()
             },
-            xpos_best={x: one(_upos_feats(x, p)) for x, p in sections["xpos_best"].items()},
-            triples=[one(_triple(row)) for row in sections["triples"]],
-            default_triple=one(_triple(sections["default_triple"])),
+            xpos_best={x: one(_upos_feats(x, p)) for x, p in decoded("xpos_best").items()},
+            triples=[one(_triple(row)) for row in decoded("triples")],
+            default_triple=one(_triple(decoded("default_triple"))),
             metadata=modelio.read_metadata(TaggerMetadata, meta),
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -7,10 +7,12 @@ closing quotes that hug a terminal punctuation mark into the sentence they
 close.  *Nonstandard* mode is aimed at user-generated text: it additionally
 recognizes URLs, e-mail addresses, @-mentions, #-hashtags and emoticons as
 single tokens, and opens a new sentence after every terminal punctuation
-token.  In both modes a blank line ends a sentence: a line feed, then any
-whitespace other than a line feed, then a line feed (:data:`BLANK_LINE`; so
-CRLF line ends count too).  No sentence crosses one, so a text tokenizes to
-the sentences of its paragraphs, one after another.
+token.  In both modes a blank line ends a sentence: a line end, then any
+whitespace other than CR and LF, then a line end (:data:`BLANK_LINE`).  A
+line end is an LF, a CRLF or a lone CR (:data:`LINE_END`), as Python's text
+files read them; a CRLF is one line end, never two.  No sentence crosses a
+blank line, so a text tokenizes to the sentences of its paragraphs, one
+after another.
 
 Abbreviation lists, emoticon inventories and the closed-class table for
 punctuation and symbols live in per-language rule files (see
@@ -20,7 +22,7 @@ available through :func:`default_rules`.
 :func:`tokenize` makes one pass over the chunks ``str.split()`` yields.
 ``_scan`` returns the forms of the whole text, a parallel list of flags,
 true where whitespace (or the end of the text) follows a form, and the
-paragraph breaks in the forms; a text without a line feed is one paragraph
+paragraph breaks in the forms; a text without CR and LF is one paragraph
 and is not searched for blank lines.  A chunk of letters and digits only is
 one form; the split of any other chunk is memoised on the rules.
 ``_segment`` returns the end index of each sentence in those lists, and
@@ -408,7 +410,9 @@ def _split_internal(core: str) -> list[str]:
 _SPACE_AFTER_NO = "SpaceAfter=No"
 
 
-BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+# LF, CRLF or a lone CR; a CR before an LF is never a line end of its own
+LINE_END = r"(?:\r?\n|\r(?!\n))"
+BLANK_LINE = re.compile(LINE_END + r"[^\S\r\n]*" + LINE_END)
 
 
 def _scan(
@@ -428,7 +432,7 @@ def _scan(
     forms: list[str] = []
     spaced: list[bool] = []
     breaks: list[int] = []
-    for paragraph in BLANK_LINE.split(text) if "\n" in text else (text,):
+    for paragraph in BLANK_LINE.split(text) if "\n" in text or "\r" in text else (text,):
         if forms:
             breaks.append(len(forms))
         for chunk in paragraph.split():

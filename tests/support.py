@@ -13,9 +13,10 @@ import copy
 import gzip
 import random
 import struct
+import tracemalloc
 from fractions import Fraction
 
-from slavpipe.conllu import Document, Sentence, Token, set_comment
+from slavpipe.conllu import Document, Sentence, Token, serialize_document, set_comment
 from slavpipe.lexicon import Lexicon
 from slavpipe.tokenizer import BLANK_LINE
 
@@ -214,6 +215,26 @@ def make_corpus(
             )
         doc.sentences.append(Sentence(comments=comments, tokens=tokens))
     return doc
+
+
+def large_corpus_text() -> str:
+    """The CoNLL-U text of 4,000 template sentences (17,619 tokens) over
+    6,000 stems, for the memory guards: about as many tokens as the
+    benchmark's recipe corpus, and a tagger archive of 0.6 MB."""
+    vocab = Vocabulary(random.Random(5), nouns=3000, verbs=2000, adjs=1000)
+    return serialize_document(make_corpus(3, 4000, vocab))
+
+
+def traced(fn):
+    """``fn()``, and the bytes that tracemalloc counts it retaining and
+    peaking at."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, retained, peak
 
 
 def make_lexicon(vocab: Vocabulary, rng: random.Random | None = None) -> Lexicon:

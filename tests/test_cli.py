@@ -318,6 +318,21 @@ def test_tokenize_ends_a_sentence_at_a_blank_line(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("text", [
+    "Naslov\r\rDanes dezuje.",
+    "Naslov\r\nDanes\r \r\ndezuje\n\r\rJutri ne bo.\r",
+])
+def test_tokenize_splits_cr_line_ends_as_the_library_does(tmp_path, capsys, text):
+    # the command line reads CR and CRLF as LF; the library takes them as they are
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    assert main(["tokenize", "--lang", "sl", "--in", str(src)]) == 0
+    written = capsys.readouterr().out
+    pipe = Pipeline(PipelineConfig(language="sl", tasks=("tokenize",)))
+    assert written == serialize_document(pipe.annotate(text))
+    assert written.count("# sent_id") >= 2
+
+
 _RANGE_LINE = "1-2\tPesa\t_\t_\t_\t_\t_\t_\t_\t_"
 
 

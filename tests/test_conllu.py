@@ -27,7 +27,7 @@ from slavpipe.conllu import (
 )
 from slavpipe.errors import ConlluParseError, DataError
 
-from support import random_document
+from support import large_corpus_text, random_document, traced
 
 SIMPLE = (
     "# sent_id = 1\n"
@@ -571,3 +571,30 @@ def test_a_column_passes_the_column_rule_exactly_when_it_round_trips(column, val
     setattr(doc.sentences[0].tokens[-1], column, value)
     reported = {v.rule for v in validate_document(doc)}
     assert ("column-format" not in reported) == _round_trips(doc)
+
+
+# --- shared column values ---------------------------------------------------
+
+
+def test_equal_column_values_of_one_parse_are_one_object():
+    text = (
+        "1\t_\t_\t_\tNcfsn\tCase=Nom\t0\troot\t_\tSpaceAfter=No\n"
+        "2\tpsa\tpes\tNOUN\tNcmsg\tCase=Gen\t1\tnmod\t_\tSpaceAfter=No\n\n"
+        "1\tpes\tpes\tNOUN\tNcfsn\tCase=Gen\t0\troot\t0:root\t_\n\n"
+    )
+    doc = parse_document(text)
+    a, b, c = (*doc.sentences[0].tokens, *doc.sentences[1].tokens)
+    assert (a.form, a.lemma, a.upos, a.deps) == ("_", None, None, None)
+    assert b.lemma is c.form is c.lemma
+    assert b.upos is c.upos and a.xpos is c.xpos and b.feats is c.feats
+    assert a.misc is b.misc and a.deprel is c.deprel
+    assert serialize_document(doc) == text
+
+
+def test_a_parsed_corpus_retains_under_400_bytes_a_token():
+    # a fresh string per column kept 485-587 bytes a token on Python 3.10-3.13
+    text = large_corpus_text()
+    doc, retained, _ = traced(lambda: parse_document(text))
+    tokens = sum(len(s.tokens) for s in doc.sentences)
+    assert tokens > 17000
+    assert retained / tokens < 400

@@ -3,14 +3,16 @@ import struct
 from dataclasses import asdict
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from slavpipe import modelio
 from slavpipe.depparse import load_parser
 from slavpipe.errors import ModelError
 from slavpipe.lemmatizer import load_lemmatizer
 from slavpipe.lexicon import Lexicon
-from slavpipe.modelio import FORMAT_VERSION, MAGIC, read_archive, write_archive, write_atomic
+from slavpipe.modelio import (
+    BLOCK_KEYS, FORMAT_VERSION, MAGIC, mapping_blocks, read_archive, write_archive, write_atomic,
+)
 from slavpipe.pipeline import model_filename
 from slavpipe.tagger import load_tagger
 
@@ -53,6 +55,46 @@ def test_a_section_given_as_blocks_is_their_joined_bytes(tmp_path):
     meta, sections = read_archive(path, "lemmatizer", raw=("lexicon",))
     assert bytes(sections.pop("lexicon")) == b"".join(blocks)
     assert sections == {"empty": [], "lists": [[1], []]}  # JSON values, not blocks
+
+
+# keys that JSON escapes, others it writes as they are, and non-BMP ones,
+# which sort after U+FFFF by code point (but before it in UTF-16)
+KEYS = st.text(st.characters(exclude_categories=("Cs",)), max_size=4) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ufeff", "\uffff", "\U0001f600", "a\U00010000"]
+)
+ROWS = st.lists(
+    st.tuples(KEYS, st.none() | KEYS, st.integers() | st.floats(allow_nan=False)), max_size=3
+)
+
+
+def _as_rows(value):
+    return [list(row) for row in value]
+
+
+@st.composite
+def tables(draw):
+    """A mapping of 0, 1 or about one or two blocks of keys: drawn keys, then
+    generated ones up to the drawn count."""
+    n = draw(st.sampled_from(
+        [0, 1, BLOCK_KEYS - 1, BLOCK_KEYS, BLOCK_KEYS + 1, 2 * BLOCK_KEYS + 1]
+    ))
+    table = draw(st.dictionaries(KEYS, ROWS, max_size=min(n, 8)))
+    i = 0
+    while len(table) < n:
+        i += 1
+        table[f"k{i}"] = [("NOUN", f"Nc{i % 5}", i * 0.25)]
+    return table
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tables())
+@example({})
+@example({k: [(k, None, 1)] for k in ['"', "\\", "\x00", "\uffff", "\U0001f600", "é"]})
+def test_mapping_blocks_join_to_the_json_of_the_whole_mapping(table):
+    blocks = mapping_blocks(table, _as_rows)
+    assert all(type(block) is bytes for block in blocks)
+    assert len(blocks) == 2 + -(-len(table) // BLOCK_KEYS)  # braces and one block per run
+    assert b"".join(blocks) == modelio._dumps({k: _as_rows(v) for k, v in table.items()})
 
 
 def test_kind_mismatch(archive):

@@ -555,7 +555,10 @@ def test_every_model_archive_is_read_through_read_archive(
         model_dir=model_dir, lexicon_path=embedded_lexicon_file,
     ))
     assert pipe.lexicon is pipe.lemmatizer.lexicon
-    assert sorted(calls) == [("lemmatizer", ("lexicon",)), ("parser", ()), ("tagger", ())]
+    tagger_sections = ("form_probs", "suffix_counts", "xpos_best", "triples", "default_triple")
+    assert sorted(calls) == [
+        ("lemmatizer", ("lexicon",)), ("parser", ()), ("tagger", tagger_sections)
+    ]
 
 
 def test_one_add_to_a_shared_lexicon_reaches_tagger_and_lemmatizer(
@@ -747,7 +750,7 @@ def _raw_text(vocab, pieces):
 
 
 _TEXT_PIECES = st.lists(
-    st.sampled_from([*FUZZ_PIECES, "\n ", " \n", "\r\n\t", "\n\n", ".\r\n\r\n"])
+    st.sampled_from([*FUZZ_PIECES, "\n ", " \n", "\r\n\t", "\n\n", ".\r\n\r\n", "\r\r", ".\r \r"])
     | st.integers(0, 99),
     max_size=16,
 )
@@ -789,10 +792,11 @@ def test_any_split_into_blocks_streams_the_bytes_of_the_whole(
     "a\n\n\nb\n \n\n c\n\n",
     "\n\n x \r\n\t\ny\n\n",
     "spi\n\npes\nteče \n mačka",
+    "Naslov\r\rDanes\r\ndežuje\r \n\r\nx\ry\r",
 ])
 def test_every_two_cuts_stream_the_bytes_of_the_whole(text):
-    # cuts inside a CRLF, inside a blank line, between two of them and next
-    # to a line feed that ends no paragraph
+    # cuts inside a CRLF, inside a blank line, between two of them, next to a
+    # line feed that ends no paragraph and after a lone CR
     pipe = Pipeline(PipelineConfig(language="sl", tasks=("tokenize",)))
     whole = serialize_document(pipe.annotate(text))
     assert whole.count("# sent_id") >= 2

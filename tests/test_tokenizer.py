@@ -380,12 +380,22 @@ def test_a_blank_line_ends_a_sentence(sl_rules, a, b):
 
 
 @pytest.mark.parametrize("mode", list(TokenizerMode))
-@pytest.mark.parametrize("blank", ["\n\n", "\r\n\r\n", "\n \t\n", "\n\n\n\n"])
+@pytest.mark.parametrize(
+    "blank", ["\n\n", "\r\n\r\n", "\n \t\n", "\n\n\n\n", "\r\r", "\r\n\r", "\n\r\n", "\r \r"]
+)
 def test_a_heading_is_a_sentence_of_its_own(sl_rules, mode, blank):
     doc = tokenize(f"Naslov članka{blank}Danes dežuje.", mode, sl_rules)
     assert [(s.sent_id, s.text) for s in doc.sentences] == [
         ("1", "Naslov članka"), ("2", "Danes dežuje."),
     ]
+
+
+@pytest.mark.parametrize("mode", list(TokenizerMode))
+@pytest.mark.parametrize("line_end", ["\n", "\r", "\r\n", "\r\n \t"])
+def test_one_line_end_is_no_blank_line(sl_rules, mode, line_end):
+    # a CRLF is one line end, never a CR and then an LF
+    doc = tokenize(f"Naslov članka{line_end}danes dežuje", mode, sl_rules)
+    assert len(doc.sentences) == 1
 
 
 @pytest.mark.parametrize("mode", list(TokenizerMode))
