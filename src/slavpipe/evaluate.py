@@ -1,13 +1,13 @@
 """Scoring of annotated documents against gold references.
 
 Token-level metrics (micro F1 per field, pooled and strict morphosyntax,
-labeled attachment, per-label accuracy) require identical tokenization and
-compare single (non-range) tokens position by position in the document, so
-the two may split the tokens into sentences differently; only labeled
-attachment, whose heads count within a sentence, needs the same sentences
-on both sides.  When tokenization
-itself is under evaluation, :func:`span_f1` matches surface tokens or
-sentences by exact character offsets in the reconstructed raw text.
+labeled attachment, per-label accuracy) require identical tokenization:
+they pair the single (non-range) tokens of the two documents by their place
+in the document, so the two may split the tokens into sentences differently.
+Only labeled attachment, whose heads count within a sentence, also needs the
+same sentences on both sides.  When tokenization itself is under evaluation,
+:func:`span_f1` matches surface tokens or sentences by exact character
+offsets in the reconstructed raw text.
 
 With identical tokenization every micro F1 degenerates to accuracy: the
 gold and predicted instance counts coincide, so 2c/(g+p) equals c/g.  The
@@ -20,14 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Callable
 
-from .conllu import (
-    Document,
-    Sentence,
-    Token,
-    canonical_feats,
-    misc_value,
-    text_layout,
-)
+from .conllu import Document, Token, canonical_feats, misc_value, text_layout
 from .errors import ConfigurationError, EvaluationError
 
 FIELDS = ("lemma", "upos", "xpos", "feats", "morph-pooled", "morph-strict", "srl")
@@ -64,24 +57,14 @@ class EvalReport:
     counts: dict[str, MetricCounts] = field(default_factory=dict)
 
 
-def _aligned(gold: Document, pred: Document):
-    """Yield each gold sentence's index, the sentence, its single tokens and
-    the predicted single tokens at the same places in the document, refusing
-    mismatched tokenization.  The two documents may split the same tokens
-    into sentences differently."""
-    predicted = pred.single_tokens()
-    start = 0
-    for si, gsent in enumerate(gold.sentences):
-        gtoks = gsent.single_tokens()
-        ptoks = predicted[start : start + len(gtoks)]
-        if len(gtoks) != len(ptoks) or any(
-            g.form != p.form for g, p in zip(gtoks, ptoks)
-        ):
-            raise EvaluationError(_MISMATCH_MESSAGE)
-        start += len(gtoks)
-        yield si, gsent, gtoks, ptoks
-    if start != len(predicted):
+def _pairs(gold: Document, pred: Document) -> zip:
+    """Pair the single tokens of the two documents by their place in the
+    document, refusing mismatched tokenization.  The two may split the same
+    tokens into sentences differently."""
+    gtoks, ptoks = gold.single_tokens(), pred.single_tokens()
+    if len(gtoks) != len(ptoks) or any(g.form != p.form for g, p in zip(gtoks, ptoks)):
         raise EvaluationError(_MISMATCH_MESSAGE)
+    return zip(gtoks, ptoks)
 
 
 def _same_sentences(gold: Document, pred: Document) -> bool:
@@ -106,12 +89,11 @@ _SCALAR_VALUES = {
 def _counts(gold: Document, pred: Document, value: Callable[[Token], object]) -> MetricCounts:
     """Count the aligned gold tokens whose ``value`` is not None, and the matched ones."""
     total = correct = 0
-    for _, _, gtoks, ptoks in _aligned(gold, pred):
-        for gtok, ptok in zip(gtoks, ptoks):
-            expected = value(gtok)
-            if expected is not None:
-                total += 1
-                correct += value(ptok) == expected
+    for gtok, ptok in _pairs(gold, pred):
+        expected = value(gtok)
+        if expected is not None:
+            total += 1
+            correct += value(ptok) == expected
     return MetricCounts(total, total, correct)
 
 
@@ -189,26 +171,25 @@ def arc(tok: Token) -> tuple[int, str] | None:
     return (tok.head, tok.deprel)
 
 
-def _require_arc(tok: Token, sent: Sentence, si: int, which: str) -> None:
-    if arc(tok) is None:
-        where = sent.sent_id or f"sentence {si + 1}"
-        raise EvaluationError(
-            f"token {tok.id_str()} ({tok.form!r}) in {where} of the {which} "
-            "document has no head or dependency label"
-        )
-
-
 def las_counts(gold: Document, pred: Document) -> MetricCounts:
-    """Count the tokens whose head and label the prediction matches; a head
-    counts within its sentence, so both documents need the same sentences."""
-    for si, gsent, gtoks, ptoks in _aligned(gold, pred):
-        for gtok, ptok in zip(gtoks, ptoks):
-            _require_arc(gtok, gsent, si, "gold")
-            _require_arc(ptok, gsent, si, "predicted")
+    """Count the tokens whose head and label the prediction matches, after
+    checking, in order, that the documents are tokenized alike, that they
+    have the same sentences (a head counts within its sentence) and that
+    every token on both sides has an arc."""
+    _pairs(gold, pred)
     if not _same_sentences(gold, pred):
         raise EvaluationError(
             "attachment scores need the same sentence boundaries in both documents"
         )
+    for si, (gsent, psent) in enumerate(zip(gold.sentences, pred.sentences)):
+        for gtok, ptok in zip(gsent.single_tokens(), psent.single_tokens()):
+            for tok, which in ((gtok, "gold"), (ptok, "predicted")):
+                if arc(tok) is None:
+                    where = gsent.sent_id or f"sentence {si + 1}"
+                    raise EvaluationError(
+                        f"token {tok.id_str()} ({tok.form!r}) in {where} of the {which} "
+                        "document has no head or dependency label"
+                    )
     return _counts(gold, pred, arc)
 
 
@@ -230,17 +211,16 @@ def per_label_accuracy(
     totals: dict[str, int] = {}
     correct: dict[str, int] = {}
     predicted: set[str] = set()
-    for _, _, gtoks, ptoks in _aligned(gold, pred):
-        for gtok, ptok in zip(gtoks, ptoks):
-            gval = getattr(gtok, fieldname)
-            pval = getattr(ptok, fieldname)
-            if pval is not None:
-                predicted.add(pval)
-            if gval is None:
-                continue
-            totals[gval] = totals.get(gval, 0) + 1
-            if pval == gval:
-                correct[gval] = correct.get(gval, 0) + 1
+    for gtok, ptok in _pairs(gold, pred):
+        gval = getattr(gtok, fieldname)
+        pval = getattr(ptok, fieldname)
+        if pval is not None:
+            predicted.add(pval)
+        if gval is None:
+            continue
+        totals[gval] = totals.get(gval, 0) + 1
+        if pval == gval:
+            correct[gval] = correct.get(gval, 0) + 1
     out: dict[str, float | None] = {
         label: correct.get(label, 0) / totals[label] for label in totals
     }

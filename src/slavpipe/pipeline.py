@@ -14,7 +14,6 @@ stage's output, so later stages can never peek at gold annotations.
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -42,13 +41,12 @@ from .lemmatizer import (
 from .lexicon import Lexicon, load_lexicon
 from .tagger import load_tagger, tag_dev, tag_document, train_tagger
 from .tokenizer import (
-    BLANK_LINE,
-    LINE_END,
     ClosedClassTable,
     TokenizerMode,
     TokenizerRules,
     default_rules,
     load_rules,
+    paragraph_blocks,
     tokenize,
 )
 
@@ -98,10 +96,6 @@ _STAGE_VARIANTS: dict[str, dict[str, str]] = {
 }
 
 _MODEL_KINDS = {"morph": "tagger", "lemma": "lemmatizer", "depparse": "parser"}
-
-# a line end and then whitespace only, up to the end: a blank line may go on
-_OPEN_LINE = re.compile(LINE_END + r"[^\S\r\n]*\Z")
-
 
 def task_available(language: str, variety: str, task: str) -> bool:
     """Look up one cell of the language/variety/task availability matrix."""
@@ -308,42 +302,11 @@ class Pipeline:
         paragraph, so a text without a blank line is held whole.
         """
         number = 0  # sentences yielded so far
-        for text in _paragraphs(blocks):
+        for text in paragraph_blocks(blocks):
             for sent in self.annotate(text).sentences:
                 number += 1
                 set_comment(sent, "sent_id", str(number))
                 yield sent
-
-
-def _paragraphs(blocks: Iterable[str]) -> Iterator[str]:
-    """The text of ``blocks`` in pieces that each end at a blank line, but
-    the last: each block's complete paragraphs with the unfinished one
-    before them.  Only the unfinished paragraph is kept between blocks, and
-    each block is searched once, so a long paragraph is not searched again.
-    A CR that ends a block waits for the next one, so a CRLF split between
-    blocks is still one line end."""
-    pending: list[str] = []  # the unfinished paragraph
-    open_line = False  # whether pending ends as _OPEN_LINE matches
-    held = ""  # the CR that ended the last block
-    for block in blocks:
-        block = held + block
-        held = "\r" if block.endswith("\r") else ""
-        block = block[: len(block) - len(held)]
-        # a blank line that pending opened is found as one that starts at a
-        # line feed put before the block
-        probe = "\n" + block if open_line else block
-        cut = None  # the end in ``block`` of its last blank line
-        for match in BLANK_LINE.finditer(probe):
-            cut = match.end() - (len(probe) - len(block))
-        open_line = _OPEN_LINE.search(probe) is not None
-        if cut is None:
-            pending.append(block)
-            continue
-        pending.append(block[:cut])
-        text = "".join(pending)
-        pending = [block[cut:]]  # before the yield: the pieces are not kept beside the text
-        yield text
-    yield "".join(pending) + held
 
 
 # --- training workflows -----------------------------------------------------

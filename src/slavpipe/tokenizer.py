@@ -19,14 +19,12 @@ punctuation and symbols live in per-language rule files (see
 :func:`load_rules` for the format); the files shipped with the package are
 available through :func:`default_rules`.
 
-:func:`tokenize` makes one pass over the chunks ``str.split()`` yields.
-``_scan`` returns the forms of the whole text, a parallel list of flags,
-true where whitespace (or the end of the text) follows a form, and the
-paragraph breaks in the forms; a text without CR and LF is one paragraph
-and is not searched for blank lines.  A chunk of letters and digits only is
-one form; the split of any other chunk is memoised on the rules.
-``_segment`` returns the end index of each sentence in those lists, and
-``tokenize`` builds each token once from them.
+:func:`tokenize` tokenizes each paragraph by itself (a text without CR and
+LF is one paragraph and is not searched for blank lines).  ``_scan`` makes
+one pass over its chunks, the runs ``str.split()`` yields, and ``_segment``
+returns the end index of each sentence in the forms; ``tokenize`` builds
+each token once from them.  :func:`paragraph_blocks` cuts a text that
+arrives in blocks into pieces that end at blank lines.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from __future__ import annotations
 import enum
 import re
 import unicodedata
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -416,53 +415,39 @@ BLANK_LINE = re.compile(LINE_END + r"[^\S\r\n]*" + LINE_END)
 
 
 def _scan(
-    text: str, mode: TokenizerMode, rules: TokenizerRules
-) -> tuple[list[str], list[bool], list[int]]:
-    """The forms of ``text``, for each whether whitespace follows it, and
-    the paragraph breaks: the number of forms before each paragraph that
-    some form precedes (a number repeats after a paragraph without forms).
-
-    Paragraphs are the pieces :data:`BLANK_LINE` separates, and chunks the
-    runs ``str.split()`` yields in them, split by :func:`_split_chunk` and
-    memoised per chunk, except that a chunk of letters and digits only is
-    one form; the last form of a chunk is followed by whitespace or by the
-    end of the document, which counts as whitespace.
-    """
-    splits = memo_table(rules, (mode,))
+    paragraph: str, splits: dict, mode: TokenizerMode, rules: TokenizerRules
+) -> tuple[list[str], list[bool]]:
+    """The forms of ``paragraph`` and, for each, whether whitespace (or the
+    end of the paragraph) follows it.  A chunk of letters and digits only is
+    one form; the split of any other is memoised in ``splits``."""
     forms: list[str] = []
     spaced: list[bool] = []
-    breaks: list[int] = []
-    for paragraph in BLANK_LINE.split(text) if "\n" in text or "\r" in text else (text,):
-        if forms:
-            breaks.append(len(forms))
-        for chunk in paragraph.split():
-            if chunk.isalnum():  # one form: _split_chunk cuts only at punctuation and symbols
-                forms.append(chunk)
-                spaced.append(True)
-                continue
-            pieces = splits.get(chunk)
-            if pieces is None:
-                pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
-            forms += pieces
-            if len(pieces) > 1:
-                spaced += [False] * (len(pieces) - 1)
+    for chunk in paragraph.split():
+        if chunk.isalnum():  # one form: _split_chunk cuts only at punctuation and symbols
+            forms.append(chunk)
             spaced.append(True)
-    return forms, spaced, breaks
+            continue
+        pieces = splits.get(chunk)
+        if pieces is None:
+            pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
+        forms += pieces
+        if len(pieces) > 1:
+            spaced += [False] * (len(pieces) - 1)
+        spaced.append(True)
+    return forms, spaced
 
 
-def _segment(
-    forms: list[str], spaced: list[bool], mode: TokenizerMode, breaks: list[int]
-) -> list[int]:
+def _segment(forms: list[str], spaced: list[bool], mode: TokenizerMode) -> list[int]:
     """The end index of each sentence in ``forms``, in order: after a
-    terminal mark as the mode has it, at each of the paragraph ``breaks``
-    and at the end."""
+    terminal mark as the mode has it, and at the end."""
     n = len(forms)
-    terminals = [i for i, form in enumerate(forms) if _is_terminal_form(form)]
     if mode is TokenizerMode.NONSTANDARD:
-        ends = [i + 1 for i in terminals]
+        ends = [end for end, form in enumerate(forms, 1) if _is_terminal_form(form)]
     else:
         ends = []
-        for j in terminals:
+        for j, form in enumerate(forms):
+            if not _is_terminal_form(form):
+                continue
             # closing quotes and brackets that hug the mark close the sentence
             # too; no terminal form is a closing one, so none is passed over
             while (
@@ -478,8 +463,6 @@ def _segment(
                     ends.append(j + 1)
     if n and (not ends or ends[-1] != n):
         ends.append(n)
-    if breaks:
-        ends = sorted({*ends, *breaks})
     return ends
 
 
@@ -495,28 +478,67 @@ def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
     :meth:`ClosedClassEntry.fix`.  Empty or whitespace-only input yields a
     document with zero sentences.
     """
-    forms, spaced, breaks = _scan(text, mode, rules)
+    splits = memo_table(rules, (mode,))
     closed = rules.closed_class.entries
     doc = Document()
-    start = 0
-    for si, end in enumerate(_segment(forms, spaced, mode, breaks), start=1):
-        tokens = []
-        surface = []  # each form with the space after it: the sentence_text
-        for ti, (form, space) in enumerate(zip(forms[start:end], spaced[start:end]), 1):
-            if space:
-                surface.append(form + " ")
-                misc = None
-            else:
-                surface.append(form)
-                misc = _SPACE_AFTER_NO
-            tok = Token(ti, form, None, None, None, None, None, None, None, misc)
-            entry = closed.get(form)
-            if entry is not None:
-                entry.fix(tok)
-            tokens.append(tok)
-        text_line = "".join(surface)
-        if spaced[end - 1]:
-            text_line = text_line[:-1]
-        doc.sentences.append(Sentence([f"# sent_id = {si}", f"# text = {text_line}"], tokens))
-        start = end
+    sentences = doc.sentences
+    for paragraph in BLANK_LINE.split(text) if "\n" in text or "\r" in text else (text,):
+        forms, spaced = _scan(paragraph, splits, mode, rules)
+        start = 0
+        for end in _segment(forms, spaced, mode):
+            tokens = []
+            surface = []  # each form with the space after it: the sentence_text
+            for ti, (form, space) in enumerate(zip(forms[start:end], spaced[start:end]), 1):
+                if space:
+                    surface.append(form + " ")
+                    misc = None
+                else:
+                    surface.append(form)
+                    misc = _SPACE_AFTER_NO
+                tok = Token(ti, form, None, None, None, None, None, None, None, misc)
+                entry = closed.get(form)
+                if entry is not None:
+                    entry.fix(tok)
+                tokens.append(tok)
+            text_line = "".join(surface)
+            if spaced[end - 1]:
+                text_line = text_line[:-1]
+            si = len(sentences) + 1
+            sentences.append(Sentence([f"# sent_id = {si}", f"# text = {text_line}"], tokens))
+            start = end
     return doc
+
+
+# a line end and then whitespace only, up to the end: a blank line may go on
+_OPEN_LINE = re.compile(LINE_END + r"[^\S\r\n]*\Z")
+
+
+def paragraph_blocks(blocks: Iterable[str]) -> Iterator[str]:
+    """The text of ``blocks`` in pieces that each end at a blank line, but
+    the last: each block's complete paragraphs with the unfinished one
+    before them.  Only the unfinished paragraph is kept between blocks, and
+    each block is searched once, so a long paragraph is not searched again.
+    A CR that ends a block waits for the next one, so a CRLF split between
+    blocks is still one line end."""
+    pending: list[str] = []  # the unfinished paragraph
+    open_line = False  # whether pending ends as _OPEN_LINE matches
+    held = ""  # the CR that ended the last block
+    for block in blocks:
+        block = held + block
+        held = "\r" if block.endswith("\r") else ""
+        block = block[: len(block) - len(held)]
+        # a blank line that pending opened is found as one that starts at a
+        # line feed put before the block
+        probe = "\n" + block if open_line else block
+        cut = None  # the end in ``block`` of its last blank line
+        for match in BLANK_LINE.finditer(probe):
+            cut = match.end() - (len(probe) - len(block))
+        open_line = _OPEN_LINE.search(probe) is not None
+        if cut is None:
+            pending.append(block)
+            continue
+        pending.append(block[:cut])
+        text = "".join(pending)
+        pending = [block[cut:]]  # before the yield: the pieces are not kept beside the text
+        yield text
+    yield "".join(pending) + held

@@ -448,6 +448,7 @@ def _config_case(tmp_path, case, model_dir, train_doc):
     out = str(tmp_path / "out")
     bad_value = (1, "configuration error: {config}: argument --")
     unknown = (1, "configuration error: {config}: line 1: unknown setting ")
+    malformed = (1, "configuration error: {config}: line 1: expected 'key = value'\n")
     return {
         "schema": (["train", "parser", "--lang", "sl", "--train", str(train),
                     "--model-out", out], "schema = xyz", bad_value),
@@ -468,13 +469,18 @@ def _config_case(tmp_path, case, model_dir, train_doc):
         "other-command": (["prep", str(recipe), "--corpus", f"c={corpus}", "--out", out],
                           "model-dir = /data/my models", unknown),
         "prefix": (["tokenize", "--in", str(text), "--out", out], "la = sl", unknown),
+        "no-equals": (["tokenize", "--in", str(text), "--out", out], "lang sl", malformed),
+        "spaced-key": (["tokenize", "--in", str(text), "--out", out], "model dir = x", malformed),
+        "no-key": (["tokenize", "--in", str(text), "--out", out], "= sl", malformed),
+        "key-only": (["tokenize", "--in", str(text), "--out", out], "lang", malformed),
     }[case]
 
 
 @pytest.mark.parametrize(
     "case",
     ["schema", "lexicon-constraint", "variety", "in", "corpus", "func", "stage", "infile",
-     "spaced-prep", "spaced-train", "other-command", "prefix"],
+     "spaced-prep", "spaced-train", "other-command", "prefix", "no-equals", "spaced-key",
+     "no-key", "key-only"],
 )
 def test_config_values_are_parsed_as_flags(tmp_path, capsys, model_dir, train_doc, case):
     argv, line, (status, err_start) = _config_case(tmp_path, case, model_dir, train_doc)

@@ -371,3 +371,16 @@ def test_a_gold_sentence_across_a_blank_line_is_scored_against_the_split():
     assert "las" not in report.scores
     with pytest.raises(EvaluationError, match="the same sentence boundaries"):
         las_counts(gold, pred)
+    # the boundaries are checked before the arcs: "b" is token 2 of g1, not
+    # token 1, so no arc error may name it by its place in p2
+    g1 = sent("a", "b", head=[2, 0], deprel=["nsubj", "root"])
+    g1.comments = ["# sent_id = g1"]
+    p1, p2 = sent("a", head=[0], deprel=["root"]), sent("b")
+    p1.comments, p2.comments = ["# sent_id = p1"], ["# sent_id = p2"]
+    with pytest.raises(EvaluationError, match="the same sentence boundaries"):
+        las_counts(doc_of(g1), doc_of(p1, p2))
+    # and tokenization is checked before the boundaries
+    with pytest.raises(EvaluationError, match="use span_f1"):
+        las_counts(doc_of(g1), doc_of(p1, sent("c")))
+    with pytest.raises(EvaluationError, match="use span_f1"):
+        las_counts(doc_of(g1), doc_of(p1))

@@ -16,6 +16,7 @@ from slavpipe.conllu import (
 )
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
+    BLANK_LINE,
     _EMAIL_RE,
     _HASHTAG_RE,
     _MENTION_RE,
@@ -31,6 +32,7 @@ from slavpipe.tokenizer import (
     _split_chunk,
     default_rules,
     is_closed_class_fixed,
+    paragraph_blocks,
     parse_rules,
     tokenize,
 )
@@ -365,29 +367,56 @@ def test_tokenizer_output_passes_the_validator(sl_rules, text):
 
 
 _PARAGRAPH_PIECES = st.sampled_from([*FUZZ_PIECES, "\n ", " \n", "\r\n\t"])
+_PARAGRAPHS = st.lists(_PARAGRAPH_PIECES, max_size=12).map("".join).map(without_blank_lines)
+_BLANK_LINES = ["\n\n", "\r\n\r\n", "\n \t\n", "\n\n\n\n", "\r\r", "\r\n\r", "\n\r\n", "\r \r"]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    a=st.lists(_PARAGRAPH_PIECES, max_size=12).map("".join).map(without_blank_lines),
-    b=st.lists(_PARAGRAPH_PIECES, max_size=12).map("".join).map(without_blank_lines),
+    paragraphs=st.lists(_PARAGRAPHS, min_size=1, max_size=5),
+    blanks=st.lists(st.sampled_from(_BLANK_LINES), min_size=4, max_size=4),
 )
-def test_a_blank_line_ends_a_sentence(sl_rules, a, b):
+def test_a_blank_line_ends_a_sentence(sl_rules, paragraphs, blanks):
+    text = paragraphs[0] + "".join(map(str.__add__, blanks, paragraphs[1:]))
     for mode in TokenizerMode:
-        joined = tokenize(a + "\n\n" + b, mode, sl_rules)
-        apart = renumbered(tokenize(a, mode, sl_rules), tokenize(b, mode, sl_rules))
+        joined = tokenize(text, mode, sl_rules)
+        apart = renumbered(*(tokenize(p, mode, sl_rules) for p in paragraphs))
         assert serialize_document(joined) == serialize_document(apart)
 
 
 @pytest.mark.parametrize("mode", list(TokenizerMode))
-@pytest.mark.parametrize(
-    "blank", ["\n\n", "\r\n\r\n", "\n \t\n", "\n\n\n\n", "\r\r", "\r\n\r", "\n\r\n", "\r \r"]
-)
+@pytest.mark.parametrize("blank", _BLANK_LINES)
 def test_a_heading_is_a_sentence_of_its_own(sl_rules, mode, blank):
     doc = tokenize(f"Naslov članka{blank}Danes dežuje.", mode, sl_rules)
     assert [(s.sent_id, s.text) for s in doc.sentences] == [
         ("1", "Naslov članka"), ("2", "Danes dežuje."),
     ]
+
+
+_BLOCK_PIECES = st.sampled_from(
+    ["Pes", "teče", "Danes", ".", "!", " ", "\t", "\n", "\r", "\r\n", *_BLANK_LINES]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(_BLOCK_PIECES, max_size=20), cuts=st.lists(st.integers(0, 60), max_size=6))
+def test_paragraph_blocks_cut_only_at_blank_lines(sl_rules, pieces, cuts):
+    # the cuts fall anywhere: inside a CRLF, inside a blank line, between
+    # two of them, and make empty blocks
+    text = "".join(pieces)
+    bounds = [0, *sorted(min(cut, len(text)) for cut in cuts), len(text)]
+    out = list(paragraph_blocks(text[i:j] for i, j in zip(bounds, bounds[1:])))
+    assert "".join(out) == text
+    # each piece but the last ends where a blank line of the text ends (which
+    # may open on the line end that closed the one before), never in a CRLF
+    end = 0
+    for piece in out[:-1]:
+        end += len(piece)
+        assert re.search(f"(?:{BLANK_LINE.pattern})\\Z", text[:end])
+        assert text[end - 1 : end + 1] != "\r\n"
+    for mode in TokenizerMode:
+        apart = renumbered(*(tokenize(piece, mode, sl_rules) for piece in out))
+        assert serialize_document(apart) == serialize_document(tokenize(text, mode, sl_rules))
 
 
 @pytest.mark.parametrize("mode", list(TokenizerMode))
