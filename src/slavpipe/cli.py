@@ -12,10 +12,11 @@ reader of standard output goes away (``slavpipe annotate ... | head -1``)
 the command stops quietly with status 141, as a tool killed by SIGPIPE does.
 
 ``--config FILE`` takes ``key = value`` lines: a key is a long flag name of
-the command, in full, without ``--`` (``in``, ``model-dir`` or ``model_dir``;
-any other key is an unknown setting, exit 1), and its value is checked as the
-flag's (choices, integers; a bad one is exit 1).  Flags on the command line
-win; a repeatable one (``--corpus``) adds to the file's entries.
+the command other than ``config``, in full, without ``--`` (``in``,
+``model-dir`` or ``model_dir``; any other key is an unknown setting, exit 1),
+and its value is checked as the flag's (choices, integers; a bad one is exit
+1).  Flags on the command line win; a repeatable one (``--corpus``) adds to
+the file's entries, and replaces the file's entry of its corpus id.
 """
 
 from __future__ import annotations
@@ -119,8 +120,9 @@ def _require(args: argparse.Namespace, attr: str, flag: str) -> str:
 def _config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
     """Each ``key = value`` line of a config file as one ``--key=value`` argument.
 
-    Keys must be exact long flags of ``command``: argparse reads an unknown
-    ``--key=value`` that holds a space as a positional.
+    Keys must be exact long flags of ``command`` other than ``--config``:
+    argparse reads an unknown ``--key=value`` that holds a space as a
+    positional, and the command line's ``--config`` would win over a nested one.
     """
     args = []
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
@@ -132,7 +134,7 @@ def _config_args(path: str, command: argparse.ArgumentParser) -> list[str]:
         if not sep or key.split() != [key]:
             raise ConfigurationError(f"{path}: line {lineno}: expected 'key = value'")
         flag = f"--{key.replace('_', '-')}"
-        if flag not in command._option_string_actions:
+        if flag == "--config" or flag not in command._option_string_actions:
             raise ConfigurationError(f"{path}: line {lineno}: unknown setting {key!r}")
         args.append(f"{flag}={value.strip()}")
     return args
@@ -148,9 +150,13 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     words = next(words for words in parser.commands if tuple(argv[: len(words)]) == words)
     settings = _config_args(path, parser.commands[words])
     try:
-        return parser.parse_args([*argv[: len(words)], *settings, *argv[len(words):]])
+        merged = parser.parse_args([*argv[: len(words)], *settings, *argv[len(words):]])
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
+    if "corpus" in merged:  # the file's entries lead the command line's
+        merged.file_corpus = merged.corpus[: len(merged.corpus) - len(args.corpus)]
+        merged.corpus = args.corpus
+    return merged
 
 
 def _split_tasks(tasks: str | None) -> tuple[str, ...] | None:
@@ -280,14 +286,26 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prep(args: argparse.Namespace) -> int:
-    recipe = load_recipe(args.recipe)
-    corpora = {}
-    for item in args.corpus:
+def _corpus_paths(entries: list[str], where: str) -> dict[str, str]:
+    """The path of each ``ID=PATH`` entry by its id; an id given twice is
+    refused.  ``where`` leads an error: ``--`` or the config file's name."""
+    paths = {}
+    for item in entries:
         cid, sep, path = item.partition("=")
         if not sep:
-            raise ConfigurationError(f"--corpus expects ID=PATH, got {item!r}")
-        corpora[cid] = _read_document(path)
+            raise ConfigurationError(f"{where}corpus expects ID=PATH, got {item!r}")
+        if cid in paths:
+            raise ConfigurationError(f"{where}corpus id {cid!r} is given twice")
+        paths[cid] = path
+    return paths
+
+
+def _cmd_prep(args: argparse.Namespace) -> int:
+    recipe = load_recipe(args.recipe)
+    # a command-line entry replaces the config file's entry of its id
+    paths = {**_corpus_paths(args.file_corpus, f"{args.config}: "),
+             **_corpus_paths(args.corpus, "--")}
+    corpora = {cid: _read_document(path) for cid, path in paths.items()}
     mapping = None
     if args.diacritics:
         mapping = load_diacritic_map(args.diacritics)
@@ -392,7 +410,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", choices=["table", "kv"], default="table")
 
     p = _add_command(parser, sub, "prep", "lang out", "build a training set from a recipe",
-                     func=_cmd_prep)
+                     func=_cmd_prep, file_corpus=[])  # file_corpus: the config file's --corpus
     p.add_argument("recipe", help="recipe file")
     p.add_argument("--corpus", action="append", default=[], metavar="ID=PATH")
     p.add_argument("--diacritics", default=None, help="diacritic replacement map")

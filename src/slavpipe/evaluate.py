@@ -86,10 +86,11 @@ _SCALAR_VALUES = {
 }
 
 
-def _counts(gold: Document, pred: Document, value: Callable[[Token], object]) -> MetricCounts:
-    """Count the aligned gold tokens whose ``value`` is not None, and the matched ones."""
+def _counts(pairs: zip, value: Callable[[Token], object]) -> MetricCounts:
+    """Count the gold tokens of ``pairs`` (see :func:`_pairs`) whose ``value``
+    is not None, and the matched ones."""
     total = correct = 0
-    for gtok, ptok in _pairs(gold, pred):
+    for gtok, ptok in pairs:
         expected = value(gtok)
         if expected is not None:
             total += 1
@@ -105,7 +106,7 @@ def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts
     extract = _SCALAR_VALUES.get(fieldname)
     if extract is None:
         raise ConfigurationError(f"unknown evaluation field {fieldname!r}")
-    return _counts(gold, pred, extract)
+    return _counts(_pairs(gold, pred), extract)
 
 
 def dev_accuracy(
@@ -116,7 +117,7 @@ def dev_accuracy(
     Gold tokens whose ``value`` is None are not scored; with none scored the
     result is None.  Needs identical tokenization.
     """
-    counts = _counts(gold, pred, value)
+    counts = _counts(_pairs(gold, pred), value)
     return counts.accuracy if counts.gold else None
 
 
@@ -176,7 +177,7 @@ def las_counts(gold: Document, pred: Document) -> MetricCounts:
     checking, in order, that the documents are tokenized alike, that they
     have the same sentences (a head counts within its sentence) and that
     every token on both sides has an arc."""
-    _pairs(gold, pred)
+    pairs = _pairs(gold, pred)
     if not _same_sentences(gold, pred):
         raise EvaluationError(
             "attachment scores need the same sentence boundaries in both documents"
@@ -190,7 +191,7 @@ def las_counts(gold: Document, pred: Document) -> MetricCounts:
                         f"token {tok.id_str()} ({tok.form!r}) in {where} of the {which} "
                         "document has no head or dependency label"
                     )
-    return _counts(gold, pred, arc)
+    return _counts(pairs, arc)
 
 
 def las_score(gold: Document, pred: Document) -> float:

@@ -16,15 +16,16 @@ identity|closed``):
 Suffix rules come from the longest-common-prefix split of each training
 pair, widened by up to three characters of context, so ``tece -> teci``
 contributes ``-e/-i``, ``-ce/-ci``, ``-ece/-eci`` and the whole-word pair.
+
+The archive embeds the lexicon as its prefix table and :meth:`Lexicon.rows`,
+the rows encoded in blocks by :func:`slavpipe.modelio.item_blocks`; a load
+given the same lexicon compares the section with those blocks and shares it.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
-from itertools import islice
-from json.encoder import encode_basestring
 
 from . import modelio
 from .conllu import Document, breaks_column, copy_document, misc_set
@@ -34,8 +35,6 @@ from .tokenizer import CLOSED_CLASS_MISC, is_closed_class_fixed
 
 TIER_MISC = "Lemmatizer"
 RULE_CONTEXT = 3
-# rows of an embedded lexicon encoded at a time, when written and when compared
-LEXICON_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -217,28 +216,11 @@ def save_lemmatizer(model: LemmatizerModel, path) -> None:
 
 def _lexicon_blocks(lexicon: Lexicon) -> Iterator[bytes]:
     """The lexicon section of an archive, ``_dumps({"prefixes": ..., "rows": ...})``
-    of the prefix table and :meth:`Lexicon.to_rows`, encoded
-    :data:`LEXICON_BLOCK_ROWS` rows at a time: the joined blocks are its bytes."""
+    of the prefix table and :meth:`Lexicon.rows`, its rows encoded in blocks
+    (:func:`modelio.item_blocks`): the joined blocks are its bytes."""
     yield b'{"prefixes":' + modelio._dumps(lexicon.prefix_table) + b',"rows":['
-    rows = _encoded_rows(lexicon)
-    separator = ""
-    while block := ",".join(islice(rows, LEXICON_BLOCK_ROWS)):
-        yield (separator + block).encode("utf-8")
-        separator = ","
+    yield from modelio.item_blocks(lexicon.rows())
     yield b"]}"
-
-
-def _encoded_rows(lexicon: Lexicon) -> Iterator[str]:
-    """Each row of :meth:`Lexicon.to_rows` as the JSON text ``_dumps`` gives it."""
-    index = lexicon._index
-    for form in sorted(index):
-        head = "[" + encode_basestring(form) + ","
-        entries = iter(index[form])
-        for xpos, lemma, frequency in zip(entries, entries, entries):
-            number = repr(frequency)
-            if type(frequency) is float and not math.isfinite(frequency):
-                number = modelio._dumps(frequency).decode()
-            yield f"{head}{encode_basestring(lemma)},{encode_basestring(xpos)},{number}]"
 
 
 def _embedded(payload: bytes | memoryview, lexicon: Lexicon) -> bool:

@@ -16,6 +16,8 @@ read as LF.
 The index maps a form to a flat tuple ``(xpos, lemma, frequency, xpos, ...)``
 ascending by (xpos, lemma); equal xpos and lemma strings added together are
 one object (66,281 rows take about 100 bytes each, form strings included).
+No other module reads it: a model archive takes the lexicon's rows from
+:meth:`Lexicon.rows`, and :mod:`slavpipe.modelio` encodes them in blocks.
 """
 
 from __future__ import annotations
@@ -68,9 +70,11 @@ class Lexicon:
     def form_count(self) -> int:
         return len(self._index)
 
-    def add(self, form: str, lemma: str, xpos: str, frequency: int = 1) -> None:
-        """Insert a triple (see :meth:`_fill`); duplicate triples accumulate their frequencies."""
-        self._fill([(form, lemma, xpos, frequency)])
+    def add(self, form: str, lemma: str, xpos: str, frequency: int | float = 1) -> None:
+        """Insert a triple (see :meth:`_fill`); duplicate triples accumulate their
+        frequencies.  A form, lemma or tag that is not a ``str`` and a frequency
+        that is not an int, float or bool raise TypeError."""
+        self._fill([_checked_row((form, lemma, xpos, frequency), (int, float, bool))])
         self._version += 1
 
     def _fill(self, rows) -> None:
@@ -147,13 +151,17 @@ class Lexicon:
 
     # serialization into model archives
 
+    def rows(self) -> Iterator[tuple[str, str, str, int | float]]:
+        """(form, lemma, xpos, frequency) rows, ascending by (form, xpos, lemma)."""
+        index = self._index
+        for form in sorted(index):
+            slot = index[form]
+            for i in range(0, len(slot), 3):
+                yield form, slot[i + 1], slot[i], slot[i + 2]
+
     def to_rows(self) -> list[list]:
-        """[form, lemma, xpos, frequency] rows, ascending by (form, xpos, lemma)."""
-        rows = []
-        for form in sorted(self._index):
-            slot = self._index[form]
-            rows.extend([form, slot[i + 1], slot[i], slot[i + 2]] for i in range(0, len(slot), 3))
-        return rows
+        """:meth:`rows` as [form, lemma, xpos, frequency] lists."""
+        return [list(row) for row in self.rows()]
 
     @classmethod
     def from_rows(
@@ -185,9 +193,9 @@ def _inserted(slot: tuple, entry: tuple) -> tuple:
     return slot[:i] + entry + slot[i:]
 
 
-def _checked_row(row) -> tuple[str, str, str, int | float]:
+def _checked_row(row, numbers=(int, float)) -> tuple[str, str, str, int | float]:
     form, lemma, xpos, freq = row
-    if not (type(form) is type(lemma) is type(xpos) is str and type(freq) in (int, float)):
+    if not (type(form) is type(lemma) is type(xpos) is str and type(freq) in numbers):
         raise TypeError(f"lexicon row {row!r} is not [form, lemma, xpos, frequency]")
     return form, lemma, xpos, freq
 

@@ -15,10 +15,13 @@ bytes     content
 The sections run to the end of the file, and no two share a name.  A writer
 may hand over a section's payload already encoded, as a non-empty list of
 ``bytes`` blocks (never a JSON value): their summed length is written, then
-each block as it is.  :func:`mapping_blocks` encodes a mapping a run of
-keys at a time into blocks that join to its JSON: the tagger's
-``form_probs`` and ``suffix_counts`` sections are written in such blocks,
-so the encoding of a whole section is never held.  A section that a reader asks for
+each block as it is.  :func:`item_blocks` encodes a long run of items
+:data:`BLOCK_KEYS` at a time, and :func:`mapping_blocks` a mapping's keys
+so, into blocks that join to their JSON: the tagger's ``form_probs`` and
+``suffix_counts`` sections and the rows of the lemmatizer's embedded lexicon
+are written in such blocks, so the encoding of a whole section is never
+held.  Every section, blocks or not, is encoded by the one :func:`_dumps`.
+A section that a reader asks for
 ``raw`` comes back undecoded, as a view of the file's bytes, which keeps
 those bytes alive while it is held.
 
@@ -37,34 +40,42 @@ import json
 import os
 import stat
 import struct
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from .errors import ModelError
 
 MAGIC = b"SLPM"
 FORMAT_VERSION = 1
-# keys of a mapping encoded at a time by mapping_blocks
-BLOCK_KEYS = 1024
+# items encoded at a time by item_blocks; encoding a block of lexicon rows
+# holds about 500 bytes a row until the encoder joins the pieces of its text
+BLOCK_KEYS = 256
+# json.dumps with these settings; without the circular check, runs of tuples encode fastest
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
 
 
 def _dumps(obj: object) -> bytes:
-    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    return _encode(obj).encode("utf-8")
+
+
+def item_blocks(items: Iterable, run: type = list) -> Iterator[bytes]:
+    """Blocks that join to ``_dumps(run(items))`` without its outer brackets
+    (``run``: ``list``, or ``dict`` of key-value pairs): ``_dumps`` of
+    :data:`BLOCK_KEYS` items at a time, brackets dropped, joined by commas."""
+    items = iter(items)
+    separator = b""
+    while block := run(islice(items, BLOCK_KEYS)):
+        yield separator + _dumps(block)[1:-1]
+        separator = b","
 
 
 def mapping_blocks(mapping: dict, value: Callable[[object], object]) -> list[bytes]:
     """``_dumps`` of ``mapping`` with each value replaced by ``value(v)``, as
-    the blocks of a section: ``_dumps`` of :data:`BLOCK_KEYS` sorted keys at a
-    time without its outer braces, the runs joined by commas and braced."""
-    keys = sorted(mapping)
-    blocks = [b"{"]
-    for start in range(0, len(keys), BLOCK_KEYS):
-        run = _dumps({k: value(mapping[k]) for k in keys[start : start + BLOCK_KEYS]})
-        blocks.append((b"," if start else b"") + run[1:-1])
-    blocks.append(b"}")
-    return blocks
+    the blocks of a section: braces around :func:`item_blocks` of its sorted keys."""
+    pairs = ((k, value(mapping[k])) for k in sorted(mapping))
+    return [b"{", *item_blocks(pairs, dict), b"}"]
 
 
 def write_archive(

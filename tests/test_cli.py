@@ -431,6 +431,18 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "unknown setting 'colour'" in capsys.readouterr().err
 
 
+def test_config_is_no_key_of_a_config_file(tmp_path, capsys):
+    """A nested file would be lost: every command's own --config wins on the reparse."""
+    config = write(tmp_path, "c.cfg", f"lang = sl\nconfig = {tmp_path / 'absent.cfg'}\n")
+    src = write(tmp_path, "t.txt", "Ena.")
+    out = tmp_path / "out.conllu"
+    assert main(["tokenize", "--config", str(config), "--in", str(src), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"configuration error: {config}: line 2: unknown setting 'config'\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["tasks = tokenize,morph", "model-dir = m"])
 def test_tokenize_config_refuses_annotate_only_settings(tmp_path, capsys, line):
     config = write(tmp_path, "pipe.conf", f"lang = sl\n{line}\n")
@@ -1214,6 +1226,26 @@ def test_prep_bad_corpus_argument(tmp_path, capsys):
     code = main(["prep", str(recipe_f), "--corpus", "no-equals-sign"])
     assert code == 1
     assert "--corpus expects ID=PATH" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["command line", "config file"])
+def test_prep_refuses_a_corpus_id_given_twice_before_reading_a_corpus(tmp_path, capsys, where):
+    """The first path does not exist: reading it would be a data error."""
+    recipe_f = write(tmp_path, "mix.recipe", "component id=c reps=1\n")
+    corpus_f = write(tmp_path, "b.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    entries = [f"c={tmp_path / 'absent.conllu'}", f"c={corpus_f}"]
+    out = tmp_path / "out.conllu"
+    argv = ["prep", str(recipe_f), "--out", str(out)]
+    if where == "command line":
+        argv += ["--corpus", entries[0], "--corpus", entries[1]]
+        prefix = "--"
+    else:
+        config = write(tmp_path, "c.cfg", "".join(f"corpus = {e}\n" for e in entries))
+        argv += ["--config", str(config)]
+        prefix = f"{config}: "
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"configuration error: {prefix}corpus id 'c' is given twice\n"
+    assert not out.exists()
 
 
 def test_prep_refused_recipe_is_data_error(tmp_path, capsys):

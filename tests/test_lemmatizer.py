@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,6 @@ from slavpipe import modelio
 from slavpipe.conllu import Document, Sentence, Token, copy_document, misc_value
 from slavpipe.errors import ModelError, StageError, TrainingError
 from slavpipe.lemmatizer import (
-    LEXICON_BLOCK_ROWS,
     LemmatizerModel,
     _embedded,
     _lexicon_blocks,
@@ -19,6 +19,7 @@ from slavpipe.lemmatizer import (
     train_lemmatizer,
 )
 from slavpipe.lexicon import Lexicon
+from slavpipe.modelio import BLOCK_KEYS
 
 from support import paradigm_rows
 
@@ -442,8 +443,7 @@ def lexicons(draw):
     """A lexicon of 0, 1 or about one or two blocks of rows: drawn rows, then
     generated ones up to the drawn count; with a drawn prefix table or the default."""
     n = draw(st.sampled_from(
-        [0, 1, LEXICON_BLOCK_ROWS - 1, LEXICON_BLOCK_ROWS, LEXICON_BLOCK_ROWS + 1,
-         2 * LEXICON_BLOCK_ROWS + 1]
+        [0, 1, BLOCK_KEYS - 1, BLOCK_KEYS, BLOCK_KEYS + 1, 2 * BLOCK_KEYS + 1]
     ))
     prefixes = draw(st.none() | st.dictionaries(TEXT, TEXT, max_size=3))
     lex = Lexicon(prefixes)
@@ -479,6 +479,16 @@ def test_the_lexicon_blocks_are_the_section_and_only_it_is_shared(lex, data):
     assert not _embedded(payload + data.draw(st.binary(min_size=1, max_size=1)), lex)
     lex.add("\ud800", "x", "Ncmsn")  # a lone surrogate has no UTF-8 encoding
     assert not _embedded(payload, lex)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lexicons())
+def test_the_lexicon_section_is_the_json_module_encoding_of_its_rows(lex):
+    """Against a reference that does not go through the shared encoder."""
+    section = {"rows": list(lex.rows()), "prefixes": lex.prefix_table}
+    reference = json.dumps(section, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    assert modelio._dumps(section) == reference.encode("utf-8")
+    assert b"".join(_lexicon_blocks(lex)) == reference.encode("utf-8")
 
 
 # a bound between the 1.6 MB that encoding in blocks peaks at and the 7.0 MB

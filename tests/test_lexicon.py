@@ -6,6 +6,7 @@ import tempfile
 import threading
 import tracemalloc
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -260,6 +261,19 @@ def test_add_refuses_a_lemma_or_tag_that_breaks_a_column(lemma, xpos):
     assert lex.to_rows() == [["pes", "pes", "Ncmsn", 3]] and lex._version == version
     with pytest.raises(ValueError, match="holds a tab or a line break"):
         Lexicon.from_rows([["psa", lemma, xpos, 1]])
+
+
+@pytest.mark.parametrize("row", [
+    (5, "pet", "Mlc", 1), ("pet", None, "Mlc", 1), ("pet", "pet", b"Mlc", 1),
+    ("pet", "pet", "Mlc", Fraction(1, 2)), ("pet", "pet", "Mlc", "2"),
+])
+def test_add_refuses_a_row_that_is_not_strings_and_a_number(row):
+    """What add stores, a model archive must be able to write and read back."""
+    lex = build([("pes", "pes", "Ncmsn", True)])
+    version = lex._version
+    with pytest.raises(TypeError, match="is not \\[form, lemma, xpos, frequency\\]"):
+        lex.add(*row)
+    assert lex.to_rows() == [["pes", "pes", "Ncmsn", 1]] and lex._version == version
 
 
 # --- the TSV read in blocks -------------------------------------------------

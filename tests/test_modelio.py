@@ -1,3 +1,4 @@
+import json
 import stat
 import struct
 from dataclasses import asdict
@@ -95,6 +96,16 @@ def test_mapping_blocks_join_to_the_json_of_the_whole_mapping(table):
     assert all(type(block) is bytes for block in blocks)
     assert len(blocks) == 2 + -(-len(table) // BLOCK_KEYS)  # braces and one block per run
     assert b"".join(blocks) == modelio._dumps({k: _as_rows(v) for k, v in table.items()})
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tables())
+def test_dumps_is_the_json_module_with_sorted_keys_and_no_spaces(table):
+    """The tagger's tables, tuple rows and list rows alike, against a
+    reference that does not go through the shared encoder."""
+    for value in (table, {k: _as_rows(v) for k, v in table.items()}):
+        reference = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+        assert modelio._dumps(value) == reference.encode("utf-8")
 
 
 def test_kind_mismatch(archive):
