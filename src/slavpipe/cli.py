@@ -305,7 +305,8 @@ def _cmd_prep(args: argparse.Namespace) -> int:
     # a command-line entry replaces the config file's entry of its id
     paths = {**_corpus_paths(args.file_corpus, f"{args.config}: "),
              **_corpus_paths(args.corpus, "--")}
-    corpora = {cid: _read_document(path) for cid, path in paths.items()}
+    named = {c.corpus_id for c in recipe.components}  # no other entry is opened
+    corpora = {cid: _read_document(path) for cid, path in paths.items() if cid in named}
     mapping = None
     if args.diacritics:
         mapping = load_diacritic_map(args.diacritics)

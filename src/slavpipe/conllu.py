@@ -445,24 +445,36 @@ def strip_annotations(doc: Document) -> Document:
     return Document(sentences=sentences)
 
 
-def copy_token(token: Token) -> Token:
-    """A shallow copy of ``token``, several times faster than ``dataclasses.replace``.
-
-    It calls the constructor rather than assigning ``__dict__``: an instance
-    whose ``__dict__`` was assigned reads and writes its attributes about
-    five times slower, and every later stage reads them.
-    """
-    t = token
-    return Token(t.id, t.form, t.lemma, t.upos, t.xpos, t.feats, t.head, t.deprel, t.deps, t.misc)
-
-
 def copy_document(doc: Document) -> Document:
-    return Document(
-        sentences=[
-            Sentence(comments=list(s.comments), tokens=[copy_token(t) for t in s.tokens])
-            for s in doc.sentences
-        ]
-    )
+    """A copy of ``doc`` whose sentences, comment lists and tokens are new
+    objects; the column values, being immutable, are shared.
+
+    Each token is made by ``object.__new__`` and one store per field of
+    :class:`Token`, in field order, with no call per token: faster than
+    calling the constructor (several times faster than
+    ``dataclasses.replace``), and the copy reads and writes its attributes
+    as fast as a constructed token, which an instance whose ``__dict__``
+    was assigned does not.
+    """
+    new = object.__new__
+    sentences = []
+    for sent in doc.sentences:
+        tokens = []
+        for t in sent.tokens:
+            c = new(Token)
+            c.id = t.id
+            c.form = t.form
+            c.lemma = t.lemma
+            c.upos = t.upos
+            c.xpos = t.xpos
+            c.feats = t.feats
+            c.head = t.head
+            c.deprel = t.deprel
+            c.deps = t.deps
+            c.misc = t.misc
+            tokens.append(c)
+        sentences.append(Sentence(list(sent.comments), tokens))
+    return Document(sentences)
 
 
 # --- validation ------------------------------------------------------------

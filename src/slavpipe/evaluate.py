@@ -57,14 +57,17 @@ class EvalReport:
     counts: dict[str, MetricCounts] = field(default_factory=dict)
 
 
-def _pairs(gold: Document, pred: Document) -> zip:
+Pairs = list[tuple[Token, Token]]
+
+
+def _pairs(gold: Document, pred: Document) -> Pairs:
     """Pair the single tokens of the two documents by their place in the
     document, refusing mismatched tokenization.  The two may split the same
     tokens into sentences differently."""
     gtoks, ptoks = gold.single_tokens(), pred.single_tokens()
     if len(gtoks) != len(ptoks) or any(g.form != p.form for g, p in zip(gtoks, ptoks)):
         raise EvaluationError(_MISMATCH_MESSAGE)
-    return zip(gtoks, ptoks)
+    return list(zip(gtoks, ptoks))
 
 
 def _same_sentences(gold: Document, pred: Document) -> bool:
@@ -86,7 +89,7 @@ _SCALAR_VALUES = {
 }
 
 
-def _counts(pairs: zip, value: Callable[[Token], object]) -> MetricCounts:
+def _counts(pairs: Pairs, value: Callable[[Token], object]) -> MetricCounts:
     """Count the gold tokens of ``pairs`` (see :func:`_pairs`) whose ``value``
     is not None, and the matched ones."""
     total = correct = 0
@@ -98,15 +101,23 @@ def _counts(pairs: zip, value: Callable[[Token], object]) -> MetricCounts:
     return MetricCounts(total, total, correct)
 
 
-def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts:
+def _check_field(fieldname: str) -> None:
+    if fieldname != "morph-pooled" and fieldname not in _SCALAR_VALUES:
+        raise ConfigurationError(f"unknown evaluation field {fieldname!r}")
+
+
+def _field_counts(pairs: Pairs, fieldname: str) -> MetricCounts:
+    """The counts of a field that :func:`_check_field` passed, over ``pairs``."""
     if fieldname == "morph-pooled":
-        parts = [micro_counts(gold, pred, name) for name in ("upos", "xpos", "feats")]
+        parts = [_field_counts(pairs, name) for name in ("upos", "xpos", "feats")]
         total = sum(c.gold for c in parts)
         return MetricCounts(total, total, sum(c.correct for c in parts))
-    extract = _SCALAR_VALUES.get(fieldname)
-    if extract is None:
-        raise ConfigurationError(f"unknown evaluation field {fieldname!r}")
-    return _counts(_pairs(gold, pred), extract)
+    return _counts(pairs, _SCALAR_VALUES[fieldname])
+
+
+def micro_counts(gold: Document, pred: Document, fieldname: str) -> MetricCounts:
+    _check_field(fieldname)
+    return _field_counts(_pairs(gold, pred), fieldname)
 
 
 def dev_accuracy(
@@ -209,10 +220,14 @@ def per_label_accuracy(
     """
     if fieldname not in ("upos", "deprel"):
         raise ConfigurationError(f"per-label accuracy supports upos or deprel, not {fieldname!r}")
+    return _label_accuracy(_pairs(gold, pred), fieldname)
+
+
+def _label_accuracy(pairs: Pairs, fieldname: str) -> dict[str, float | None]:
     totals: dict[str, int] = {}
     correct: dict[str, int] = {}
     predicted: set[str] = set()
-    for gtok, ptok in _pairs(gold, pred):
+    for gtok, ptok in pairs:
         gval = getattr(gtok, fieldname)
         pval = getattr(ptok, fieldname)
         if pval is not None:
@@ -281,24 +296,35 @@ def evaluate_documents(
     Attachment scores and the deprel accuracy table are included when both
     documents are fully parsed into the same sentences; the upos accuracy
     table whenever upos is evaluated.
+
+    The documents are paired once, at the first metric that needs it, and
+    every metric counts over those pairs; an unknown field is refused before
+    the documents are paired for it.
     """
     report = EvalReport()
     chosen = _detected_fields(gold) if fields is None else list(fields)
+    pairs = None
     for fieldname in chosen:
-        counts = micro_counts(gold, pred, fieldname)
+        _check_field(fieldname)
+        if pairs is None:
+            pairs = _pairs(gold, pred)
+        counts = _field_counts(pairs, fieldname)
         report.counts[fieldname] = counts
         report.scores[fieldname] = counts.f1
     if "upos" in chosen:
-        for label, acc in per_label_accuracy(gold, pred, "upos").items():
+        for label, acc in _label_accuracy(pairs, "upos").items():
             report.per_label[("upos", label)] = acc
     if (
         fields is None and _fully_parsed(gold) and _fully_parsed(pred)
         and _same_sentences(gold, pred)
     ):
-        counts = las_counts(gold, pred)
+        if pairs is None:
+            pairs = _pairs(gold, pred)
+        # every token on both sides has an arc: las_counts would find no fault
+        counts = _counts(pairs, arc)
         report.counts["las"] = counts
         report.scores["las"] = counts.accuracy
-        for label, acc in per_label_accuracy(gold, pred, "deprel").items():
+        for label, acc in _label_accuracy(pairs, "deprel").items():
             report.per_label[("deprel", label)] = acc
     return report
 

@@ -34,6 +34,10 @@ from .lexicon import Lexicon
 from .tokenizer import CLOSED_CLASS_MISC, is_closed_class_fixed
 
 TIER_MISC = "Lemmatizer"
+# the misc entry of each tier, as misc_set writes it
+_TIER_ENTRIES = {
+    tier: f"{TIER_MISC}={tier}" for tier in ("closed", "train", "lexicon", "rule", "identity")
+}
 RULE_CONTEXT = 3
 
 
@@ -66,19 +70,29 @@ class LemmatizerModel:
         # best rule per (tag prefix, suffix); list order already encodes
         # frequency-descending within a key
         self._rule_index: dict[tuple[str, str], SuffixRule] = {}
-        self._max_suffix = 0
+        lengths: dict[str, set[int]] = {}
         for rule in self.rules:
             key = (rule.tag_prefix, rule.form_suffix)
             self._rule_index.setdefault(key, rule)
-            self._max_suffix = max(self._max_suffix, len(rule.form_suffix))
+            lengths.setdefault(rule.tag_prefix, set()).add(len(rule.form_suffix))
+        # the suffix lengths some rule of each tag prefix has, longest first
+        self._suffix_lengths = {p: tuple(sorted(n, reverse=True)) for p, n in lengths.items()}
 
     def apply_rules(self, form: str, xpos: str) -> str | None:
+        """``form`` with the suffix of the longest-suffix rule for the tag
+        prefix ``xpos[:1]`` that matches it replaced; None when none does.
+
+        Only the suffix lengths that some rule of that prefix has are tried,
+        longest first, the empty suffix last: the first rule found is the
+        one a scan of every length from the longest down to 0 finds.
+        """
         prefix = xpos[:1]
-        for length in range(min(self._max_suffix, len(form)), -1, -1):
-            suffix = form[len(form) - length :] if length else ""
-            rule = self._rule_index.get((prefix, suffix))
-            if rule is not None:
-                return form[: len(form) - length] + rule.replacement
+        n = len(form)
+        for length in self._suffix_lengths.get(prefix, ()):
+            if length <= n:
+                rule = self._rule_index.get((prefix, form[n - length :]))
+                if rule is not None:
+                    return form[: n - length] + rule.replacement
         return None
 
 
@@ -183,7 +197,12 @@ def lemmatize_in_place(doc: Document, model: LemmatizerModel) -> None:
                     lemma = tok.form
                     tier = "identity"
                 tok.lemma = lemma
-            tok.misc = misc_set(misc, TIER_MISC, tier)
+            if not misc:
+                tok.misc = _TIER_ENTRIES[tier]
+            elif TIER_MISC not in misc:
+                tok.misc = f"{misc}|{_TIER_ENTRIES[tier]}"
+            else:
+                tok.misc = misc_set(misc, TIER_MISC, tier)
 
 
 def lemmatize_document(

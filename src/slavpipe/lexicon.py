@@ -108,8 +108,14 @@ class Lexicon:
     def lookup_lemma(self, form: str, xpos: str) -> str | None:
         """Lemma for (form, xpos): highest frequency wins, ties go to the
         lexicographically smallest lemma.  Absent exactly when
-        :meth:`allowed_tags` does not contain ``xpos``."""
-        slot = self._slot(form)
+        :meth:`allowed_tags` does not contain ``xpos``.
+
+        It reads the index itself, as :meth:`_slot` would, and answers a
+        form with one entry (about half of a lexicon's forms) at once."""
+        index = self._index
+        slot = index.get(form) or index.get(form.lower(), ())
+        if len(slot) == 3:
+            return slot[1] if slot[0] == xpos else None
         best = None  # lemmas ascend within a tag: the first of equal frequencies wins
         for i in range(0, len(slot), 3):
             if slot[i] == xpos and (best is None or slot[i + 2] > slot[best + 2]):

@@ -5,7 +5,10 @@ tagger's triple, the parser's scoring rows of a token's (form, upos, xpos),
 kept under its upos and xpos alone when no single-token feature names
 the form)
 depends only on a few objects: the model or rules, and the lexicon or closed
-table it consults.
+table it consults.  The tagger also keeps the ranking of each backoff suffix
+on its model (``_suffix_ranks``, not a memo of this module): it depends on
+the model alone and holds at most one tuple per ``suffix_counts`` entry, so
+it needs no scope and no :data:`CAP`.
 The memo lives on the model or rules as a private attribute, so it is freed
 with them.  An owner keeps one memo, filled under one *scope*: the tuple of
 the other objects the decision reads.  A scope object whose changes alter
@@ -30,9 +33,12 @@ CAP = 1 << 15
 
 
 def memo_table(owner: object, scope: tuple) -> dict:
-    """The memo on ``owner`` for decisions fixed by ``owner`` and ``scope``."""
-    versions = tuple([getattr(obj, "_version", None) for obj in scope])
+    """The memo on ``owner`` for decisions fixed by ``owner`` and ``scope``;
+    with an empty scope (the parser's) an existing memo is returned at once."""
     slot = owner.__dict__.get("_memo")
+    if not scope and slot is not None and not slot[0]:
+        return slot[2]  # no scope object that could have changed
+    versions = tuple([getattr(obj, "_version", None) for obj in scope])
     if slot is None or slot[1] != versions or not all(map(is_, slot[0], scope)):
         slot = owner.__dict__["_memo"] = (scope, versions, {})
     return slot[2]

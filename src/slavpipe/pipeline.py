@@ -202,6 +202,9 @@ class Pipeline:
         self.config = config
         self.components = resolve_components(config)
         self.tasks = tuple(self.components)
+        self._mode = (
+            TokenizerMode(self.components["tokenize"]) if "tokenize" in self.components else None
+        )
         self.rules: TokenizerRules | None = None
         if "tokenize" in self.tasks or "morph" in self.tasks:
             if config.rules_path is not None:
@@ -270,8 +273,7 @@ class Pipeline:
                     "raw text input needs the tokenize task; configure it or "
                     "pass an already tokenized document"
                 )
-            mode = TokenizerMode(self.components["tokenize"])
-            doc = tokenize(source, mode, self.rules)
+            doc = tokenize(source, self._mode, self.rules)
         else:
             doc = copy_document(source)
         if "morph" in self.tasks:

@@ -22,6 +22,7 @@ the parse holds once (:func:`slavpipe.conllu.parse_document`).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
@@ -165,15 +166,32 @@ def tagging(tok: Token) -> Triple | None:
     return (tok.upos, tok.xpos, canonical_feats(tok.feats))
 
 
-def _ranked_candidates(model: TaggerModel, form: str) -> list[Triple]:
+def _ranked_candidates(model: TaggerModel, form: str) -> Sequence[Triple]:
+    """The triples of ``form``, or of its longest known suffix, most frequent
+    first; the default triple alone when neither is known.
+
+    A suffix's ranking is kept on the model (``_suffix_ranks``, made at the
+    first backoff) and shared by every form that backs off to it; it holds
+    at most one tuple per entry of ``suffix_counts``.
+    """
     probs = model.form_probs.get(form)
     if probs:
         return sorted(probs, key=lambda t: (-probs[t], _triple_key(t)))
+    ranks = model.__dict__.get("_suffix_ranks")
+    if ranks is None:
+        ranks = model.__dict__["_suffix_ranks"] = {}
     for length in range(min(MAX_SUFFIX, len(form)), 0, -1):
-        counts = model.suffix_counts.get(form[-length:])
+        suffix = form[-length:]
+        ranked = ranks.get(suffix)
+        if ranked is not None:
+            return ranked
+        counts = model.suffix_counts.get(suffix)
         if counts:
-            return sorted(counts, key=lambda t: (-counts[t], _triple_key(t)))
-    return [model.default_triple]
+            ranked = ranks[suffix] = tuple(
+                sorted(counts, key=lambda t: (-counts[t], _triple_key(t)))
+            )
+            return ranked
+    return (model.default_triple,)
 
 
 def _closed_ok(

@@ -1248,6 +1248,19 @@ def test_prep_refuses_a_corpus_id_given_twice_before_reading_a_corpus(tmp_path, 
     assert not out.exists()
 
 
+def test_prep_never_opens_a_corpus_the_recipe_does_not_name(tmp_path, capsys):
+    corpus_f = write(tmp_path, "c.conllu", "# sent_id = c.1\n1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n")
+    recipe_f = write(tmp_path, "mix.recipe", "component id=c reps=2\n")
+    runs = []
+    for extra in ([], ["--corpus", "unused=/nonexistent"]):
+        out = tmp_path / f"out{len(runs)}.conllu"
+        code = main(["prep", str(recipe_f), "--corpus", f"c={corpus_f}", *extra,
+                     "--out", str(out)])
+        runs.append((code, out.read_bytes(), capsys.readouterr()))
+    assert runs[0][0] == runs[1][0] == 0
+    assert runs[0][1] == runs[1][1] and runs[0][2] == runs[1][2]
+
+
 def test_prep_refused_recipe_is_data_error(tmp_path, capsys):
     corpus_f = write(
         tmp_path, "c.conllu", "1\tšum\t_\t_\t_\t_\t_\t_\t_\t_\n\n"

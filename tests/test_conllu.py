@@ -11,7 +11,6 @@ from slavpipe.conllu import (
     Violation,
     canonical_feats,
     copy_document,
-    copy_token,
     misc_keep_keys,
     misc_set,
     misc_value,
@@ -338,10 +337,30 @@ def test_copy_document_is_deep():
     assert doc.sentences[0].tokens[0].form == "Pes"
 
 
-def test_copy_token_copies_every_field():
-    token = Token(**{f.name: f"value {i}" for i, f in enumerate(dataclasses.fields(Token))})
-    dup = copy_token(token)
-    assert dup == token and dup is not token
+_FIELD_VALUES = st.one_of(st.none(), st.text(max_size=3), st.integers(-2, 9),
+                          st.tuples(st.integers(1, 9), st.integers(1, 9)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.lists(_FIELD_VALUES, min_size=len(dataclasses.fields(Token)),
+                                  max_size=len(dataclasses.fields(Token))), max_size=4),
+                max_size=3))
+def test_copy_document_copies_every_field_and_shares_no_token(rows):
+    doc = Document(sentences=[
+        Sentence(comments=[f"# sent_id = {i}"], tokens=[Token(*values) for values in sent])
+        for i, sent in enumerate(rows)
+    ])
+    dup = copy_document(doc)
+    assert dup == doc
+    originals = {id(t) for s in doc.sentences for t in s.tokens}
+    for sent, copied in zip(doc.sentences, dup.sentences):
+        assert copied is not sent and copied.comments is not sent.comments
+        assert copied.tokens is not sent.tokens
+        for tok, new in zip(sent.tokens, copied.tokens):
+            assert id(new) not in originals and type(new) is Token
+            assert all(getattr(new, f.name) is getattr(tok, f.name)
+                       for f in dataclasses.fields(Token))
+            assert vars(new) == vars(tok) and list(vars(new)) == list(vars(tok))
 
 
 def test_every_token_field_survives_serialization():

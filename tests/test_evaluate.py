@@ -8,6 +8,7 @@ from slavpipe.errors import ConfigurationError, EvaluationError
 from slavpipe.evaluate import (
     FIELDS,
     MetricCounts,
+    _detected_fields,
     as_percent,
     dev_accuracy,
     evaluate_documents,
@@ -318,6 +319,45 @@ def test_evaluate_documents_adds_las_when_parsed():
     assert ("deprel", "root") in report.per_label
     explicit = evaluate_documents(gold, copy_document(gold), fields=["upos"])
     assert "las" not in explicit.scores
+
+
+def _one_metric_at_a_time(gold, pred, fields):
+    """evaluate_documents' report built from the public metric functions,
+    each pairing the documents itself."""
+    scores, counts, per_label = {}, {}, {}
+    chosen = _detected_fields(gold) if fields is None else fields
+    for fieldname in chosen:
+        counts[fieldname] = micro_counts(gold, pred, fieldname)
+        scores[fieldname] = counts[fieldname].f1
+    if "upos" in chosen:
+        per_label.update((("upos", k), v) for k, v in per_label_accuracy(gold, pred, "upos").items())
+    parsed = all(t.head is not None and t.deprel is not None
+                 for t in gold.single_tokens() + pred.single_tokens())
+    if fields is None and parsed and gold.single_tokens():
+        counts["las"] = las_counts(gold, pred)
+        scores["las"] = counts["las"].accuracy
+        per_label.update((("deprel", k), v)
+                         for k, v in per_label_accuracy(gold, pred, "deprel").items())
+    return scores, counts, per_label
+
+
+def test_evaluate_documents_pairs_once_and_reports_each_metric_as_alone():
+    rng = random.Random(35)
+    for _ in range(30):
+        gold, pred = random_aligned_pair(rng, max_tokens=60)
+        if rng.random() < 0.3:  # an arc missing on one side: no attachment score
+            rng.choice(pred.single_tokens()).head = None
+        for fields in (None, ["upos"], ["morph-pooled", "lemma", "srl"], []):
+            report = evaluate_documents(gold, pred, fields)
+            assert (report.scores, report.counts, report.per_label) == \
+                _one_metric_at_a_time(gold, pred, fields)
+    # the first field that fails names the fault, as when scored one by one
+    gold, pred = doc_of(sent("a", upos=["X"])), doc_of(sent("b", upos=["X"]))
+    with pytest.raises(EvaluationError, match="use span_f1"):
+        evaluate_documents(gold, pred, ["upos", "ner"])
+    with pytest.raises(ConfigurationError, match="unknown evaluation field"):
+        evaluate_documents(gold, pred, ["ner", "upos"])
+    assert evaluate_documents(gold, pred, []).scores == {}
 
 
 def test_evaluate_spans_report():

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slavpipe import modelio
-from slavpipe.conllu import Document, Sentence, Token, copy_document, misc_value
+from slavpipe.conllu import Document, Sentence, Token, copy_document, misc_set, misc_value
 from slavpipe.errors import ModelError, StageError, TrainingError
 from slavpipe.lemmatizer import (
+    TIER_MISC,
     LemmatizerModel,
+    SuffixRule,
     _embedded,
     _lexicon_blocks,
     lemmatize_document,
+    lemmatize_in_place,
     load_lemmatizer,
     save_lemmatizer,
     train_lemmatizer,
@@ -153,6 +156,47 @@ def test_rules_do_not_cross_tag_prefixes():
     out = lemmatize_document(tagged_doc(("miza", "Ncfsn")), model)
     assert out.sentences[0].tokens[0].lemma == "miza"
     assert tiers(out) == ["identity"]
+
+
+_RULE_TEXT = st.text("ab", max_size=4)
+
+
+def _rule_scan(rules, form, xpos):
+    """The rule apply_rules must find: for each suffix length from the whole
+    form down to 0, the first rule in list order of that suffix and tag prefix."""
+    for length in range(len(form), -1, -1):
+        suffix = form[len(form) - length:]
+        for rule in rules:
+            if rule.tag_prefix == xpos[:1] and rule.form_suffix == suffix:
+                return form[: len(form) - length] + rule.replacement
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rules=st.lists(st.builds(SuffixRule, _RULE_TEXT, st.sampled_from(["", "N", "V", "Nc"]),
+                             _RULE_TEXT, st.integers(1, 3)), max_size=12),
+    queries=st.lists(st.tuples(st.text("ab", max_size=6),
+                               st.sampled_from(["", "N", "Ncmsn", "V", "X"])), max_size=8),
+)
+def test_apply_rules_finds_what_a_scan_of_every_suffix_length_finds(rules, queries):
+    model = LemmatizerModel(rules=rules)
+    for form, xpos in queries:
+        assert model.apply_rules(form, xpos) == _rule_scan(rules, form, xpos)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([None, "", "SpaceAfter=No", "Lemmatizer=old",
+                                 "A=1|Lemmatizer=x|B=2", "Lemmatizerx=1", "ClosedClass=Yes"]),
+                min_size=1, max_size=6))
+def test_each_tier_is_written_as_misc_set_writes_it(miscs):
+    model = LemmatizerModel(lookup={("pes", "N"): "pes"},
+                            rules=[SuffixRule("a", "V", "ati", 1)])
+    rows = [(("pes", "N"), ("delala", "V"), ("xyz", "Q"))[i % 3] for i in range(len(miscs))]
+    doc = tagged_doc(*[(f, x, m) for (f, x), m in zip(rows, miscs)])
+    lemmatize_in_place(doc, model)
+    for i, (tok, misc) in enumerate(zip(doc.sentences[0].tokens, miscs)):
+        assert tok.misc == misc_set(misc, TIER_MISC, ("train", "rule", "identity")[i % 3])
 
 
 def test_training_needs_lemmas():

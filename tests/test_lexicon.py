@@ -89,6 +89,15 @@ _rows_in_any_order = st.lists(
 )
 
 
+def _lemma_by_entries(lex, form, xpos):
+    """lookup_lemma as a loop over entries: the first of the highest frequency."""
+    best = None
+    for entry in lex.entries(form):
+        if entry.xpos == xpos and (best is None or entry.frequency > best.frequency):
+            best = entry
+    return None if best is None else best.lemma
+
+
 @given(rows=_rows_in_any_order)
 def test_queries_agree_with_a_table_of_summed_frequencies(rows):
     table: dict[tuple[str, str, str], int] = {}
@@ -108,6 +117,7 @@ def test_queries_agree_with_a_table_of_summed_frequencies(rows):
             for xpos in ("N", "Nc", "V", "Q"):
                 ranked = sorted((-table[k], k[2]) for k in listed if k[1] == xpos)
                 assert lex.lookup_lemma(form, xpos) == (ranked[0][1] if ranked else None)
+                assert lex.lookup_lemma(form, xpos) == _lemma_by_entries(lex, form, xpos)
 
 
 def test_closed_class_membership_by_prefix():

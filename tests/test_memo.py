@@ -238,6 +238,17 @@ def test_attaching_a_lexicon_changes_the_lemma_tier(
     assert lemma_and_tier() == (lemma, "lexicon")
 
 
+def test_an_empty_scope_keeps_one_memo_and_replaces_a_scoped_one():
+    class Owner:
+        pass
+
+    owner, lexicon = Owner(), Lexicon()
+    scoped = memo.memo_table(owner, (lexicon,))
+    empty = memo.memo_table(owner, ())
+    assert empty is not scoped and memo.memo_table(owner, ()) is empty
+    assert memo.memo_table(owner, (lexicon,)) is not empty
+
+
 def _memo_sizes(*owners) -> list[int]:
     return [len(vars(owner)["_memo"][2]) for owner in owners if "_memo" in vars(owner)]
 

@@ -3,6 +3,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from slavpipe.conllu import (
     Document, Sentence, Token, parse_document, strip_annotations, validate_document,
@@ -18,7 +19,7 @@ from slavpipe.tagger import (
     tag_in_place,
     train_tagger,
 )
-from slavpipe.tokenizer import ClosedClassTable
+from slavpipe.tokenizer import ClosedClassTable, default_rules
 
 from support import large_corpus_text, make_corpus, trap_entries, traced
 
@@ -247,6 +248,28 @@ def test_ranked_candidates_rank_preserving(model, vocab):
     tagged = tag_document(one_token_doc(form), model)
     tok = tagged.sentences[0].tokens[0]
     assert (tok.upos, tok.xpos, tok.feats) == best
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_decide_with_warm_suffix_ranks_is_the_decision_of_a_cold_model(
+    model, synthetic_lexicon, data
+):
+    suffixes = st.sampled_from(sorted(model.suffix_counts))
+    forms = data.draw(st.lists(
+        st.tuples(st.text("aeikmnorsvz", max_size=4), st.one_of(st.just(""), suffixes))
+        .map("".join), min_size=1, max_size=8))
+    closed = default_rules("sl").closed_class
+    for lexicon, table in ((None, None), (synthetic_lexicon, closed)):
+        for form in forms:
+            cold = dataclasses.replace(model)  # no suffix ranking yet
+            assert "_suffix_ranks" not in vars(cold)
+            assert _decide(model, form, lexicon, table) == _decide(cold, form, lexicon, table)
+    ranks = vars(model).get("_suffix_ranks", {})
+    assert set(ranks) <= set(model.suffix_counts)
+    assert all(type(r) is tuple and len(r) == len(set(r)) == len(model.suffix_counts[k])
+               and set(r) == set(model.suffix_counts[k]) for k, r in ranks.items())
 
 
 MINIMAL_SECTIONS = {
