@@ -31,7 +31,7 @@ from . import modelio
 from .conllu import Document, breaks_column, copy_document, misc_set
 from .errors import ModelError, StageError, TrainingError
 from .lexicon import Lexicon
-from .tokenizer import CLOSED_CLASS_MISC, is_closed_class_fixed
+from .tokenizer import CLOSED_CLASS_MISC, TOKENIZER_FIXED, is_closed_class_fixed
 
 TIER_MISC = "Lemmatizer"
 # the misc entry of each tier, as misc_set writes it
@@ -166,35 +166,38 @@ def lemmatize_in_place(doc: Document, model: LemmatizerModel) -> None:
     A single token without xpos is a stage error naming the token; running
     the lemmatizer on its own output changes nothing.
     """
+    lookup = model.lookup.get
+    lexicon = model.lexicon
     for si, sent in enumerate(doc.sentences):
         for tok in sent.tokens:
             if isinstance(tok.id, tuple):  # a range
                 continue
             misc = tok.misc
-            # misc without the key's text cannot mark the token fixed
-            if (
-                tok.lemma is not None
-                and misc and CLOSED_CLASS_MISC in misc
-                and is_closed_class_fixed(tok)
+            # the tokenizer's two marks are known whole; misc without the
+            # key's text cannot mark the token fixed
+            if tok.lemma is not None and misc and (
+                misc in TOKENIZER_FIXED
+                or CLOSED_CLASS_MISC in misc and is_closed_class_fixed(tok)
             ):
                 tier = "closed"
             else:
-                if tok.xpos is None:
+                form, xpos = tok.form, tok.xpos
+                if xpos is None:
                     where = sent.sent_id or f"sentence {si + 1}"
                     raise StageError(
                         "lemmatizer",
-                        f"token {tok.id} ({tok.form!r}) in {where} has no xpos",
+                        f"token {tok.id} ({form!r}) in {where} has no xpos",
                     )
-                lemma = model.lookup.get((tok.form, tok.xpos))
+                lemma = lookup((form, xpos))
                 tier = "train"
-                if lemma is None and model.lexicon is not None:
-                    lemma = model.lexicon.lookup_lemma(tok.form, tok.xpos)
+                if lemma is None and lexicon is not None:
+                    lemma = lexicon.lookup_lemma(form, xpos)
                     tier = "lexicon"
                 if lemma is None:
-                    lemma = model.apply_rules(tok.form, tok.xpos)
+                    lemma = model.apply_rules(form, xpos)
                     tier = "rule"
                 if lemma is None:
-                    lemma = tok.form
+                    lemma = form
                     tier = "identity"
                 tok.lemma = lemma
             if not misc:

@@ -23,6 +23,7 @@ No other module reads it: a model archive takes the lexicon's rows from
 from __future__ import annotations
 
 import gzip
+import math
 import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -73,8 +74,12 @@ class Lexicon:
     def add(self, form: str, lemma: str, xpos: str, frequency: int | float = 1) -> None:
         """Insert a triple (see :meth:`_fill`); duplicate triples accumulate their
         frequencies.  A form, lemma or tag that is not a ``str`` and a frequency
-        that is not an int, float or bool raise TypeError."""
-        self._fill([_checked_row((form, lemma, xpos, frequency), (int, float, bool))])
+        that is not an int, float or bool raise TypeError; a frequency that is
+        NaN or infinite, which no archive can hold, raises ValueError."""
+        row = _checked_row((form, lemma, xpos, frequency), (int, float, bool))
+        if type(frequency) is float and not math.isfinite(frequency):
+            raise ValueError(f"lexicon row {row!r}: frequency {frequency!r} is not finite")
+        self._fill([row])
         self._version += 1
 
     def _fill(self, rows) -> None:

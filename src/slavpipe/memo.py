@@ -18,29 +18,39 @@ looks at the memo, and decides every other form the same whatever the
 table lists, so adding to a table drops no memo.  A call with other scope
 objects, or after a version has moved, replaces the memo with an empty one,
 so an owner never holds more than one memo and never keeps a replaced
-lexicon alive.  A memo that reaches :data:`CAP` entries is cleared, which
-bounds its memory: a few megabytes for the tokenizer and the tagger, about
-34 MB for the parser (about 1.0 KB an entry).  Values should be tuples of
+lexicon alive.  The stages ask for their memo once per document, so a call
+with an unchanged scope is answered by a plain loop that builds nothing.
+A memo that reaches :data:`CAP` entries is cleared, which bounds its
+memory: a few megabytes for the tokenizer and the tagger, about 34 MB for
+the parser (about 1.0 KB an entry).  Values should be tuples of
 atoms and tuples, which the collector stops tracking: a full memo of lists
 makes every full collection walk each of them.
 """
 
 from __future__ import annotations
 
-from operator import is_
-
 CAP = 1 << 15
 
 
 def memo_table(owner: object, scope: tuple) -> dict:
-    """The memo on ``owner`` for decisions fixed by ``owner`` and ``scope``;
-    with an empty scope (the parser's) an existing memo is returned at once."""
+    """The memo on ``owner`` for decisions fixed by ``owner`` and ``scope``.
+
+    A call with the scope the memo was filled under (the same objects, each
+    at the same ``_version``) returns it at once; a plain loop checks that,
+    with no tuple or list built, since the stages call this per document."""
     slot = owner.__dict__.get("_memo")
-    if not scope and slot is not None and not slot[0]:
-        return slot[2]  # no scope object that could have changed
+    if slot is not None:
+        held, versions, memo = slot
+        if len(held) == len(scope):
+            i = 0
+            for obj in scope:
+                if obj is not held[i] or getattr(obj, "_version", None) != versions[i]:
+                    break
+                i += 1
+            else:
+                return memo
     versions = tuple([getattr(obj, "_version", None) for obj in scope])
-    if slot is None or slot[1] != versions or not all(map(is_, slot[0], scope)):
-        slot = owner.__dict__["_memo"] = (scope, versions, {})
+    slot = owner.__dict__["_memo"] = (scope, versions, {})
     return slot[2]
 
 

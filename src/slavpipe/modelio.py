@@ -28,8 +28,10 @@ those bytes alive while it is held.
 Every archive starts with a ``meta`` section recording the model kind
 (``tagger``, ``lemmatizer`` or ``parser``), the language/variety it was
 trained for and training statistics.  Readers reject wrong magic, unknown
-format versions, mismatched kinds, bytes after the last section and a
-repeated section name with :class:`~slavpipe.errors.ModelError`.
+format versions, mismatched kinds, bytes after the last section, a
+repeated section name and a number that is not finite (``NaN``,
+``Infinity``; no writer can write one) with
+:class:`~slavpipe.errors.ModelError`.
 """
 
 from __future__ import annotations
@@ -51,9 +53,18 @@ FORMAT_VERSION = 1
 # items encoded at a time by item_blocks; encoding a block of lexicon rows
 # holds about 500 bytes a row until the encoder joins the pieces of its text
 BLOCK_KEYS = 256
-# json.dumps with these settings; without the circular check, runs of tuples encode fastest
+# json.dumps with these settings; without the circular check, runs of tuples
+# encode fastest.  NaN and infinities are refused: they are not JSON.
 _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
-                           check_circular=False).encode
+                           check_circular=False, allow_nan=False).encode
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# json.loads, but NaN, Infinity and -Infinity, which json.loads reads, are refused
+_decode = json.JSONDecoder(parse_constant=_refuse_constant).decode
 
 
 def _dumps(obj: object) -> bytes:
@@ -216,8 +227,9 @@ def read_archive(path: str | Path, kind: str, raw: tuple[str, ...] = ()) -> tupl
 
 
 def decode_payload(path: str | Path, payload: bytes | memoryview) -> object:
-    """The value of a section payload of the archive at ``path``."""
+    """The value of a section payload of the archive at ``path``; bytes that
+    are not UTF-8 JSON, and NaN or an infinity in it, are a :class:`ModelError`."""
     try:
-        return json.loads(str(payload, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return _decode(str(payload, "utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError among them
         raise ModelError(f"{path}: corrupt model archive: {exc}") from exc

@@ -32,7 +32,7 @@ from .errors import ModelError, TrainingError
 from .evaluate import dev_accuracy
 from .lexicon import Lexicon
 from .memo import memo_table, remember
-from .tokenizer import CLOSED_CLASS_MISC, ClosedClassTable, is_closed_class_fixed
+from .tokenizer import CLOSED_CLASS_MISC, TOKENIZER_FIXED, ClosedClassTable, is_closed_class_fixed
 
 Triple = tuple[str, str, str | None]
 
@@ -271,12 +271,17 @@ def tag_in_place(
             if isinstance(tok.id, tuple):  # a range
                 continue
             misc = tok.misc
-            # misc without the key's text cannot mark the token fixed
-            if misc and CLOSED_CLASS_MISC in misc and is_closed_class_fixed(tok):
+            # the tokenizer's two marks are known whole; misc without the
+            # key's text cannot mark the token fixed
+            if misc and (
+                misc in TOKENIZER_FIXED
+                or CLOSED_CLASS_MISC in misc and is_closed_class_fixed(tok)
+            ):
                 continue
             form = tok.form
-            if form in closed:
-                closed[form].fix(tok)
+            entry = closed.get(form)
+            if entry is not None:
+                entry.fix(tok)
                 continue
             triple = decided.get(form)
             if triple is None:

@@ -19,12 +19,18 @@ punctuation and symbols live in per-language rule files (see
 :func:`load_rules` for the format); the files shipped with the package are
 available through :func:`default_rules`.
 
-:func:`tokenize` tokenizes each paragraph by itself (a text without CR and
-LF is one paragraph and is not searched for blank lines).  ``_scan`` makes
-one pass over its chunks, the runs ``str.split()`` yields, and ``_segment``
-returns the end index of each sentence in the forms; ``tokenize`` builds
-each token once from them.  :func:`paragraph_blocks` cuts a text that
-arrives in blocks into pieces that end at blank lines.
+:func:`tokenize` makes one pass over the text.  ``_scan`` reads the chunks
+of each paragraph, the runs ``str.split()`` yields, into one list of forms
+and records where each paragraph ends (a text without CR and LF is one
+paragraph and is not searched for blank lines); ``_segment`` returns the end
+index of each sentence of one paragraph.  ``tokenize`` builds each token
+once from them as :func:`~slavpipe.conllu.copy_document` builds a copy, with
+no call per token, and writes a closed-class form's tags, lemma and misc as
+:meth:`ClosedClassEntry.fix` would.  Its misc is
+then one of the two strings of :data:`TOKENIZER_FIXED`, so a later stage
+tells it is fixed by set membership, without parsing misc.
+:func:`paragraph_blocks` cuts a text that arrives in blocks into pieces that
+end at blank lines.
 """
 
 from __future__ import annotations
@@ -191,7 +197,8 @@ _ORDINAL_RE = re.compile(r"\d+\.")
 
 
 def _is_punct_or_sym(ch: str) -> bool:
-    return unicodedata.category(ch)[0] in "PS"
+    # no letter or digit is in a P or S category, so these skip the lookup
+    return not ch.isalnum() and unicodedata.category(ch)[0] in "PS"
 
 
 def _is_terminal_form(form: str) -> bool:
@@ -407,6 +414,13 @@ def _split_internal(core: str) -> list[str]:
 # --- tokenization ----------------------------------------------------------
 
 _SPACE_AFTER_NO = "SpaceAfter=No"
+# the misc of a closed-class token as ClosedClassEntry.fix marks it, after a
+# space and without one
+_CLOSED_SPACED = f"{CLOSED_CLASS_MISC}=Yes"
+_CLOSED_UNSPACED = f"{_SPACE_AFTER_NO}|{CLOSED_CLASS_MISC}=Yes"
+# the two misc values of a token that tokenize fixed: later stages read the
+# mark by membership, without parsing misc
+TOKENIZER_FIXED = frozenset((_CLOSED_SPACED, _CLOSED_UNSPACED))
 
 
 # LF, CRLF or a lone CR; a CR before an LF is never a line end of its own
@@ -415,54 +429,66 @@ BLANK_LINE = re.compile(LINE_END + r"[^\S\r\n]*" + LINE_END)
 
 
 def _scan(
-    paragraph: str, splits: dict, mode: TokenizerMode, rules: TokenizerRules
-) -> tuple[list[str], list[bool]]:
-    """The forms of ``paragraph`` and, for each, whether whitespace (or the
-    end of the paragraph) follows it.  A chunk of letters and digits only is
-    one form; the split of any other is memoised in ``splits``."""
+    text: str, splits: dict, mode: TokenizerMode, rules: TokenizerRules
+) -> tuple[list[str], list[bool], list[int]]:
+    """The forms of ``text``, for each whether whitespace (or the end of its
+    paragraph) follows it, and the number of forms up to the end of each
+    paragraph that holds one.  A chunk of letters and digits only is one
+    form; the split of any other is memoised in ``splits``."""
     forms: list[str] = []
     spaced: list[bool] = []
-    for chunk in paragraph.split():
-        if chunk.isalnum():  # one form: _split_chunk cuts only at punctuation and symbols
-            forms.append(chunk)
+    ends: list[int] = []
+    for paragraph in BLANK_LINE.split(text) if "\n" in text or "\r" in text else (text,):
+        for chunk in paragraph.split():
+            if chunk.isalnum():  # one form: _split_chunk cuts only at punctuation and symbols
+                forms.append(chunk)
+                spaced.append(True)
+                continue
+            pieces = splits.get(chunk)
+            if pieces is None:
+                pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
+            forms += pieces
+            if len(pieces) > 1:
+                spaced += [False] * (len(pieces) - 1)
             spaced.append(True)
-            continue
-        pieces = splits.get(chunk)
-        if pieces is None:
-            pieces = remember(splits, chunk, tuple(_split_chunk(chunk, mode, rules)))
-        forms += pieces
-        if len(pieces) > 1:
-            spaced += [False] * (len(pieces) - 1)
-        spaced.append(True)
-    return forms, spaced
+        if len(forms) > (ends[-1] if ends else 0):
+            ends.append(len(forms))
+    return forms, spaced, ends
 
 
-def _segment(forms: list[str], spaced: list[bool], mode: TokenizerMode) -> list[int]:
-    """The end index of each sentence in ``forms``, in order: after a
-    terminal mark as the mode has it, and at the end."""
-    n = len(forms)
+def _segment(
+    forms: list[str], spaced: list[bool], mode: TokenizerMode, start: int, stop: int
+) -> list[int]:
+    """The end index of each sentence of the paragraph ``forms[start:stop]``,
+    in order: after a terminal mark as the mode has it, and at its end."""
+    # a terminal form is made of terminal characters only, so a form whose
+    # first is none is passed over without the full test
     if mode is TokenizerMode.NONSTANDARD:
-        ends = [end for end, form in enumerate(forms, 1) if _is_terminal_form(form)]
+        ends = [
+            j + 1 for j in range(start, stop)
+            if forms[j][0] in TERMINAL_CHARS and _is_terminal_form(forms[j])
+        ]
     else:
         ends = []
-        for j, form in enumerate(forms):
-            if not _is_terminal_form(form):
+        for j in range(start, stop):
+            form = forms[j]
+            if form[0] not in TERMINAL_CHARS or not _is_terminal_form(form):
                 continue
             # closing quotes and brackets that hug the mark close the sentence
             # too; no terminal form is a closing one, so none is passed over
             while (
-                j + 1 < n
+                j + 1 < stop
                 and not spaced[j]
                 and all(ch in CLOSING_CHARS for ch in forms[j + 1])
             ):
                 j += 1
             # a new sentence needs whitespace and then a capital or a digit
-            if j + 1 < n and spaced[j]:
+            if j + 1 < stop and spaced[j]:
                 first = forms[j + 1][0]
                 if first.isupper() or first.isdigit():
                     ends.append(j + 1)
-    if n and (not ends or ends[-1] != n):
-        ends.append(n)
+    if not ends or ends[-1] != stop:
+        ends.append(stop)
     return ends
 
 
@@ -474,31 +500,42 @@ def tokenize(text: str, mode: TokenizerMode, rules: TokenizerRules) -> Document:
     paragraphs) and ``text`` comments; tokens that were not
     followed by whitespace in the source carry ``SpaceAfter=No``.  Forms
     listed in the closed-class table come out already tagged and marked
-    ``ClosedClass=Yes`` (after ``SpaceAfter=No`` when both apply) by
-    :meth:`ClosedClassEntry.fix`.  Empty or whitespace-only input yields a
+    ``ClosedClass=Yes`` (after ``SpaceAfter=No`` when both apply), as
+    :meth:`ClosedClassEntry.fix` marks them: their misc is one of
+    :data:`TOKENIZER_FIXED`.  Empty or whitespace-only input yields a
     document with zero sentences.
     """
     splits = memo_table(rules, (mode,))
     closed = rules.closed_class.entries
+    new = object.__new__
     doc = Document()
     sentences = doc.sentences
-    for paragraph in BLANK_LINE.split(text) if "\n" in text or "\r" in text else (text,):
-        forms, spaced = _scan(paragraph, splits, mode, rules)
-        start = 0
-        for end in _segment(forms, spaced, mode):
+    forms, spaced, paragraph_ends = _scan(text, splits, mode, rules)
+    start = 0
+    for stop in paragraph_ends:
+        for end in _segment(forms, spaced, mode, start, stop):
             tokens = []
             surface = []  # each form with the space after it: the sentence_text
-            for ti, (form, space) in enumerate(zip(forms[start:end], spaced[start:end]), 1):
-                if space:
-                    surface.append(form + " ")
-                    misc = None
-                else:
-                    surface.append(form)
-                    misc = _SPACE_AFTER_NO
-                tok = Token(ti, form, None, None, None, None, None, None, None, misc)
+            for i in range(start, end):
+                form = forms[i]
+                space = spaced[i]
+                surface.append(form + " " if space else form)
+                # stores in field order, as the constructor makes them (the
+                # targets of a chained assignment are stored left to right)
+                tok = new(Token)
+                tok.id = i - start + 1
+                tok.form = form
                 entry = closed.get(form)
-                if entry is not None:
-                    entry.fix(tok)
+                if entry is None:
+                    tok.lemma = tok.upos = tok.xpos = None
+                    misc = None if space else _SPACE_AFTER_NO
+                else:
+                    tok.lemma = entry.lemma
+                    tok.upos = entry.upos
+                    tok.xpos = entry.xpos
+                    misc = _CLOSED_SPACED if space else _CLOSED_UNSPACED
+                tok.feats = tok.head = tok.deprel = tok.deps = None
+                tok.misc = misc
                 tokens.append(tok)
             text_line = "".join(surface)
             if spaced[end - 1]:

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import copy
 import gzip
+import json
 import random
 import struct
 import tracemalloc
 from fractions import Fraction
 
+from slavpipe import modelio
 from slavpipe.conllu import Document, Sentence, Token, serialize_document, set_comment
 from slavpipe.lexicon import Lexicon
 from slavpipe.tokenizer import BLANK_LINE
@@ -79,6 +81,33 @@ def with_section(blob: bytes, name: str, payload: bytes) -> bytes:
         blob[:6] + struct.pack(">H", count + 1) + blob[8:]
         + struct.pack(">H", len(encoded)) + encoded + struct.pack(">Q", len(payload)) + payload
     )
+
+
+def _first_number_replaced(node, value):
+    """``node`` with its first number (in key order; a bool is none) replaced
+    by ``value``, and whether it held one."""
+    if type(node) in (int, float):
+        return value, True
+    if isinstance(node, (dict, list)):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            new, found = _first_number_replaced(node[key], value)
+            if found:
+                copied = copy.copy(node)
+                copied[key] = new
+                return copied, True
+    return node, False
+
+
+def write_non_finite(path, kind: str, section: str, constant: str) -> None:
+    """Rewrite the archive at ``path`` with the first number of ``section``
+    written as ``constant`` (``NaN``, ``Infinity`` or ``-Infinity``), which
+    json.dumps writes and the archive writer refuses to."""
+    meta, sections = modelio.read_archive(path, kind)
+    value, found = _first_number_replaced(sections[section], float(constant))
+    assert found, f"{section} holds no number"
+    sections[section] = [json.dumps(value).encode("utf-8")]
+    modelio.write_atomic(path, modelio._archive_chunks(meta, sections))
 
 
 # --- tiny synthetic language ------------------------------------------------

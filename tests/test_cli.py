@@ -23,7 +23,7 @@ from slavpipe.conllu import (
 from slavpipe.errors import TEXT_BLOCK, DataError, read_blocks, read_text, utf8_blocks
 from slavpipe.pipeline import Pipeline, PipelineConfig, model_filename
 
-from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section
+from support import GZIP_DAMAGE, damaged_gzip, lexicon_tsv, with_section, write_non_finite
 
 
 @pytest.fixture
@@ -667,6 +667,14 @@ def _column_break(section, char="\t"):
     return damage
 
 
+def _non_finite(section, constant="NaN"):
+    """A damage that writes the first number of ``section`` as ``constant``."""
+    def damage(path, kind):
+        write_non_finite(path, kind, section, constant)
+
+    return damage
+
+
 def _extra_byte(path, kind):
     path.write_bytes(path.read_bytes() + b"x")
 
@@ -706,6 +714,12 @@ def _second_meta(path, kind):
                      "holds a tab or a line break", id="lemmatizer-lexicon-lemma-lf"),
         pytest.param("lemmatizer", "morph,lemma", _column_break("lexicon", "\r"),
                      "holds a tab or a line break", id="lemmatizer-lexicon-lemma-cr"),
+        pytest.param("tagger", "morph", _non_finite("form_probs"),
+                     "NaN is not a finite number", id="tagger-nan-probability"),
+        pytest.param("lemmatizer", "morph,lemma", _non_finite("lexicon", "Infinity"),
+                     "Infinity is not a finite number", id="lemmatizer-infinite-frequency"),
+        pytest.param("parser", "morph,lemma,depparse", _non_finite("weights", "-Infinity"),
+                     "-Infinity is not a finite number", id="parser-infinite-weight"),
     ],
 )
 def test_malformed_model_is_one_line_model_error(

@@ -286,6 +286,18 @@ def test_add_refuses_a_row_that_is_not_strings_and_a_number(row):
     assert lex.to_rows() == [["pes", "pes", "Ncmsn", 1]] and lex._version == version
 
 
+@pytest.mark.parametrize("frequency", [math.nan, math.inf, -math.inf])
+def test_add_refuses_a_frequency_that_is_not_finite(frequency):
+    """No archive can hold NaN or an infinity, so no lexicon holds one."""
+    lex = build([("pes", "pes", "Ncmsn", 3)])
+    version = lex._version
+    with pytest.raises(ValueError, match=f"frequency {frequency!r} is not finite"):
+        lex.add("pes", "pes", "Ncmsn", frequency)
+    assert lex.to_rows() == [["pes", "pes", "Ncmsn", 3]] and lex._version == version
+    lex.add("pes", "pes", "Ncmsn", 10**400)  # a large int is finite, and JSON writes it
+    assert lex.to_rows() == [["pes", "pes", "Ncmsn", 3 + 10**400]]
+
+
 # --- the TSV read in blocks -------------------------------------------------
 
 # CRLF and multi-byte characters (2, 3 and 4 bytes in UTF-8) at every offset

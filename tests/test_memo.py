@@ -249,6 +249,30 @@ def test_an_empty_scope_keeps_one_memo_and_replaces_a_scoped_one():
     assert memo.memo_table(owner, (lexicon,)) is not empty
 
 
+def test_the_same_scope_keeps_the_memo_and_any_change_replaces_it():
+    class Owner:
+        pass
+
+    owner, lexicon, table = Owner(), Lexicon(), ClosedClassTable()
+    held = memo.memo_table(owner, (lexicon, table))
+    held["form"] = ("NOUN", "Ncmsn", None)
+    assert memo.memo_table(owner, (lexicon, table)) is held  # a new tuple of the same objects
+    lexicon.add("pes", "pes", "Ncmsn")  # bumps the version
+    bumped = memo.memo_table(owner, (lexicon, table))
+    assert bumped is not held and bumped == {}
+    assert memo.memo_table(owner, (lexicon, table)) is bumped
+    other_lexicon = Lexicon()  # equal to the first before its add, but another object
+    other = memo.memo_table(owner, (other_lexicon, table))
+    assert other is not bumped
+    shorter = memo.memo_table(owner, (other_lexicon,))
+    assert shorter is not other
+    longer = memo.memo_table(owner, (other_lexicon, table))
+    assert longer is not shorter
+    assert memo.memo_table(owner, (other_lexicon, table)) is longer
+    swapped = memo.memo_table(owner, (table, other_lexicon))  # the same objects, reordered
+    assert swapped is not longer
+
+
 def _memo_sizes(*owners) -> list[int]:
     return [len(vars(owner)["_memo"][2]) for owner in owners if "_memo" in vars(owner)]
 

@@ -1,4 +1,6 @@
 import json
+import math
+import shutil
 import stat
 import struct
 from dataclasses import asdict
@@ -17,7 +19,7 @@ from slavpipe.modelio import (
 from slavpipe.pipeline import model_filename
 from slavpipe.tagger import load_tagger
 
-from support import with_section
+from support import with_section, write_non_finite
 
 
 LOADERS = {"tagger": load_tagger, "lemmatizer": load_lemmatizer, "parser": load_parser}
@@ -64,7 +66,10 @@ KEYS = st.text(st.characters(exclude_categories=("Cs",)), max_size=4) | st.sampl
     ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\ufeff", "\uffff", "\U0001f600", "a\U00010000"]
 )
 ROWS = st.lists(
-    st.tuples(KEYS, st.none() | KEYS, st.integers() | st.floats(allow_nan=False)), max_size=3
+    st.tuples(
+        KEYS, st.none() | KEYS, st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    ),
+    max_size=3,
 )
 
 
@@ -106,6 +111,30 @@ def test_dumps_is_the_json_module_with_sorted_keys_and_no_spaces(table):
     for value in (table, {k: _as_rows(v) for k, v in table.items()}):
         reference = json.dumps(value, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         assert modelio._dumps(value) == reference.encode("utf-8")
+
+
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+def test_dumps_refuses_a_number_that_is_not_finite(number):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        modelio._dumps({"form": [["NOUN", "Ncmsn", None, number]]})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        mapping_blocks({"form": [("NOUN", "Ncmsn", None, number)]}, _as_rows)
+
+
+# a number of each archive kind: a tagger probability, a frequency of the
+# lemmatizer's embedded lexicon, a parser weight
+NUMBER_SECTIONS = {"tagger": "form_probs", "lemmatizer": "lexicon", "parser": "weights"}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_number_that_is_not_finite_is_refused_at_load(tmp_path, model_dir, kind, constant):
+    target = tmp_path / "non-finite.slm"
+    shutil.copy(model_dir / model_filename("sl", "standard", kind), target)
+    write_non_finite(target, kind, NUMBER_SECTIONS[kind], constant)
+    with pytest.raises(ModelError) as caught:
+        LOADERS[kind](target)
+    assert str(caught.value) == f"{target}: corrupt model archive: {constant} is not a finite number"
 
 
 def test_kind_mismatch(archive):

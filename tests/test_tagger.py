@@ -140,6 +140,23 @@ def test_closed_table_blocks_punct_for_words(model):
     assert tagged.sentences[0].tokens[0].upos not in ("PUNCT", "SYM")
 
 
+@pytest.mark.parametrize("misc, fixed", [
+    ("ClosedClass=Yes", True),  # the tokenizer's marks, known whole
+    ("SpaceAfter=No|ClosedClass=Yes", True),
+    ("X=1|ClosedClass=Yes", True),  # any other misc is parsed
+    ("ClosedClass=Yes|SpaceAfter=No", True),
+    ("ClosedClass=No", False),
+    ("SpaceAfter=No|ClosedClass=No", False),
+    ("XClosedClass=Yes", False),
+])
+def test_a_token_is_fixed_by_its_closed_class_mark_alone(model, misc, fixed):
+    doc = one_token_doc("ŋŋŋ", upos="SYM", xpos="Y", misc=misc)
+    tag_in_place(doc, model)
+    tok = doc.sentences[0].tokens[0]
+    assert ((tok.upos, tok.xpos) == ("SYM", "Y")) is fixed
+    assert tok.misc == misc
+
+
 def test_fixed_tokens_keep_their_tags(model):
     doc = one_token_doc(
         ".", upos="PUNCT", xpos="Z", lemma=".", misc="ClosedClass=Yes"

@@ -1,6 +1,9 @@
+import dataclasses
+import functools
 import re
 import sys
 import time
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +20,7 @@ from slavpipe.conllu import (
 from slavpipe.errors import ConfigurationError, DataError
 from slavpipe.tokenizer import (
     BLANK_LINE,
+    KNOWN_LANGUAGES,
     _EMAIL_RE,
     _HASHTAG_RE,
     _MENTION_RE,
@@ -38,6 +42,11 @@ from slavpipe.tokenizer import (
 )
 
 from support import FUZZ_PIECES, renumbered, without_blank_lines
+
+
+@functools.cache
+def _shipped_rules(language):
+    return default_rules(language)
 
 
 @pytest.fixture(scope="module")
@@ -436,9 +445,45 @@ def test_whitespace_between_line_feeds_is_no_blank_line(sl_rules, mode):
 
 def test_no_letter_or_digit_is_punctuation_or_a_symbol():
     # _split_chunk cuts only at punctuation and symbols, so tokenize takes a
-    # chunk that str.isalnum accepts whole, without asking _split_chunk
+    # chunk that str.isalnum accepts whole, without asking _split_chunk; and
+    # _is_punct_or_sym answers False for such a character without the lookup
     chars = map(chr, range(sys.maxunicode + 1))
-    assert not [ch for ch in chars if ch.isalnum() and _is_punct_or_sym(ch)]
+    assert not [ch for ch in chars if ch.isalnum() and unicodedata.category(ch)[0] in "PS"]
+
+
+@pytest.mark.parametrize("ch", ["a", "Ž", "5", "٣", "(", "€", "…", " ", "\x00", "\u0301"])
+def test_is_punct_or_sym_is_the_unicode_category(ch):
+    assert _is_punct_or_sym(ch) is (unicodedata.category(ch)[0] in "PS")
+
+
+FIELDS = [f.name for f in dataclasses.fields(Token)]
+# words around a closed-class form that make no abbreviation, ordinal,
+# emoticon or special with it, so the form is a token of its own
+_WORDS = ["pes", "Mačka", "teče", "ДА", "ok"]
+
+
+@pytest.mark.parametrize("language", KNOWN_LANGUAGES)
+@pytest.mark.parametrize("mode", list(TokenizerMode))
+@settings(max_examples=20, deadline=None)
+@given(
+    before=st.sampled_from(["", *_WORDS]),
+    after=st.sampled_from(["", *_WORDS]),
+    glued=st.sampled_from(["before", "after", "neither"]),
+)
+def test_a_closed_class_token_is_the_token_fix_marks(language, mode, before, after, glued):
+    """Every closed-class form of the shipped rules, followed by a space, by
+    the end of the text or by a word: the token tokenize builds is a plain
+    token marked by :meth:`ClosedClassEntry.fix`, with its fields in order."""
+    rules = _shipped_rules(language)
+    for form, entry in rules.closed_class.entries.items():
+        left = before + ("" if glued == "before" else " ") if before else ""
+        right = ("" if glued == "after" else " ") + after if after else ""
+        tok = tokenize(left + form + right, mode, rules).sentences[0].tokens[1 if before else 0]
+        spaced = not (after and glued == "after")
+        want = Token(tok.id, form, misc=None if spaced else "SpaceAfter=No")
+        entry.fix(want)
+        assert tok == want
+        assert list(vars(tok)) == FIELDS
 
 
 @given(st.text(alphabet=st.characters(categories=("L", "N")), min_size=1))
